@@ -141,6 +141,13 @@ def _enumeration_body(records, bound, args) -> dict:
 def cmd_enumerate_covers(args) -> int:
     started = time.monotonic()
     bound = covers_mod.LinearBound.parse(args.bound)
+    golden_text = None
+    if args.golden:
+        try:
+            golden_text = _golden_text(args.golden)
+        except OSError as exc:
+            print(f"--golden: cannot read {args.golden!r}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     records = covers_mod.enumerate_extremal(
         range(args.gmin, args.gmax + 1), bound,
         gamma=args.gamma, k_min=args.kmin,
@@ -149,8 +156,8 @@ def cmd_enumerate_covers(args) -> int:
     )
     body = _enumeration_body(records, bound, args)
     exit_code = EXIT_OK
-    if args.golden:
-        golden = json.loads(_golden_text(args.golden))["body"]
+    if golden_text is not None:
+        golden = json.loads(golden_text)["body"]
         same = golden["signatures"] == body["signatures"]
         body["golden_match"] = same
         if not same:

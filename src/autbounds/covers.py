@@ -27,6 +27,8 @@ from itertools import product as iproduct
 from math import gcd, lcm, prod
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .reports import Check, HypothesisReport
 
@@ -105,7 +107,8 @@ class FiniteAbelianGroup:
     def involutions(self) -> tuple[Element, ...]:
         return tuple(x for x in self.elements() if self.element_order(x) == 2)
 
-    def automorphisms(self) -> tuple[dict, ...]:
+    def automorphisms(self) -> np.ndarray:
+        """Aut(G) as rows of element indices; see :func:`_automorphisms`."""
         return _automorphisms(self.invariant_factors)
 
     def min_generators_of_quotient(self, subgroup: frozenset[Element]) -> int:
@@ -156,32 +159,46 @@ def _elements(factors: tuple[int, ...]) -> tuple[Element, ...]:
 
 
 @lru_cache(maxsize=None)
-def _automorphisms(factors: tuple[int, ...]) -> tuple[dict, ...]:
-    """All automorphisms, as element->element dicts, by brute force.
+def _index(factors: tuple[int, ...]) -> dict[Element, int]:
+    """Element -> its position in elements(); integer order is tuple-lex order."""
+    return {x: i for i, x in enumerate(_elements(factors))}
 
-    An automorphism sends the i-th standard generator to an element of order
-    exactly d_i; candidate tuples are filtered by bijectivity. Fine for the
-    group orders this lab meets (<= a few dozen).
+
+@lru_cache(maxsize=None)
+def _automorphisms(factors: tuple[int, ...]) -> np.ndarray:
+    """All automorphisms, as an int32 array of shape (|Aut G|, |G|).
+
+    Row a sends the element of index j to the element of index a[j]; the
+    index of an element is its position in elements(). An automorphism is
+    fixed by the images y_i of the standard generators e_i, each of order
+    exactly d_i. Backtracking over y_1, y_2, ... extends the image list of
+    <e_1..e_i> in elements() order and drops a branch as soon as that list
+    repeats an element, so the leaves are exactly the automorphisms, in the
+    lex order of their generator images.
+
+    The build costs |Aut(G)|*|G| table lookups. (Z/2)^5, with |Aut| =
+    9,999,360, is the first group out of reach; an enumeration first needs
+    it for a gamma = 0 datum with six involutions at genus 17.
     """
+    elements = _elements(factors)
+    index = _index(factors)
     group = FiniteAbelianGroup(factors)
-    elements = group.elements()
-    n = len(factors)
-    if n == 0:
-        return ({(): ()},)
-    candidates = [
-        tuple(x for x in elements if group.element_order(x) == d) for d in factors
-    ]
-    auts = []
-    for images in iproduct(*candidates):
-        table = {}
-        for x in elements:
-            acc = group.identity()
-            for c, img in zip(x, images):
-                acc = group.add(acc, group.scale(c, img))
-            table[x] = acc
-        if len(set(table.values())) == len(elements):
-            auts.append(table)
-    return tuple(auts)
+    add = [[index[group.add(x, y)] for y in elements] for x in elements]
+    multiples = [[index[group.scale(m, x)] for m in range(group.element_order(x))] for x in elements]
+    candidates = [[y for y, ms in enumerate(multiples) if len(ms) == d] for d in factors]
+    rows = []
+
+    def extend(i: int, images: list[int]) -> None:
+        if i == len(factors):
+            rows.append(images)
+            return
+        for y in candidates[i]:
+            image = [add[h][m] for h in images for m in multiples[y]]
+            if len(set(image)) == len(image):
+                extend(i + 1, image)
+
+    extend(0, [0])
+    return np.array(rows, dtype=np.int32)
 
 
 def abelian_groups_of_order(n: int) -> tuple[FiniteAbelianGroup, ...]:
@@ -292,62 +309,39 @@ class CoverDatum:
         )
 
 
-def hurwitz_genus(datum: CoverDatum) -> Optional[int]:
-    """Genus of the total space, or None when the datum is impossible.
+def _riemann_hurwitz(order: int, gamma: int, indices) -> Optional[int]:
+    """Solve 2g - 2 = |G|(2*gamma - 2) + sum(|G| - |G|/r_i) in integers.
 
-    Solves 2g - 2 = |G| (2*gamma - 2 + sum(1 - 1/r_i)) exactly; a
-    non-integral or negative g means no cover exists with this datum.
+    Each r_i divides |G|, so 2g is an integer; when it is odd or negative no
+    cover exists and the result is None.
     """
-    n = datum.group.order
-    tau = Fraction(2 * datum.quotient_genus - 2)
-    for r in datum.signature():
-        tau += 1 - Fraction(1, r)
-    g = 1 + Fraction(n) * tau / 2
-    if g.denominator != 1 or g < 0:
-        return None
-    return int(g)
+    twice_g = 2 + order * (2 * gamma - 2) + sum(order - order // r for r in indices)
+    return twice_g // 2 if twice_g >= 0 and twice_g % 2 == 0 else None
+
+
+def hurwitz_genus(datum: CoverDatum) -> Optional[int]:
+    """Genus of the total space, or None when the datum is impossible."""
+    return _riemann_hurwitz(datum.group.order, datum.quotient_genus, datum.signature())
 
 
 def quotient_genus(datum: CoverDatum, subgroup_generators) -> int:
     """Genus of the intermediate quotient by H = <subgroup_generators>.
 
     Applies the ramification identity to the induced cover with group G/H:
-    indices are the orders of branch images in G/H, dropping trivial ones.
+    indices are the orders of branch images in G/H (trivial ones weigh 0).
     """
     g = datum.group
     sub = g.subgroup(subgroup_generators)
-    quotient_order = g.order // len(sub)
-    tau = Fraction(2 * datum.quotient_genus - 2)
-    for b in datum.branch:
-        r = _image_order(g, sub, b)
-        if r > 1:
-            tau += 1 - Fraction(1, r)
-    gy = 1 + Fraction(quotient_order) * tau / 2
-    if gy.denominator != 1 or gy < 0:
-        raise InvariantViolation(
-            f"quotient genus {gy} is not a genus; datum cannot be a cover"
-        )
-    return int(gy)
+    gy = _riemann_hurwitz(g.order // len(sub), datum.quotient_genus,
+                          [_image_order(g, sub, b) for b in datum.branch])
+    if gy is None:
+        raise InvariantViolation("the quotient by H has no genus; datum cannot be a cover")
+    return gy
 
 
 def _image_order(group: FiniteAbelianGroup, subgroup: frozenset[Element], x: Element) -> int:
-    order = group.element_order(x)
-    for m in sorted(_divisors(order)):
-        if group.scale(m, x) in subgroup:
-            return m
-    return order
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+    """Order of x + H in G/H: the least m >= 1 with m*x in H."""
+    return next(m for m in range(1, group.element_order(x) + 1) if group.scale(m, x) in subgroup)
 
 
 @dataclass(frozen=True)
@@ -464,12 +458,12 @@ def lemma43_signature_checks(order: int, signature, assume_cyclic: bool = False)
 
 def canonical_branch(group: FiniteAbelianGroup, branch: tuple[Element, ...]) -> tuple[Element, ...]:
     """Lexicographically least image of the branch multiset under Aut(G)."""
-    best = None
-    for aut in group.automorphisms():
-        image = tuple(sorted(aut[b] for b in branch))
-        if best is None or image < best:
-            best = image
-    return best
+    index = _index(group.invariant_factors)
+    images = np.sort(group.automorphisms()[:, [index[b] for b in branch]], axis=1)
+    for col in range(images.shape[1]):
+        images = images[images[:, col] == images[:, col].min()]
+    elements = group.elements()
+    return tuple(elements[i] for i in images[0])
 
 
 @dataclass(frozen=True)
@@ -485,12 +479,14 @@ class LinearBound:
 
     @classmethod
     def parse(cls, text: str) -> "LinearBound":
-        s = text.replace(" ", "")
-        if "g" not in s:
-            raise InvariantViolation(f"bound {text!r} must be linear in g, like '3g+6'")
-        head, _, tail = s.partition("g")
-        a = Fraction(head) if head not in ("", "+", "-") else Fraction(head + "1")
-        b = Fraction(tail) if tail else Fraction(0)
+        head, g, tail = text.replace(" ", "").partition("g")
+        try:
+            if not g:
+                raise ValueError
+            a = Fraction(head) if head not in ("", "+", "-") else Fraction(head + "1")
+            b = Fraction(tail) if tail else Fraction(0)
+        except ValueError:
+            raise InvariantViolation(f"--bound {text!r} must be linear in g, like '3g+6'") from None
         return cls(a, b, text)
 
 
@@ -532,18 +528,20 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
     """All covers (up to Aut(G)) with the given group, quotient genus, genus.
 
     Exhausts multisets of nonzero elements with the exact degree-sum target,
-    then filters by the sum-zero and generation conditions.
+    then filters by the sum-zero and generation conditions. The degree sum is
+    scaled by |G|: an element of order r weighs |G| - |G|/r (an integer, as r
+    divides |G|) and the target is (2g - 2) - |G|(2*gamma - 2).
     """
     n = group.order
-    target = Fraction(2 * genus - 2, n) - (2 * gamma - 2)
+    target = (2 * genus - 2) - n * (2 * gamma - 2)
     if target < 0:
         return []
     elements = [e for e in group.elements() if e != group.identity()]
     elements.sort(key=lambda e: (group.element_order(e), e))
-    weights = [1 - Fraction(1, group.element_order(e)) for e in elements]
+    weights = [n - n // group.element_order(e) for e in elements]
     found: dict[tuple, CoverDatum] = {}
 
-    def rec(start: int, remaining: Fraction, chosen: list[Element]):
+    def rec(start: int, remaining: int, chosen: list[Element]):
         if remaining == 0:
             if len(chosen) < k_min:
                 return
@@ -555,18 +553,16 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
             if gamma == 0:
                 if not group.generates(chosen):
                     return
-            else:
-                sub = group.subgroup(chosen) if chosen else group.subgroup([])
-                if group.min_generators_of_quotient(sub) > 2 * gamma:
-                    return
+            elif group.min_generators_of_quotient(group.subgroup(chosen)) > 2 * gamma:
+                return
             datum = CoverDatum(group, gamma, tuple(chosen))
             found.setdefault(canonical_branch(group, datum.branch), datum)
             return
-        if remaining < Fraction(1, 2):
+        if 2 * remaining < n:  # every weight is at least |G|/2
             return
         for i in range(start, len(elements)):
-            if weights[i] > remaining:
-                continue
+            if weights[i] > remaining:  # weights ascend with the order
+                break
             chosen.append(elements[i])
             rec(i, remaining - weights[i], chosen)
             chosen.pop()

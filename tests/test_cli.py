@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import autbounds
 from autbounds.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -42,6 +46,21 @@ def test_invalid_data_is_65(capsys):
     code, _, err = run_cli(capsys, "bounds", "surface", "k2=10", "chi=0")
     assert code == EXIT_DATA
     assert "chi" in err
+
+
+@pytest.mark.parametrize("argv, code, flag", [
+    (["--bound", "3*g+6"], EXIT_DATA, "--bound"),
+    (["--bound", "3g+6", "--golden", "/missing.json"], EXIT_USAGE, "--golden"),
+], ids=["bad-bound", "missing-golden"])
+def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
+    src = str(Path(autbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "autbounds.cli", "enumerate-covers",
+                           "--gmin", "2", "--gmax", "3", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert flag in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_bounds_surface_value(capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,8 @@ from autbounds.covers import (
 )
 from autbounds.errors import InvariantViolation
 from functools import lru_cache
+
+from tests_oracles import hillar_rhea_aut_order, naive_automorphisms, naive_canonical_branch
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +73,41 @@ def test_automorphism_counts():
     assert len(FiniteAbelianGroup((5, 5)).automorphisms()) == 480  # GL(2,5)
     assert len(FiniteAbelianGroup((8,)).automorphisms()) == 4
     assert len(FiniteAbelianGroup((2, 2)).automorphisms()) == 6  # GL(2,2)
+
+
+def test_automorphism_counts_match_closed_form():
+    for n in range(1, 37):
+        for g in abelian_groups_of_order(n):
+            if g.invariant_factors != (2, 2, 2, 2, 2):  # |GL(5,2)| rows: never built
+                assert len(g.automorphisms()) == hillar_rhea_aut_order(g.invariant_factors), g
+    assert hillar_rhea_aut_order((2, 2, 2, 2, 2)) == 9_999_360
+    assert hillar_rhea_aut_order((2, 2, 2, 2)) == 20_160
+    assert hillar_rhea_aut_order((2, 2, 2, 4)) == 21_504
+
+
+# (Z/2)^4 is left out: the naive build alone filters 50,625 dict tables
+ORACLE_GROUPS = [g for n in range(1, 25) for g in abelian_groups_of_order(n)
+                 if g.invariant_factors != (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
+def test_automorphisms_match_naive_oracle(group):
+    elements = group.elements()
+    rows = {tuple(row) for row in group.automorphisms().tolist()}
+    naive = {tuple(elements.index(aut[x]) for x in elements)
+             for aut in naive_automorphisms(group.invariant_factors)}
+    assert rows == naive
+    assert len(rows) == len(group.automorphisms())
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
+def test_canonical_branch_matches_naive_oracle(group):
+    rng = random.Random(group.order)
+    elements = group.elements()
+    for k in range(1, 8):
+        for _ in range(15):
+            branch = tuple(rng.choice(elements) for _ in range(k))
+            assert canonical_branch(group, branch) == naive_canonical_branch(group, branch), branch
 
 
 def test_canonical_branch_orbit_invariance():
