@@ -138,16 +138,29 @@ def _enumeration_body(records, bound, args) -> dict:
     return body
 
 
+def _golden_signatures(name: str, text: str) -> list:
+    """The signature table of a golden cover-enumeration report."""
+    try:
+        signatures = json.loads(text)["body"]["signatures"]
+    except (ValueError, KeyError, TypeError):
+        signatures = None
+    if not isinstance(signatures, list):
+        raise InvariantViolation(
+            f"--golden: {name!r} is not a cover-enumeration report with a body.signatures list")
+    return signatures
+
+
 def cmd_enumerate_covers(args) -> int:
     started = time.monotonic()
     bound = covers_mod.LinearBound.parse(args.bound)
-    golden_text = None
+    golden = None
     if args.golden:
         try:
             golden_text = _golden_text(args.golden)
         except OSError as exc:
             print(f"--golden: cannot read {args.golden!r}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
+        golden = _golden_signatures(args.golden, golden_text)
     records = covers_mod.enumerate_extremal(
         range(args.gmin, args.gmax + 1), bound,
         gamma=args.gamma, k_min=args.kmin,
@@ -156,12 +169,11 @@ def cmd_enumerate_covers(args) -> int:
     )
     body = _enumeration_body(records, bound, args)
     exit_code = EXIT_OK
-    if golden_text is not None:
-        golden = json.loads(golden_text)["body"]
-        same = golden["signatures"] == body["signatures"]
+    if golden is not None:
+        same = golden == body["signatures"]
         body["golden_match"] = same
         if not same:
-            body["golden_expected"] = golden["signatures"]
+            body["golden_expected"] = golden
             exit_code = EXIT_VIOLATION
     _emit(body, args, started=started)
     return exit_code
@@ -181,16 +193,48 @@ def _parse_kv(pairs):
     return out
 
 
-def _int_list(text: str) -> list[int]:
+_REQUIRED = object()
+
+
+def _int(kv: dict, key: str, default=_REQUIRED):
+    """kv[key] as an int, or `default` when the key is absent.
+
+    A missing required key or a value that is not an integer is invalid data.
+    """
+    if key not in kv:
+        if default is _REQUIRED:
+            raise InvariantViolation(f"missing required key {key}=<integer>")
+        return default
+    try:
+        return int(kv[key])
+    except ValueError:
+        raise InvariantViolation(f"{key}={kv[key]!r} is not an integer") from None
+
+
+def _int_list(kv: dict, key: str) -> list[int]:
+    """kv[key] as comma-separated integers and lo-hi ranges, e.g. '3,5-7'."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, _, hi = part.partition("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in kv[key].split(","):
+            part = part.strip()
+            if "-" in part[1:]:
+                lo, _, hi = part.partition("-")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:
+        raise InvariantViolation(f"{key}={kv[key]!r} is not a list of integers and lo-hi ranges") from None
     return out
+
+
+def _int_range(kv: dict, key: str, default: str) -> tuple[int, int]:
+    """kv[key] (or `default`) as an inclusive integer range lo:hi."""
+    text = kv.get(key) or default
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise InvariantViolation(f"{key}={text!r} is not an integer range lo:hi") from None
+    return lo, hi
 
 
 _SURFACE_KEYS = {
@@ -203,14 +247,14 @@ def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
     unknown = set(kv) - _SURFACE_KEYS
     if unknown:
         raise InvariantViolation(f"unknown surface keys: {sorted(unknown)}")
-    known = frozenset(_int_list(kv["pencils"])) if "pencils" in kv else frozenset()
-    absent = frozenset(_int_list(kv["no_pencils"])) if "no_pencils" in kv else frozenset()
-    d = int(kv["d"]) if "d" in kv else None
-    k2 = int(kv["k2"]) if "k2" in kv else None
+    known = frozenset(_int_list(kv, "pencils")) if "pencils" in kv else frozenset()
+    absent = frozenset(_int_list(kv, "no_pencils")) if "no_pencils" in kv else frozenset()
+    d = _int(kv, "d", None)
+    k2 = _int(kv, "k2", None)
     if k2 is None and d is not None:
         k2 = d * (d - 4) ** 2  # adjunction for a degree-d surface in 3-space
     if k2 is None and "ci" in kv:
-        degrees = tuple(_int_list(kv["ci"]))
+        degrees = tuple(_int_list(kv, "ci"))
         total = sum(degrees)
         n_amb = len(degrees) + 2
         deg = 1
@@ -221,15 +265,15 @@ def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
         raise InvariantViolation("k2 is required (or derivable from d= / ci=)")
     return bounds_mod.SurfaceInvariants(
         k2=k2,
-        chi=int(kv["chi"]) if "chi" in kv else None,
+        chi=_int(kv, "chi", None),
         known_pencils=known,
         no_pencils=absent,
-        canonical_image_dim=int(kv["canonical_image_dim"]) if "canonical_image_dim" in kv else None,
+        canonical_image_dim=_int(kv, "canonical_image_dim", None),
         canonical_map_birational=kv.get("birational", "0") in ("1", "true", "yes"),
         even_surface_conditions=kv.get("even", "0") in ("1", "true", "yes"),
-        ci_degrees=tuple(_int_list(kv["ci"])) if "ci" in kv else None,
+        ci_degrees=tuple(_int_list(kv, "ci")) if "ci" in kv else None,
         p3_degree=d,
-        two_pencils_genus=int(kv["two_pencils_genus"]) if "two_pencils_genus" in kv else None,
+        two_pencils_genus=_int(kv, "two_pencils_genus", None),
     )
 
 
@@ -247,7 +291,7 @@ def cmd_bounds(args) -> int:
         _emit(body, args, started=started)
         return EXIT_OK
     if sub == "threefold":
-        inv = bounds_mod.ThreefoldInvariants(int(kv["k3"]), int(kv["chi"]))
+        inv = bounds_mod.ThreefoldInvariants(_int(kv, "k3"), _int(kv, "chi"))
         c, trail = bounds_mod.threefold_constant()
         body = {
             "format": "threefold-bound",
@@ -259,8 +303,8 @@ def cmd_bounds(args) -> int:
         _emit(body, args, started=started)
         return EXIT_OK
     if sub == "plurigenus":
-        inv = bounds_mod.ThreefoldInvariants(int(kv["k3"]), int(kv["chi"]))
-        n = int(kv["n"])
+        inv = bounds_mod.ThreefoldInvariants(_int(kv, "k3"), _int(kv, "chi"))
+        n = _int(kv, "n")
         body = {"format": "plurigenus", "k3": inv.k3, "chi": inv.chi, "n": n,
                 "value": bounds_mod.plurigenus(inv, n)}
         _emit(body, args, started=started)
@@ -271,8 +315,8 @@ def cmd_bounds(args) -> int:
             raise InvariantViolation(
                 f"margin needs variant=<one of {bounds_mod.MARGIN_VARIANTS}>")
         if variant == "prop3.3":
-            inv = bounds_mod.ThreefoldInvariants(int(kv["k3"]), int(kv["chi"]))
-            margin, report = bounds_mod.decomposability_margin(variant, inv, n=int(kv["n"]))
+            inv = bounds_mod.ThreefoldInvariants(_int(kv, "k3"), _int(kv, "chi"))
+            margin, report = bounds_mod.decomposability_margin(variant, inv, n=_int(kv, "n"))
         else:
             inv = surface_invariants_from_kv(kv)
             margin, report = bounds_mod.decomposability_margin(variant, inv)
@@ -283,7 +327,12 @@ def cmd_bounds(args) -> int:
         _emit(body, args, started=started)
         return EXIT_OK
     if sub == "universal-n":
-        eps = Fraction(kv["epsilon"]) if "epsilon" in kv else lemmas_mod.CHAIN_RATIO_EPSILON
+        eps = lemmas_mod.CHAIN_RATIO_EPSILON
+        if "epsilon" in kv:
+            try:
+                eps = Fraction(kv["epsilon"])
+            except (ValueError, ZeroDivisionError):
+                raise InvariantViolation(f"epsilon={kv['epsilon']!r} is not a rational number") from None
         n_star, cert = bounds_mod.universal_n(eps)
         body = {"format": "universal-n", "n_star": n_star, "certificate": jsonable(cert)}
         _emit(body, args, started=started)
@@ -297,13 +346,13 @@ def cmd_bounds(args) -> int:
 
 
 def _surface_table(args, kv) -> int:
-    k2_lo, k2_hi = (int(x) for x in (kv.get("k2_range") or "1:64").split(":"))
+    k2_lo, k2_hi = _int_range(kv, "k2_range", "1:64")
     writer = csv.writer(sys.stdout)
     writer.writerow(["k2", "chi", "value", "source"])
     for k2 in range(k2_lo, k2_hi + 1):
         chi_vals = [None]
         if "chi_range" in kv:
-            lo, hi = (int(x) for x in kv["chi_range"].split(":"))
+            lo, hi = _int_range(kv, "chi_range", "")
             chi_vals = [c for c in range(lo, hi + 1) if 9 * c >= k2]
         for chi in chi_vals:
             inv = bounds_mod.SurfaceInvariants(k2=k2, chi=chi)

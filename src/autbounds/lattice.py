@@ -3,8 +3,9 @@
 Everything here is integer/rational exact. Mid-points of two integer points
 are stored *doubled* (as the sum p+q), so sets of mid-points stay integral
 and hashable; all mid-point counts are counts of the doubled set, which is in
-bijection with the set of actual mid-points. numpy appears only as a bulk
-integer counter for pair sums; there is no floating point in this module.
+bijection with the set of actual mid-points. numpy appears only as bulk
+integer bitmaps for pair sums and chains; there is no floating point in this
+module.
 
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim
@@ -36,6 +37,8 @@ from .errors import InvariantViolation
 # (2**25 bools = 32 MiB worst case; typical instances are a few hundred KiB).
 _DENSE_CELL_LIMIT = 1 << 25
 _OUTER_CHUNK = 1 << 22
+# (start, step) pairs followed at once by longest_chain (2 MiB of int64 codes)
+_WALK_CHUNK = 1 << 18
 
 
 class LatticeSet:
@@ -47,7 +50,7 @@ class LatticeSet:
     __slots__ = ("points", "dim", "_sorted")
 
     def __init__(self, points: Iterable[tuple[int, ...]], dim: Optional[int] = None):
-        pts = frozenset(tuple(int(c) for c in p) for p in points)
+        pts = frozenset(tuple(map(int, p)) for p in points)
         if pts:
             dims = {len(p) for p in pts}
             if len(dims) != 1:
@@ -327,33 +330,26 @@ def union_midpoint_count(a1: LatticeSet, a3: LatticeSet, a2: LatticeSet) -> int:
 # dimension and chains
 # ---------------------------------------------------------------------------
 
-def integer_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank over Q of integer row vectors, by fraction-free elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while m and col < ncols:
-        pivot = next((i for i, row in enumerate(m) if row[col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[0], m[pivot] = m[pivot], m[0]
-        head = m[0]
-        reduced = []
-        for row in m[1:]:
+def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
+    """Rank over Q of integer row vectors, by fraction-free elimination.
+
+    Rows are reduced one at a time against the pivot rows kept so far, and
+    the scan stops as soon as the rank equals the column count.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in rows:
+        row = list(row)
+        for col, head in basis:
             if row[col] != 0:
                 g = gcd(head[col], row[col])
                 f_head, f_row = row[col] // g, head[col] // g
                 row = [f_row * x - f_head * y for x, y in zip(row, head)]
-            if any(row):
-                reduced.append(row)
-        m = reduced
-        rank += 1
-        col += 1
-    return rank
+        pivot = next((c for c, x in enumerate(row) if x != 0), None)
+        if pivot is not None:
+            basis.append((pivot, row))
+            if len(basis) == len(row):
+                break
+    return len(basis)
 
 
 def dimension(a: LatticeSet) -> int:
@@ -362,7 +358,119 @@ def dimension(a: LatticeSet) -> int:
         raise InvariantViolation("dimension of an empty set is undefined")
     pts = a.sorted_points()
     p0 = pts[0]
-    return integer_rank([tuple(c - d for c, d in zip(p, p0)) for p in pts[1:]])
+    return integer_rank(tuple(c - d for c, d in zip(p, p0)) for p in pts[1:])
+
+
+def longest_chain(a: LatticeSet) -> int:
+    """Length (point count) of the longest arithmetic progression inside a.
+
+    A singleton is a chain of length 1 and any two points form a chain of
+    length 2. Steps need not be primitive ({0, 2, 4} is a 3-chain); on an
+    integrally convex set the two notions agree, but arranged or arbitrary
+    sets can have gappy chains.
+
+    A chain of length L with step v forces (L-1)|v_c| <= R_c, the range of
+    coordinate c, so only the cap box |v_c| <= R_c // (L-1) can host it.
+    Levels L are taken from max R_c + 1 down; each level scans its shell,
+    the directions of its cap box that are not in the box of the level
+    above, so every direction is scanned once. The scan stops once the best
+    run reaches the next level whose box grows, since a longer chain would
+    need a direction not yet scanned.
+
+    The set is marked in a dense bitmap of its bounding box, padded on every
+    side by half a range (the longest step a level >= 3 scans), and the runs
+    of a whole shell are followed at once: each (start, step) pair still
+    alive moves one step and is kept if it lands on the set. Sets whose
+    padded box exceeds the dense limit, or whose coordinates do not fit in
+    int64, walk each maximal run once from its first pair of points
+    instead. All of it is exact.
+    """
+    n = len(a)
+    if n == 0:
+        raise InvariantViolation("longest_chain of an empty set is undefined")
+    if n == 1:
+        return 1
+    try:
+        pts = np.array(a.sorted_points(), dtype=np.int64)
+    except OverflowError:
+        return _sparse_longest_chain(a)
+    lo = pts.min(axis=0)
+    r = [int(hi) - int(low) for hi, low in zip(pts.max(axis=0), lo)]  # hi - lo may pass int64
+    pads = [x // 2 for x in r]
+    spans = [x + 2 * pad + 1 for x, pad in zip(r, pads)]
+    if prod(spans) > _DENSE_CELL_LIMIT:
+        return _sparse_longest_chain(a)
+    strides = np.array([prod(spans[c + 1:]) for c in range(a.dim)], dtype=np.int64)
+    codes = (pts - lo + np.array(pads, dtype=np.int64)) @ strides
+    bitmap = np.zeros(prod(spans), dtype=bool)
+    bitmap[codes] = True
+
+    best = 2
+    caps = [0] * a.dim
+    level = max(r) + 1
+    while level > 2:
+        prev, caps = caps, [x // (level - 1) for x in r]
+        best = max(best, _longest_run(bitmap, codes, _cap_shell_steps(caps, prev, strides)))
+        # the next level whose cap box grows; a longer chain than `best`
+        # would need a direction outside the boxes scanned so far
+        level = max(x // (c + 1) + 1 for x, c in zip(r, caps))
+        if best >= level:
+            return best
+    return best
+
+
+def _cap_shell_steps(caps: list[int], prev: list[int], strides: np.ndarray) -> np.ndarray:
+    """Codes of the directions in the cap box `caps` but not in `prev`.
+
+    One per +/- pair: a code is positive exactly when the first nonzero
+    entry of its direction is. Non-primitive directions are kept, since
+    gappy progressions are real chains on non-convex sets.
+    """
+    caps_arr = np.array(caps, dtype=np.int64)
+    box = np.indices([2 * c + 1 for c in caps]).reshape(len(caps), -1).T - caps_arr
+    new = (np.abs(box) > np.array(prev, dtype=np.int64)).any(axis=1)
+    steps = box[new] @ strides
+    return steps[steps > 0]
+
+
+def _longest_run(bitmap: np.ndarray, codes: np.ndarray, steps: np.ndarray) -> int:
+    """Longest run (point count) of the set along any of the steps.
+
+    Every start is a point of the set and every step is at most half a
+    range long in each coordinate, so a position one step past a point of
+    the set stays inside the padded box and its code is exact.
+    """
+    best = 1
+    rows = max(1, _WALK_CHUNK // len(codes))
+    for start in range(0, len(steps), rows):
+        chunk = steps[start:start + rows]
+        step = np.repeat(chunk, len(codes))
+        pos = np.add.outer(chunk, codes).ravel()
+        length = 1
+        while True:
+            alive = bitmap[pos]
+            if not alive.any():
+                break
+            length += 1
+            step = step[alive]
+            pos = pos[alive] + step
+        best = max(best, length)
+    return best
+
+
+def _sparse_longest_chain(a: LatticeSet) -> int:
+    """longest_chain for sets too spread out for the bitmap: every maximal
+    run is walked once, from the pair of its first two points, in exact
+    python ints."""
+    pts = a.points
+    ordered = a.sorted_points()
+    best = 2
+    for i, p in enumerate(ordered):
+        for q in ordered[i + 1:]:
+            v = tuple(y - x for x, y in zip(p, q))
+            if tuple(x - d for x, d in zip(p, v)) not in pts:
+                best = max(best, _run_length(pts, p, v))
+    return best
 
 
 def _run_length(points: frozenset, start: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -372,80 +480,6 @@ def _run_length(points: frozenset, start: tuple[int, ...], v: tuple[int, ...]) -
         n += 1
         p = tuple(a + b for a, b in zip(p, v))
     return n
-
-
-def _max_run_along(a: LatticeSet, v: tuple[int, ...]) -> int:
-    pts = a.points
-    best = 0
-    for p in pts:
-        prev = tuple(x - y for x, y in zip(p, v))
-        if prev in pts:
-            continue
-        best = max(best, _run_length(pts, p, v))
-    return best
-
-
-def longest_chain(a: LatticeSet) -> int:
-    """Length (point count) of the longest arithmetic progression inside a.
-
-    A singleton is a chain of length 1 and any two points form a chain of
-    length 2. Steps need not be primitive ({0, 2, 4} is a 3-chain); on an
-    integrally convex set the two notions agree, but arranged or arbitrary
-    sets can have gappy chains. A chain of length L in direction v forces
-    (L-1)|v_c| to fit in the coordinate range R_c, so candidate directions
-    are enumerated level by level: at level L only the box
-    |v_c| <= R_c // (L-1) can host a run of length >= L. This is exact and
-    fast even for sets of ~10^4 points.
-    """
-    n = len(a)
-    if n == 0:
-        raise InvariantViolation("longest_chain of an empty set is undefined")
-    if n == 1:
-        return 1
-    pts = a.sorted_points()
-    dim = a.dim
-    ranges = [max(p[c] for p in pts) - min(p[c] for p in pts) for c in range(dim)]
-    rmax = max(ranges)
-    if rmax == 0:
-        return 1
-    best = 2  # any two distinct points
-    for level in range(rmax + 1, 2, -1):
-        caps = [r // (level - 1) for r in ranges]
-        found = best
-        for v in _canonical_directions(caps):
-            run = _max_run_along(a, v)
-            if run > found:
-                found = run
-        if found >= level:
-            return found
-        best = max(best, found)
-    return best
-
-
-def _canonical_directions(caps: list[int]) -> Iterator[tuple[int, ...]]:
-    """Nonzero vectors v with |v_c| <= caps[c], one per +/- pair.
-
-    Non-primitive vectors are kept: gappy progressions are real chains on
-    non-convex sets. The sign is fixed so the first nonzero entry is
-    positive, which halves the search and makes it deterministic.
-    """
-    if all(c == 0 for c in caps):
-        return
-    ranges = [range(-c, c + 1) for c in caps]
-
-    def rec(prefix, idx):
-        if idx == len(caps):
-            v = tuple(prefix)
-            for c in v:
-                if c != 0:
-                    if c > 0:
-                        yield v
-                    break
-            return
-        for c in ranges[idx]:
-            yield from rec(prefix + [c], idx + 1)
-
-    yield from rec([], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .lattice import (
     ConvexTriple,
@@ -181,15 +183,23 @@ class VerificationOutcome:
 
 def verify_lemma(lemma_id: str, triple: ConvexTriple, trial_seed: int = 0,
                  epsilon: Fraction = CHAIN_RATIO_EPSILON,
-                 verify_convexity: bool = False):
+                 verify_convexity: bool = False, *,
+                 report: Optional[HypothesisReport] = None):
     """Run one rule on one triple: (hypothesis report, verification outcome).
 
     For "2.4" the outcome compares the mid-point union count before and after
     arranging along every axis in order; each single-axis step is checked.
     For the other rules the count is compared against the closed-form bound;
     an inadmissible triple still yields the comparison, but makes no claim.
+    `report` is the triple's hypothesis report under the same `epsilon` and
+    `verify_convexity`, when the caller already has it; it is returned in
+    place of a recomputed one, so a report of another rule is rejected.
     """
-    report = hypothesis_report(lemma_id, triple, epsilon, verify_convexity)
+    if report is None:
+        report = hypothesis_report(lemma_id, triple, epsilon, verify_convexity)
+    elif report.subject != lemma_id:
+        raise InvariantViolation(f"hypothesis report of rule {report.subject!r} "
+                                 f"passed to verify_lemma for rule {lemma_id!r}")
     if lemma_id == "2.4":
         counts = [union_count(triple)]
         cur = triple
@@ -354,69 +364,56 @@ def _gauge_triple(rng: random.Random, dim: int, size_target: int,
              for j in range(dim)]
             for i in range(dim)
         ]
+        quad_arr = np.array(quad, dtype=np.int64)
 
-        def gauge(p):
-            v = [2 * c - o for c, o in zip(p, center)]
-            return sum(quad[i][j] * v[i] * v[j] for i in range(dim) for j in range(dim))
+        def gauge(v):
+            return ((v @ quad_arr) * v).sum(axis=1)
 
         desc = f"ellipsoid quad={quad} center/2={center}"
     else:
         weights = tuple(rng.randint(2, 4) for _ in range(dim))
+        weights_arr = np.array(weights, dtype=np.int64)
 
-        def gauge(p):
-            return max(w * abs(2 * c - o) for w, c, o in zip(weights, p, center))
+        def gauge(v):
+            return (weights_arr * np.abs(v)).max(axis=1)
 
         desc = f"box weights={weights} center/2={center}"
 
     pts, vals = _scan_sublevel(gauge, dim, center, size_target)
-    order = sorted(range(len(pts)), key=lambda i: (vals[i], pts[i]))
+    ordered = np.sort(vals)
     f2 = rng.uniform(*(ratios[0:2] if ratios else (0.55, 0.92)))
     f1 = rng.uniform(0.12, 0.45) if not ratios or len(ratios) < 3 else ratios[2]
     size3 = min(size_target, len(pts))
     size2 = max(dim + 2, int(round(f2 * size3)))
     size1 = max(dim + 2, int(round(f1 * size3)))
-    idx = {}
-    for name, size in (("a3", size3), ("a2", min(size2, size3)), ("a1", min(size1, size3))):
-        thr = vals[order[size - 1]]
-        idx[name] = [pts[i] for i in order if vals[i] <= thr]
-    a3 = LatticeSet(idx["a3"], dim)
-    a2 = LatticeSet(idx["a2"], dim)
-    a1 = LatticeSet(idx["a1"], dim)
+    a3, a2, a1 = (LatticeSet(map(tuple, pts[vals <= ordered[size - 1]].tolist()), dim)
+                  for size in (size3, min(size2, size3), min(size1, size3)))
     return ConvexTriple(a1, a2, a3, witness_regions=f"{desc} sizes={len(a1)},{len(a2)},{len(a3)}")
 
 
 def _scan_sublevel(gauge, dim, center, size_target):
-    """Enumerate a box guaranteed to contain the needed sublevel set."""
+    """Enumerate a box guaranteed to contain the needed sublevel set.
+
+    `gauge` maps the rows 2p - center of an int64 array to their gauge
+    values. Returns the points strictly inside the box, in lexicographic
+    order, with their values.
+    """
+    mid = np.array(center, dtype=np.int64) // 2
     for w in range(2, 24):
-        lo = [center[c] // 2 - w for c in range(dim)]
-        hi = [center[c] // 2 + w for c in range(dim)]
-        if prod(h - l + 1 for l, h in zip(lo, hi)) > 400_000:
+        if (2 * w + 1) ** dim > 400_000:
             raise _Degenerate
-        pts, vals = [], []
-        boundary_min = None
-        for p in _grid(lo, hi):
-            g = gauge(p)
-            if any(p[c] in (lo[c], hi[c]) for c in range(dim)):
-                boundary_min = g if boundary_min is None else min(boundary_min, g)
-            else:
-                pts.append(p)
-                vals.append(g)
-        if len(pts) < size_target:
+        axes = np.meshgrid(*[np.arange(c - w, c + w + 1) for c in mid.tolist()], indexing="ij")
+        grid = np.stack(axes, axis=-1).reshape(-1, dim)
+        vals = gauge(2 * grid - np.array(center, dtype=np.int64))
+        boundary = (np.abs(grid - mid) == w).any(axis=1)
+        inner = vals[~boundary]
+        if len(inner) < size_target:
             continue
-        thr = sorted(vals)[size_target - 1]
-        if boundary_min is not None and boundary_min <= thr:
+        thr = np.partition(inner, size_target - 1)[size_target - 1]
+        if vals[boundary].min() <= thr:
             continue  # sublevel not closed inside the box; widen
-        return pts, vals
+        return grid[~boundary], inner
     raise _Degenerate
-
-
-def _grid(lo, hi):
-    if not lo:
-        yield ()
-        return
-    for c in range(lo[0], hi[0] + 1):
-        for rest in _grid(lo[1:], hi[1:]):
-            yield (c,) + rest
 
 
 def _box_triple(rng: random.Random, dim: int, size_target: int) -> ConvexTriple:
@@ -589,7 +586,7 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
                 lemma_id, master_seed, trial, dim, min_size, max_size,
                 max_draws=max_draws)
             seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
-        rep, outcome = verify_lemma(lemma_id, triple, trial_seed=seed)
+        rep, outcome = verify_lemma(lemma_id, triple, trial_seed=seed, report=report)
         rhs = outcome.rhs_bound
         row = {
             "lemma": lemma_id,

@@ -63,6 +63,26 @@ def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     assert flag in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["plurigenus", "k3=x", "chi=0", "n=3"], "k3"),
+    (["surface", "k2=10", "pencils=a"], "pencils"),
+    (["plurigenus", "k3=2", "n=3"], "chi"),
+], ids=["non-integer", "non-integer-list", "missing-key"])
+def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
+    code, _, err = run_cli(capsys, "bounds", *argv)
+    assert code == EXIT_DATA
+    assert len(err.strip().splitlines()) == 1 and key in err
+
+
+def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, "enumerate-covers", "--bound", "3g+6",
+                             "--gmin", "2", "--gmax", "3", "--golden", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--golden" in err
+
+
 def test_bounds_surface_value(capsys):
     code, out, _ = run_cli(capsys, "bounds", "surface", "k2=1")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
+import itertools
 import random
-from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from autbounds.lattice import (
     arrangement,
     dimension,
     in_convex_hull,
+    integer_rank,
     is_integrally_convex,
     is_relatively_convex,
     is_staircase,
@@ -23,38 +25,12 @@ from autbounds.lattice import (
     squash_projection,
     union_midpoint_count,
 )
+from autbounds.lemmas import triple_for_rule
+from tests_oracles import naive_chain, naive_midpoints, naive_rank
 
 # ---------------------------------------------------------------------------
 # naive oracles, kept deliberately independent of the implementation
 # ---------------------------------------------------------------------------
-
-def naive_midpoints(a, b):
-    return {
-        tuple(Fraction(x + y, 2) for x, y in zip(p, q))
-        for p in a for q in b
-    }
-
-
-def naive_longest_chain(a):
-    pts = set(a)
-    if not pts:
-        return 0
-    best = 1
-    for p in pts:
-        for q in pts:
-            if p == q:
-                continue
-            v = tuple(y - x for x, y in zip(p, q))
-            n = 2
-            cur = q
-            while True:
-                cur = tuple(x + d for x, d in zip(cur, v))
-                if cur not in pts:
-                    break
-                n += 1
-            best = max(best, n)
-    return best
-
 
 def naive_arrangement(a, axis):
     pts = set(a)
@@ -242,7 +218,77 @@ def test_chain_matches_bruteforce():
     for _ in range(120):
         dim = rng.randint(1, 4)
         a = random_set(rng, dim, max_points=35, spread=5)
-        assert longest_chain(a) == naive_longest_chain(a)
+        assert longest_chain(a) == naive_chain(a)
+
+
+def _box(sides, offsets=None):
+    offsets = offsets or [0] * len(sides)
+    return LatticeSet(itertools.product(*[range(o, o + s) for o, s in zip(offsets, sides)]),
+                      len(sides))
+
+
+def test_chain_matches_oracle_in_dims_1_to_6():
+    rng = random.Random(90)
+    max_side = {1: 9, 2: 9, 3: 6, 4: 4, 5: 3}
+    for _ in range(30):
+        for dim in range(1, 6):
+            # sparse: few points in a wide box, so most of the scanned
+            # directions join no two points
+            sparse = random_set(rng, dim, max_points=10, spread=60 if dim == 1 else 6)
+            # dense: a box with a fifth of its points removed
+            box = _box([rng.randint(1, max_side[dim]) for _ in range(dim)])
+            dense = LatticeSet([p for p in box.sorted_points() if rng.random() < 0.8]
+                               or box.sorted_points()[:1], dim)
+            # gappy: points on a coarse sublattice plus a few strays, so
+            # the longest chains have non-primitive steps
+            step = rng.randint(2, 4)
+            gappy = LatticeSet({tuple(step * rng.randint(-3, 3) + (rng.random() < 0.1)
+                                      for _ in range(dim)) for _ in range(rng.randint(1, 40))}, dim)
+            for a in (sparse, dense, gappy):
+                assert longest_chain(a) == naive_chain(a), (dim, sorted(a))
+    # the convex generator's sets in six dimensions
+    for seed in range(4):
+        t = triple_for_rule("2.7", seed, dim=6)
+        for a in (t.a2, t.a3):
+            assert longest_chain(a) == naive_chain(a), seed
+
+
+def test_chain_sparse_fallback_matches_oracle():
+    # coordinates 10^8 apart put the padded bounding box past the dense
+    # limit, and coordinates past 2^63 do not fit in int64; the chain is
+    # unchanged by the scaling and the shift
+    rng = random.Random(91)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        a = random_set(rng, dim, max_points=20, spread=3)
+        far = LatticeSet([tuple(10**8 * c for c in p) for p in a], dim)
+        huge = LatticeSet([tuple(10**19 + c for c in p) for p in a], dim)
+        assert longest_chain(far) == longest_chain(huge) == longest_chain(a) == naive_chain(a)
+
+
+def test_chain_of_a_box_is_its_longest_side():
+    # 2.6-scale product boxes of 5,000-9,900 points
+    rng = random.Random(92)
+    checked = 0
+    while checked < 12:
+        sides = [rng.randint(6, 13) for _ in range(4)]
+        if not 5_000 <= prod(sides) <= 9_900:
+            continue
+        box = _box(sides, [rng.randint(-3, 3) for _ in range(4)])
+        assert longest_chain(box) == max(sides)
+        checked += 1
+
+
+def test_integer_rank_matches_rational_elimination():
+    rng = random.Random(93)
+    for _ in range(200):
+        ncols = rng.randint(1, 5)
+        basis = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+        rows = [tuple(sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(ncols))
+                for _ in range(rng.randint(0, 12))]
+        rows += [tuple(rng.randint(-3, 3) for _ in range(ncols)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        assert integer_rank(rows) == naive_rank(rows)
 
 
 # ---------------------------------------------------------------------------

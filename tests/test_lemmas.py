@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from autbounds import lemmas
 from autbounds.errors import InvariantViolation
 from autbounds.lattice import LatticeSet, dimension, longest_chain
 from autbounds.lemmas import (
@@ -19,6 +20,7 @@ from autbounds.lemmas import (
     union_count,
     verify_lemma,
 )
+from tests_oracles import scalar_gauge_triple
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +83,17 @@ def test_generator_box_profile_large():
     t = generate_nested_triple(4, 5200, seed=3)
     assert 3000 <= len(t.a3) <= 9000
     assert dimension(t.a1) == 4
+
+
+def test_generator_matches_scalar_gauge_scan(monkeypatch):
+    # the vectorised sublevel scan against the point-by-point oracle: equal
+    # triples and witness strings mean the random stream is used identically
+    cases = [(dim, 10 + (37 * seed) % 200, seed) for dim in (2, 3, 4) for seed in range(200)]
+    fast = [generate_nested_triple(*case) for case in cases]
+    monkeypatch.setattr(lemmas, "_gauge_triple", scalar_gauge_triple)
+    for case, t in zip(cases, fast):
+        slow = generate_nested_triple(*case)
+        assert t == slow and t.witness_regions == slow.witness_regions, case
 
 
 def test_nested_sets_generator():
@@ -204,6 +217,13 @@ def test_verify_outcome_serialization():
     assert "/" in d["rhs"] or d["rhs"].lstrip("-").isdigit()
 
 
+def test_verify_takes_a_given_report_of_the_same_rule_only():
+    t, rep, _ = admissible_triple("2.7", 3, 0)
+    assert verify_lemma("2.7", t, report=rep) == verify_lemma("2.7", t)
+    with pytest.raises(InvariantViolation):
+        verify_lemma("2.5", t, report=rep)
+
+
 def test_violation_machinery_records_witness(monkeypatch):
     # force a violation by inflating the bound: the suite must fail loudly
     # with a replayable witness, not crash
@@ -231,6 +251,20 @@ def test_suite_rows_are_deterministic():
     r1 = run_lemma_suite("2.5", 5, master_seed=11)
     r2 = run_lemma_suite("2.5", 5, master_seed=11)
     assert r1.to_json_body() == r2.to_json_body()
+
+
+@pytest.mark.parametrize("lemma", ["2.4", "2.5"])
+def test_suite_checks_hypotheses_once_per_draw(monkeypatch, lemma):
+    real = lemmas.hypothesis_report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lemmas, "hypothesis_report", counted)
+    res = run_lemma_suite(lemma, 4, master_seed=4, dim=3)
+    assert len(calls) == sum(row["draws"] for row in res.rows)
 
 
 def test_suite_2_4_small():

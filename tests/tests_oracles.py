@@ -3,16 +3,18 @@
 These re-derive each quantity straight from its definition with none of the
 production shortcuts: rational mid-points instead of doubled encodings, an
 all-pairs (start, step) walk for chains, a clause-by-clause membership
-test for arrangement, automorphisms as element->element dicts filtered from
-every tuple of generator images, and the closed-form count of Hillar & Rhea.
+test for arrangement, a point-by-point gauge scan for the convex generator,
+automorphisms as element->element dicts filtered from every tuple of
+generator images, and the closed-form count of Hillar & Rhea.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from autbounds import lemmas
 from autbounds.covers import FiniteAbelianGroup
-from autbounds.lattice import LatticeSet
+from autbounds.lattice import ConvexTriple, LatticeSet
 
 
 def naive_midpoints(a, b):
@@ -24,6 +26,23 @@ def naive_midpoints(a, b):
 
 def naive_union_count(a1, a3, a2):
     return len(naive_midpoints(a1, a3) | naive_midpoints(a2, a2))
+
+
+def naive_rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def naive_chain(a):
@@ -45,6 +64,68 @@ def naive_chain(a):
                 length += 1
             best = max(best, length)
     return best
+
+
+def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
+    """The convex generator's gauge draw, one point and one Python int at a time.
+
+    Same signature and random-number use as `lemmas._gauge_triple`: the box
+    around the centre widens until the sublevel set of the wanted size is
+    closed inside it, and the three sets are the points at or below the
+    gauge value of the a3, a2 and a1 size ranks.
+    """
+    if shape == "auto":
+        shape = rng.choice(("ellipsoid", "ellipsoid", "box"))
+    center = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(dim))
+    if shape == "ellipsoid":
+        m = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(dim)] for _ in range(dim)]
+        k = rng.randint(1, 3)
+        quad = [[sum(m[r][i] * m[r][j] for r in range(dim)) + (k if i == j else 0)
+                 for j in range(dim)] for i in range(dim)]
+
+        def gauge(p):
+            v = [2 * c - o for c, o in zip(p, center)]
+            return sum(quad[i][j] * v[i] * v[j] for i in range(dim) for j in range(dim))
+
+        desc = f"ellipsoid quad={quad} center/2={center}"
+    else:
+        weights = tuple(rng.randint(2, 4) for _ in range(dim))
+
+        def gauge(p):
+            return max(w * abs(2 * c - o) for w, c, o in zip(weights, p, center))
+
+        desc = f"box weights={weights} center/2={center}"
+
+    for w in range(2, 24):
+        lo = [center[c] // 2 - w for c in range(dim)]
+        hi = [center[c] // 2 + w for c in range(dim)]
+        if (2 * w + 1) ** dim > 400_000:
+            raise lemmas._Degenerate
+        pts, vals, boundary_min = [], [], None
+        for p in product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
+            g = gauge(p)
+            if any(p[c] in (lo[c], hi[c]) for c in range(dim)):
+                boundary_min = g if boundary_min is None else min(boundary_min, g)
+            else:
+                pts.append(p)
+                vals.append(g)
+        if len(pts) >= size_target and boundary_min > sorted(vals)[size_target - 1]:
+            break
+    else:
+        raise lemmas._Degenerate
+
+    order = sorted(range(len(pts)), key=lambda i: (vals[i], pts[i]))
+    f2 = rng.uniform(*(ratios[0:2] if ratios else (0.55, 0.92)))
+    f1 = rng.uniform(0.12, 0.45) if not ratios or len(ratios) < 3 else ratios[2]
+    size3 = min(size_target, len(pts))
+    size2 = max(dim + 2, int(round(f2 * size3)))
+    size1 = max(dim + 2, int(round(f1 * size3)))
+    sets = {}
+    for name, size in (("a3", size3), ("a2", min(size2, size3)), ("a1", min(size1, size3))):
+        thr = vals[order[size - 1]]
+        sets[name] = LatticeSet([pts[i] for i in order if vals[i] <= thr], dim)
+    a1, a2, a3 = sets["a1"], sets["a2"], sets["a3"]
+    return ConvexTriple(a1, a2, a3, witness_regions=f"{desc} sizes={len(a1)},{len(a2)},{len(a3)}")
 
 
 def naive_arrangement_by_definition(a, axis):
