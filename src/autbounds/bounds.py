@@ -21,7 +21,7 @@ from math import ceil
 from typing import Optional
 
 from .errors import InvariantViolation
-from .lemmas import CHAIN_RATIO_EPSILON, bound_formula
+from .lemmas import CHAIN_RATIO_EPSILON, RULES, bound_formula
 from .reports import Check, HypothesisReport, jsonable
 
 
@@ -52,9 +52,7 @@ class ThreefoldInvariants:
 
 def admissible_chi_range(k3: int) -> tuple[int, int]:
     """Integer chi endpoints for a given even K^3 > 0."""
-    lo = -(5 * k3) // 2 - 1
-    hi = k3 // 6
-    return lo, hi
+    return -(5 * k3) // 2 - 1, k3 // 6
 
 
 def plurigenus(inv: ThreefoldInvariants, n: int) -> int:
@@ -163,14 +161,12 @@ class BoundResult:
         }
 
 
-def _chi_known(inv: SurfaceInvariants) -> bool:
-    return inv.chi is not None
-
-
 def _surface_rules(inv: SurfaceInvariants):
     """(tag, checks, value) for every rule in the table."""
     k2 = inv.k2
     chi = inv.chi
+    # a genus-g pencil is controlled once K^2 >= 12(g-1)/(g+5) * chi
+    slopes = {g: Fraction(12 * (g - 1), g + 5) for g in (3, 4, 5)}
     rules = []
 
     rules.append((
@@ -182,10 +178,10 @@ def _surface_rules(inv: SurfaceInvariants):
 
     checks = [Check("k2_at_least_181", k2 >= 181, k2)]
     for g in (3, 4, 5):
-        slope = Fraction(12 * (g - 1), g + 5)
+        slope = slopes[g]
         if g in inv.no_pencils:
             checks.append(Check(f"pencil_genus_{g}_controlled", True, "no such pencil"))
-        elif g in inv.known_pencils and _chi_known(inv):
+        elif g in inv.known_pencils and chi is not None:
             ok = Fraction(k2) >= slope * chi
             checks.append(Check(f"pencil_genus_{g}_controlled", ok,
                                 f"K^2 >= {slope}*chi needed: {k2} vs {slope * chi}"))
@@ -196,7 +192,7 @@ def _surface_rules(inv: SurfaceInvariants):
 
     base_canonical = [
         Check("canonical_image_is_surface", inv.canonical_image_dim == 2, inv.canonical_image_dim),
-        Check("chi_at_least_14", _chi_known(inv) and chi >= 14, chi),
+        Check("chi_at_least_14", chi is not None and chi >= 14, chi),
         Check("k2_at_least_82", k2 >= 82, k2),
         Check("no_pencils_genus_2_to_5", inv.no_pencils_through(2, 5), sorted(inv.no_pencils)),
     ]
@@ -216,16 +212,17 @@ def _surface_rules(inv: SurfaceInvariants):
         Fraction(16 * k2),
     ))
 
-    for genus, k2_floor, slope, value in (
-        (3, 16, Fraction(3), Fraction(24 * k2 + 64)),
-        (4, 36, Fraction(4), Fraction(24 * k2 + 144)),
-        (5, 64, Fraction(24, 5), Fraction(24 * k2 + 256)),
+    for genus, k2_floor, value in (
+        (3, 16, Fraction(24 * k2 + 64)),
+        (4, 36, Fraction(24 * k2 + 144)),
+        (5, 64, Fraction(24 * k2 + 256)),
     ):
+        slope = slopes[genus]
         rules.append((
             f"genus{genus}_pencil",
             [Check(f"has_genus{genus}_pencil", genus in inv.known_pencils, sorted(inv.known_pencils)),
              Check(f"k2_exceeds_{k2_floor}", k2 > k2_floor, k2),
-             Check("k2_at_least_slope_times_chi", _chi_known(inv) and Fraction(k2) >= slope * (chi or 0),
+             Check("k2_at_least_slope_times_chi", chi is not None and Fraction(k2) >= slope * (chi or 0),
                    f"{k2} vs {slope}*{chi}")],
             value,
         ))
@@ -233,7 +230,7 @@ def _surface_rules(inv: SurfaceInvariants):
     rules.append((
         "canonical_pencil",
         [Check("canonical_image_is_curve", inv.canonical_image_dim == 1, inv.canonical_image_dim),
-         Check("chi_at_least_21", _chi_known(inv) and chi >= 21, chi)],
+         Check("chi_at_least_21", chi is not None and chi >= 21, chi)],
         Fraction(25, 2) * k2 + 469,
     ))
 
@@ -349,6 +346,21 @@ def singular_fiber_floor(g: int, is_double_curve_of_half_genus: bool = False) ->
 MARGIN_VARIANTS = ("prop3.3", "prop6.3", "lemma7.2", "lemma7.4", "lemma7.6-12", "lemma7.6-16")
 
 
+def _chain_cap(n: int) -> Fraction:
+    """12/((6n-1)(3n-2)), the level-n chain cap; the argument needs it <= eps."""
+    return Fraction(12, (6 * n - 1) * (3 * n - 2))
+
+
+# rule 2.5 margins: the levels i of #A2, #A3 and the target H^0(iK), and the
+# chain control each assumes
+_CHAINS_CAPPED = "assumed: chains capped (a genus-1 pencil is impossible on general type)"
+_RULE_2_5_LEVELS = {
+    "lemma7.4": ((3, 4, 6), "assumed: no genus-2 pencil (chain control), K^2 >= 10"),
+    "lemma7.6-12": ((6, 8, 12), _CHAINS_CAPPED),
+    "lemma7.6-16": ((8, 11, 16), _CHAINS_CAPPED),
+}
+
+
 def _dim_h(i: int, k2: int, chi: int) -> int:
     """dim H^0(iK) = i(i-1)/2 K^2 + chi for a minimal surface, i >= 2."""
     return i * (i - 1) // 2 * k2 + chi
@@ -372,10 +384,10 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         n2, n3 = plurigenus(inv, 2 * n), plurigenus(inv, 3 * n)
         rhs = plurigenus(inv, 4 * n)
         margin = bound_formula("2.6", n2, n3, epsilon) - rhs
-        chain_ok = Fraction(12, (6 * n - 1) * (3 * n - 2)) <= epsilon
+        cap = _chain_cap(n)
         checks = [
-            Check("chain_ratio_implies_eps", chain_ok,
-                  f"12/((6n-1)(3n-2)) = {Fraction(12, (6 * n - 1) * (3 * n - 2))} vs eps = {epsilon}"),
+            Check("chain_ratio_implies_eps", cap <= epsilon,
+                  f"12/((6n-1)(3n-2)) = {cap} vs eps = {epsilon}"),
             Check("4a2_ge_a3", 4 * n2 >= n3, f"4*{n2} vs {n3}"),
             Check("dim_at_least_4_assumed", True,
                   "assumed: basic sets are >= 4-dimensional in the birational range"),
@@ -412,17 +424,10 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         ]
         return margin, HypothesisReport(variant, tuple(checks))
 
-    if variant == "lemma7.4":
-        n2, n3, rhs = _dim_h(3, k2, chi), _dim_h(4, k2, chi), _dim_h(6, k2, chi)
-        assumed = "assumed: no genus-2 pencil (chain control), K^2 >= 10"
-    elif variant == "lemma7.6-12":
-        n2, n3, rhs = _dim_h(6, k2, chi), _dim_h(8, k2, chi), _dim_h(12, k2, chi)
-        assumed = "assumed: chains capped (a genus-1 pencil is impossible on general type)"
-    elif variant == "lemma7.6-16":
-        n2, n3, rhs = _dim_h(8, k2, chi), _dim_h(11, k2, chi), _dim_h(16, k2, chi)
-        assumed = "assumed: chains capped (a genus-1 pencil is impossible on general type)"
-    else:
+    if variant not in _RULE_2_5_LEVELS:
         raise InvariantViolation(f"unknown margin variant {variant!r}")
+    levels, assumed = _RULE_2_5_LEVELS[variant]
+    n2, n3, rhs = (_dim_h(i, k2, chi) for i in levels)
     margin = bound_formula("2.5", n2, n3) - rhs
     checks = [
         Check("a2_at_least_21", n2 >= 21, n2),
@@ -437,23 +442,34 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
 # universal-n search (exact, certified)
 # ---------------------------------------------------------------------------
 
+def _plurigenus_polynomials(weights: dict) -> tuple[tuple, tuple]:
+    """Coefficients (highest degree first) of A(n), B(n) in
+    sum_k w_k p_{kn} = A(n)*K^3 + B(n)*chi, for weights {k: w_k}.
+
+    p_m = (2m-1)m(m-1)/12 * K^3 + (1-2m) chi at m = kn expands to
+    (2k^3 n^3 - 3k^2 n^2 + k n)/12 * K^3 + (1 - 2kn) chi.
+    """
+    a = [Fraction(0)] * 4
+    b = [Fraction(0)] * 2
+    for k, w in weights.items():
+        for i, c in enumerate((2 * k ** 3, -3 * k ** 2, k, 0)):
+            a[i] += Fraction(w * c, 12)
+        b[0] += w * -2 * k
+        b[1] += w
+    return tuple(a), tuple(b)
+
+
 def _margin_polynomials(epsilon: Fraction):
-    """Coefficients (cubic..constant) of A(n), B(n) in
-    margin(n, k3, chi) = A(n)*K^3 + B(n)*chi - 57."""
-    eps = Fraction(epsilon)
-    c14 = Fraction(14, 3) * (1 - 4 * eps)
-    one = 1 - eps
-    a3 = (one * 54 + c14 * 16 - 128) / 12
-    a2 = (one * -27 + c14 * -12 + 48) / 12
-    a1 = (one * 3 + c14 * 2 - 4) / 12
-    b1 = one * -6 + c14 * -4 + 8
-    b0 = one + c14 - 1
-    return (a3, a2, a1, Fraction(0)), (b1, b0)
+    """A(n), B(n) and the constant c0 in margin(n, k3, chi) = A(n)*K^3 + B(n)*chi + c0:
+    rule 2.6's bound c3 p_{3n} + c2 p_{2n} + c0 less p_{4n}."""
+    [(c3, c2, c0)] = RULES["2.6"].forms_at(epsilon)
+    a, b = _plurigenus_polynomials({3: c3, 2: c2, 4: -1})
+    return a, b, c0
 
 
 def _size_polynomials():
     """4 p_{2n} - p_{3n} = a_sz(n)*K^3 + b_sz(n)*chi."""
-    return (Fraction(10, 12), Fraction(-21, 12), Fraction(5, 12), Fraction(0)), (Fraction(-10), Fraction(3))
+    return _plurigenus_polynomials({2: 4, 3: -1})
 
 
 def _poly(coeffs, n: int) -> Fraction:
@@ -477,23 +493,20 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
     Margins are linear in chi with negative chi-coefficient, so only the
     integer endpoint chi = floor(K^3/6) can bind; writing even K^3 as 6q+s
     (s in {0,2,4}) collapses the all-K^3 check to the exact closed forms
-    min(2A-57, 6A+B-57) > 0 (and min(2a_sz, 6a_sz+b_sz) >= 0 for the size
-    condition), all recorded in the certificate together with a minimality
-    witness for n-1.
+    min(2A+c0, 6A+B+c0) > 0, with c0 the constant term of rule 2.6 (and
+    min(2a_sz, 6a_sz+b_sz) >= 0 for the size condition), all recorded in the
+    certificate together with a minimality witness for n-1.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 529):
         raise InvariantViolation("epsilon must lie in (0, 1/529) for the cubic term to stay positive")
-    a_coeffs, b_coeffs = _margin_polynomials(eps)
+    a_coeffs, b_coeffs, c0 = _margin_polynomials(eps)
     sz_a, sz_b = _size_polynomials()
     lead = a_coeffs[0]
     assert lead == (1 - 529 * eps) / 18
 
-    def chain_ok(n):
-        return Fraction(12, (6 * n - 1) * (3 * n - 2)) <= eps
-
     n_chain = 2
-    while not chain_ok(n_chain):
+    while _chain_cap(n_chain) > eps:
         n_chain += 1
 
     def conditions(n):
@@ -505,9 +518,9 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
             return False, {}
         vals = {
             "A": a, "B": b,
-            "margin_k3_2_chi_0": 2 * a - 57,
-            "margin_k3_6_chi_1": 6 * a + b - 57,
-            "margin_k3_2_chi_min": 2 * a - 6 * b - 57,
+            "margin_k3_2_chi_0": 2 * a + c0,
+            "margin_k3_6_chi_1": 6 * a + b + c0,
+            "margin_k3_2_chi_min": 2 * a - 6 * b + c0,
             "size_k3_2_chi_0": 2 * asz,
             "size_k3_6_chi_1": 6 * asz + bsz,
         }
@@ -530,9 +543,7 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
     witness = {"n": n - 1}
     if n - 1 < n_chain:
         witness["failed"] = "chain_ratio"
-        witness["detail"] = (
-            f"(6n-1)(3n-2) = {(6 * (n - 1) - 1) * (3 * (n - 1) - 2)} < {12 / eps}"
-        )
+        witness["detail"] = f"(6n-1)(3n-2) = {12 / _chain_cap(n - 1)} < {12 / eps}"
     else:
         _, prev = conditions(n - 1)
         for name, point in (
@@ -542,10 +553,8 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
             ("size_k3_2_chi_0", {"k3": 2, "chi": 0}),
             ("margin_k3_2_chi_min", {"k3": 2, "chi": -6}),
         ):
-            if prev and prev[name] <= 0 and not name.startswith("size"):
-                witness.update({"failed": name, "value": prev[name], **point})
-                break
-            if prev and name.startswith("size") and prev[name] < 0:
+            # margins must be positive, sizes nonnegative
+            if prev and (prev[name] < 0 if name.startswith("size") else prev[name] <= 0):
                 witness.update({"failed": name, "value": prev[name], **point})
                 break
         else:
@@ -556,8 +565,8 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
         "leading_coefficient": lead,
         "chain_floor": {
             "n": n_chain,
-            "value_at_floor": (6 * n_chain - 1) * (3 * n_chain - 2),
-            "value_below": (6 * (n_chain - 1) - 1) * (3 * (n_chain - 1) - 2),
+            "value_at_floor": 12 / _chain_cap(n_chain),
+            "value_below": 12 / _chain_cap(n_chain - 1),
             "required": 12 / eps,
         },
         "margin_coefficients_A": a_coeffs,
@@ -566,7 +575,7 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
         "endpoint_reduction": (
             "chi ranges over [-(5/2)K^3-1, floor(K^3/6)]; the chi-coefficient is negative, "
             "so chi = floor(K^3/6) binds, and K^3 = 6q+s (s in 0,2,4) reduces the all-K^3 "
-            "check to min(2A-57, 6A+B-57) with the lower chi endpoint checked at K^3=2"
+            f"check to min(2A{c0}, 6A+B{c0}) with the lower chi endpoint checked at K^3=2"
         ),
         "conditions_at_n_star": vals,
         "minimality_witness": witness,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -18,6 +17,7 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 from importlib import resources
+from math import prod
 
 from . import __version__
 from .errors import InvariantViolation
@@ -101,14 +101,10 @@ def cmd_verify_lemmas(args) -> int:
     body = result.to_json_body()
     body["format"] = "lemma-suite"
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in result.csv_rows():
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        csv.writer(sys.stdout).writerows(result.csv_rows())
     else:
         _emit(body, args, started=started)
-    for i, violation in enumerate(result.violations):
+    for violation in result.violations:
         path = os.path.join(_output_dir(), f"witness_{args.lemma}_{violation['seed']}.json")
         with open(path, "w") as fh:
             fh.write(_canonical_json(violation))
@@ -123,7 +119,7 @@ def cmd_verify_lemmas(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _enumeration_body(records, bound, args) -> dict:
-    body = {
+    return {
         "format": "cover-enumeration",
         "bound": bound.text,
         "gmin": args.gmin,
@@ -135,7 +131,6 @@ def _enumeration_body(records, bound, args) -> dict:
         "records": covers_mod.records_to_json(records),
         "signatures": [list(map(jsonable, sig)) for sig in covers_mod.signature_table(records)],
     }
-    return body
 
 
 def _golden_signatures(name: str, text: str) -> list:
@@ -243,6 +238,20 @@ _SURFACE_KEYS = {
 }
 
 
+def _k2_from_degrees(kv: dict, key: str) -> int:
+    """K^2 of the complete intersection of degrees kv[key] = d_1..d_r in P^(r+2).
+
+    d= is the case r = 1. By adjunction K = O(sum d_i - r - 3), so
+    K^2 = (sum d_i - r - 3)^2 * prod d_i; a twist <= 0 is not general type.
+    """
+    degrees = _int_list(kv, key)
+    twist = sum(degrees) - len(degrees) - 3
+    if twist <= 0:
+        raise InvariantViolation(f"{key}={kv[key]!r} gives K = O({twist}), which is not positive: "
+                                 "the surface is not of general type")
+    return twist ** 2 * prod(degrees)
+
+
 def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
     unknown = set(kv) - _SURFACE_KEYS
     if unknown:
@@ -250,17 +259,8 @@ def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
     known = frozenset(_int_list(kv, "pencils")) if "pencils" in kv else frozenset()
     absent = frozenset(_int_list(kv, "no_pencils")) if "no_pencils" in kv else frozenset()
     d = _int(kv, "d", None)
-    k2 = _int(kv, "k2", None)
-    if k2 is None and d is not None:
-        k2 = d * (d - 4) ** 2  # adjunction for a degree-d surface in 3-space
-    if k2 is None and "ci" in kv:
-        degrees = tuple(_int_list(kv, "ci"))
-        total = sum(degrees)
-        n_amb = len(degrees) + 2
-        deg = 1
-        for dd in degrees:
-            deg *= dd
-        k2 = (total - n_amb - 1) ** 2 * deg
+    derived = [_k2_from_degrees(kv, key) for key in ("d", "ci") if key in kv]
+    k2 = _int(kv, "k2", derived[0] if derived else None)
     if k2 is None:
         raise InvariantViolation("k2 is required (or derivable from d= / ci=)")
     return bounds_mod.SurfaceInvariants(
@@ -285,31 +285,19 @@ def cmd_bounds(args) -> int:
         if args.table:
             return _surface_table(args, kv)
         inv = surface_invariants_from_kv(kv)
-        result = bounds_mod.surface_bound(inv)
-        body = {"format": "surface-bound", "inputs": {k: jsonable(v) for k, v in kv.items()}}
-        body.update(result.to_json_dict())
-        _emit(body, args, started=started)
-        return EXIT_OK
-    if sub == "threefold":
+        body = {"format": "surface-bound", "inputs": {k: jsonable(v) for k, v in kv.items()},
+                **bounds_mod.surface_bound(inv).to_json_dict()}
+    elif sub == "threefold":
         inv = bounds_mod.ThreefoldInvariants(_int(kv, "k3"), _int(kv, "chi"))
         c, trail = bounds_mod.threefold_constant()
-        body = {
-            "format": "threefold-bound",
-            "k3": inv.k3, "chi": inv.chi,
-            "constant": c,
-            "bound": c * inv.k3,
-            "trail": jsonable(trail),
-        }
-        _emit(body, args, started=started)
-        return EXIT_OK
-    if sub == "plurigenus":
+        body = {"format": "threefold-bound", "k3": inv.k3, "chi": inv.chi,
+                "constant": c, "bound": c * inv.k3, "trail": jsonable(trail)}
+    elif sub == "plurigenus":
         inv = bounds_mod.ThreefoldInvariants(_int(kv, "k3"), _int(kv, "chi"))
         n = _int(kv, "n")
         body = {"format": "plurigenus", "k3": inv.k3, "chi": inv.chi, "n": n,
                 "value": bounds_mod.plurigenus(inv, n)}
-        _emit(body, args, started=started)
-        return EXIT_OK
-    if sub == "margin":
+    elif sub == "margin":
         variant = kv.pop("variant", None)
         if variant not in bounds_mod.MARGIN_VARIANTS:
             raise InvariantViolation(
@@ -324,9 +312,7 @@ def cmd_bounds(args) -> int:
                 "inputs": {k: jsonable(v) for k, v in kv.items()},
                 "margin": jsonable(margin), "positive": margin > 0,
                 "hypotheses": report.to_json_dict()}
-        _emit(body, args, started=started)
-        return EXIT_OK
-    if sub == "universal-n":
+    elif sub == "universal-n":
         eps = lemmas_mod.CHAIN_RATIO_EPSILON
         if "epsilon" in kv:
             try:
@@ -335,14 +321,13 @@ def cmd_bounds(args) -> int:
                 raise InvariantViolation(f"epsilon={kv['epsilon']!r} is not a rational number") from None
         n_star, cert = bounds_mod.universal_n(eps)
         body = {"format": "universal-n", "n_star": n_star, "certificate": jsonable(cert)}
-        _emit(body, args, started=started)
-        return EXIT_OK
-    if sub == "constant":
+    elif sub == "constant":
         c, trail = bounds_mod.threefold_constant()
         body = {"format": "threefold-constant", "c": c, "trail": jsonable(trail)}
-        _emit(body, args, started=started)
-        return EXIT_OK
-    raise InvariantViolation(f"unknown bounds subcommand {sub!r}")
+    else:
+        raise InvariantViolation(f"unknown bounds subcommand {sub!r}")
+    _emit(body, args, started=started)
+    return EXIT_OK
 
 
 def _surface_table(args, kv) -> int:

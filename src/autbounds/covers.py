@@ -267,23 +267,9 @@ class CoverDatum:
         object.__setattr__(self, "branch", branch)
         if self.quotient_genus < 0:
             raise InvariantViolation("quotient genus must be >= 0")
-        ident = g.identity()
-        if any(b == ident for b in branch):
-            raise InvariantViolation("branch elements must be nonzero")
-        total = ident
-        for b in branch:
-            total = g.add(total, b)
-        if total != ident:
-            raise InvariantViolation("branch elements must sum to zero")
-        if self.quotient_genus == 0:
-            if not g.generates(branch):
-                raise InvariantViolation("branch elements must generate the group when the quotient genus is 0")
-        else:
-            need = g.min_generators_of_quotient(g.subgroup(branch))
-            if need > 2 * self.quotient_genus:
-                raise InvariantViolation(
-                    "branch elements plus 2*gamma handle generators cannot generate the group"
-                )
+        fault = _branch_fault(g, self.quotient_genus, branch)
+        if fault:
+            raise InvariantViolation(fault)
 
     @property
     def k(self) -> int:
@@ -307,6 +293,24 @@ class CoverDatum:
             data["gamma"],
             tuple(tuple(b) for b in data["branch"]),
         )
+
+
+def _branch_fault(group: FiniteAbelianGroup, gamma: int, branch) -> Optional[str]:
+    """Why nonzero-ness, sum zero or generation fails for the branch, or None."""
+    ident = group.identity()
+    if any(b == ident for b in branch):
+        return "branch elements must be nonzero"
+    total = ident
+    for b in branch:
+        total = group.add(total, b)
+    if total != ident:
+        return "branch elements must sum to zero"
+    if gamma == 0:
+        if not group.generates(branch):
+            return "branch elements must generate the group when the quotient genus is 0"
+    elif group.min_generators_of_quotient(group.subgroup(branch)) > 2 * gamma:
+        return "branch elements plus 2*gamma handle generators cannot generate the group"
+    return None
 
 
 def _riemann_hurwitz(order: int, gamma: int, indices) -> Optional[int]:
@@ -358,13 +362,24 @@ class Order2Witness:
                 "quotient_genus": self.quotient_genus, "kind": self.kind}
 
 
+def order2_witnesses(datum: CoverDatum, max_quotient_genus: int = 1) -> tuple[Order2Witness, ...]:
+    """All order-2 subgroup witnesses with quotient genus <= threshold,
+    ordered by quotient genus, then by generator."""
+    out = []
+    for x in datum.group.involutions():
+        gy = quotient_genus(datum, [x])
+        if gy <= max_quotient_genus:
+            out.append(Order2Witness(x, gy))
+    return tuple(sorted(out, key=lambda w: (w.quotient_genus, w.generator)))
+
+
 def hyperelliptic_witness(datum: CoverDatum,
                           max_quotient_genus: int = 1) -> Optional[Order2Witness]:
-    """Scan order-2 subgroups for a quotient of genus <= max_quotient_genus.
+    """The first of :func:`order2_witnesses`, or None.
 
-    Genus 0 is a hyperelliptic witness, genus 1 a bi-elliptic one; the scan
-    returns the witness of smallest quotient genus (ties broken by element
-    order in the canonical enumeration), or None. Pass max_quotient_genus=0
+    Genus 0 is a hyperelliptic witness, genus 1 a bi-elliptic one; this is
+    the witness of smallest quotient genus (ties broken by element order in
+    the canonical enumeration). Pass max_quotient_genus=0
     to ask only for hyperelliptic witnesses: the degree-16 plane-quartic
     datum has all three of its order-2 quotients of genus 1, so it yields a
     bi-elliptic witness at the default setting and None at 0.
@@ -375,24 +390,8 @@ def hyperelliptic_witness(datum: CoverDatum,
     abelian action that misses the hyperelliptic involution, so a None there
     is only a heuristic.
     """
-    best: Optional[Order2Witness] = None
-    for x in datum.group.involutions():
-        gy = quotient_genus(datum, [x])
-        if gy <= max_quotient_genus and (best is None or gy < best.quotient_genus):
-            best = Order2Witness(x, gy)
-            if gy == 0:
-                break
-    return best
-
-
-def order2_witnesses(datum: CoverDatum, max_quotient_genus: int = 1) -> tuple[Order2Witness, ...]:
-    """All order-2 subgroup witnesses with quotient genus <= threshold."""
-    out = []
-    for x in datum.group.involutions():
-        gy = quotient_genus(datum, [x])
-        if gy <= max_quotient_genus:
-            out.append(Order2Witness(x, gy))
-    return tuple(sorted(out, key=lambda w: (w.quotient_genus, w.generator)))
+    witnesses = order2_witnesses(datum, max_quotient_genus)
+    return witnesses[0] if witnesses else None
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +542,9 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
 
     def rec(start: int, remaining: int, chosen: list[Element]):
         if remaining == 0:
-            if len(chosen) < k_min:
-                return
-            total = group.identity()
-            for c in chosen:
-                total = group.add(total, c)
-            if total != group.identity():
-                return
-            if gamma == 0:
-                if not group.generates(chosen):
-                    return
-            elif group.min_generators_of_quotient(group.subgroup(chosen)) > 2 * gamma:
-                return
-            datum = CoverDatum(group, gamma, tuple(chosen))
-            found.setdefault(canonical_branch(group, datum.branch), datum)
+            if len(chosen) >= k_min and _branch_fault(group, gamma, chosen) is None:
+                datum = CoverDatum(group, gamma, tuple(chosen))
+                found.setdefault(canonical_branch(group, datum.branch), datum)
             return
         if 2 * remaining < n:  # every weight is at least |G|/2
             return
@@ -593,9 +581,8 @@ def enumerate_extremal(genus_range, bound: LinearBound,
     hyperelliptic curves. (Below the threshold the same filter is only a
     heuristic.)
     """
-    genus_list = list(genus_range)
     records = []
-    for genus in genus_list:
+    for genus in genus_range:
         if genus < 2:
             continue
         threshold = bound.value(genus)
@@ -613,15 +600,16 @@ def enumerate_extremal(genus_range, bound: LinearBound,
                         g_check = hurwitz_genus(datum)
                         if g_check != genus:
                             raise AssertionError("enumeration produced a genus mismatch")
-                        if require_no_hyperelliptic_witness and \
-                                hyperelliptic_witness(datum, max_quotient_genus=0) is not None:
+                        witnesses = order2_witnesses(datum, max_quotient_genus=1)
+                        if require_no_hyperelliptic_witness and witnesses \
+                                and witnesses[0].quotient_genus == 0:
                             continue
                         records.append(EnumerationRecord(
                             datum=datum,
                             genus=genus,
                             bound_tested=bound.text,
                             exceeds=True,
-                            witnesses=order2_witnesses(datum, max_quotient_genus=1),
+                            witnesses=witnesses,
                         ))
     records.sort(key=lambda r: (r.genus, r.order, r.datum.signature(), r.datum.branch))
     return records

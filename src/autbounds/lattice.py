@@ -23,6 +23,7 @@ Main operations
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,11 +106,6 @@ class LatticeSet:
         _require_same_dim(self, other)
         return LatticeSet(self.points | other.points, self.dim)
 
-    def translate(self, v: tuple[int, ...]) -> "LatticeSet":
-        return LatticeSet(
-            (tuple(c + d for c, d in zip(p, v)) for p in self.points), self.dim
-        )
-
     # -- serialization ------------------------------------------------------
     def to_text(self) -> str:
         lines = [f"dim={self.dim}"]
@@ -160,9 +156,6 @@ class HalfPointSet:
             if all(c % 2 == 0 for c in s)
         ]
         return LatticeSet(pts, self.doubled.dim)
-
-    def union(self, other: "HalfPointSet") -> "HalfPointSet":
-        return HalfPointSet(self.doubled.union(other.doubled))
 
 
 class ConvexTriple:
@@ -614,19 +607,10 @@ def lattice_points_in_hull(a: LatticeSet, max_candidates: int = 200_000) -> Latt
         )
     inside = []
     members = a.points
-    for p in _box_points(lo, hi):
+    for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         if p in members or in_convex_hull(p, pts):
             inside.append(p)
     return LatticeSet(inside, a.dim)
-
-
-def _box_points(lo: list[int], hi: list[int]) -> Iterator[tuple[int, ...]]:
-    if not lo:
-        yield ()
-        return
-    for c in range(lo[0], hi[0] + 1):
-        for rest in _box_points(lo[1:], hi[1:]):
-            yield (c,) + rest
 
 
 def is_integrally_convex(a: LatticeSet) -> bool:
@@ -697,10 +681,6 @@ def _squash_point(p: tuple[int, ...], axis: int, t: int) -> tuple[int, ...]:
     )
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _flattening_basis(directions: list[tuple[int, ...]], n: int):
     """Unimodular U with U*d supported on the first r coordinates for every
     direction d; r is the rank. Found by integer row echelon on the n x k
@@ -708,7 +688,7 @@ def _flattening_basis(directions: list[tuple[int, ...]], n: int):
     """
     k = len(directions)
     m = [[directions[j][i] for j in range(k)] for i in range(n)]
-    u = _identity(n)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     r = 0
     for col in range(k):
         live = [i for i in range(r, n) if m[i][col] != 0]

@@ -5,12 +5,12 @@ integer point sets, identified by the rule ids "2.4", "2.5", "2.6", "2.7":
 
   2.4  arranging all three sets along a coordinate axis never increases
        #(A1.A3 u A2.A2); no side hypotheses, any nested integral sets.
-  2.5  dim A1 = 3, chain(A3) < #A3/6, chain(A2) < #A2/4, #A2 >= 21,
-       #A3 <= 2#A2  =>  #(A1.A3 u A2.A2) >= min of six linear forms.
+  2.5  dim A1 = 3, chain(A3) < #A3/6, chain(A2) < #A2/4, #A2 >= 21, #A3 <= 2#A2
   2.6  dim A1 >= 4, chain(A3) < eps*#A3 with eps = 1/530, 4#A2 >= #A3
-       =>  count >= (1-eps)#A3 + 14(1-4eps)/3 * #A2 - 57.
   2.7  dim A1 >= 2, dim A2 >= 3, chain(A3) < #A3/10, chain(A2) < #A2/5
-       =>  count >= (9/10)#A3 + (16/5)#A2 - 30.
+
+Under these hypotheses rules 2.5-2.7 bound #(A1.A3 u A2.A2) below by the
+least of the linear forms in #A3, #A2 that their `RULES` entry lists.
 
 Violations are first-class findings: a failing trial serializes a replayable
 witness triple instead of crashing the run. All comparisons are exact
@@ -19,6 +19,7 @@ witness triple instead of crashing the run. All comparisons are exact
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +42,6 @@ from .lattice import (
 from .reports import Check, HypothesisReport
 
 CHAIN_RATIO_EPSILON = Fraction(1, 530)
-LEMMA_IDS = ("2.4", "2.5", "2.6", "2.7")
 
 # Below ~8 points a box of positive volume in dim 4 cannot exist, and the
 # rejection loops in the drivers are bounded; both limits are plain caps.
@@ -55,43 +55,71 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bound formulas
+# the rules
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """One counting rule: its suite's instance distribution and its bound.
+
+    The suite draws #A3 from `sizes` in dimension `dim`; `ratios` steers
+    #A2/#A3 of the gauge generator, `inner_dim` is the least dim A1 it keeps.
+    The bound is the least c3*#A3 + c2*#A2 + c0 over `forms`, plus `eps_slope`
+    times the chain-ratio epsilon (rule 2.6). Rule 2.4 has no bound.
+    """
+
+    dim: int
+    sizes: tuple[int, int]
+    ratios: Optional[tuple[float, float]] = None
+    inner_dim: Optional[int] = None
+    forms: tuple[tuple[Fraction, Fraction, Fraction], ...] = ()
+    eps_slope: tuple[Fraction, Fraction, Fraction] = (0, 0, 0)
+
+    def forms_at(self, epsilon: Fraction) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """The forms' (c3, c2, c0) at the given chain-ratio epsilon."""
+        return tuple(tuple(c + s * epsilon for c, s in zip(form, self.eps_slope))
+                     for form in self.forms)
+
+
+def _forms(*rows) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    return tuple(tuple(Fraction(c) for c in row) for row in rows)
+
+
+RULES = {
+    "2.4": Rule(dim=3, sizes=(12, 44)),
+    "2.5": Rule(dim=3, sizes=(40, 170), ratios=(0.60, 0.92), inner_dim=3, forms=_forms(
+        (1, 3, -23),
+        ("5/6", "10/3", -10),
+        ("5/6", "13/4", -2),
+        ("7/12", "15/4", -6),
+        ("1/2", 4, -4),
+        (0, 5, -31),
+    )),
+    # (1 - eps)#A3 + 14(1 - 4eps)/3 #A2 - 57
+    "2.6": Rule(dim=4, sizes=(4900, 9600), inner_dim=4, forms=_forms((1, "14/3", -57)),
+                eps_slope=(-1, Fraction(-56, 3), 0)),
+    "2.7": Rule(dim=3, sizes=(50, 220), ratios=(0.50, 0.90), inner_dim=3,
+                forms=_forms(("9/10", "16/5", -30))),
+}
+LEMMA_IDS = tuple(RULES)
+
+
+def _rule(lemma_id: str) -> Rule:
+    try:
+        return RULES[lemma_id]
+    except KeyError:
+        raise InvariantViolation(f"unknown rule id {lemma_id!r}") from None
+
 
 def bound_formula(lemma_id: str, n2: int, n3: int,
                   epsilon: Fraction = CHAIN_RATIO_EPSILON) -> Fraction:
     """Exact lower-bound value the rule promises for #(A1.A3 u A2.A2)."""
     if n2 < 0 or n3 < 0:
         raise InvariantViolation("set sizes must be nonnegative")
-    n2, n3 = Fraction(n2), Fraction(n3)
-    if lemma_id == "2.5":
-        return min(
-            n3 + 3 * n2 - 23,
-            Fraction(5, 6) * n3 + Fraction(10, 3) * n2 - 10,
-            Fraction(5, 6) * n3 + Fraction(13, 4) * n2 - 2,
-            Fraction(7, 12) * n3 + Fraction(15, 4) * n2 - 6,
-            Fraction(1, 2) * n3 + 4 * n2 - 4,
-            5 * n2 - 31,
-        )
-    if lemma_id == "2.6":
-        eps = Fraction(epsilon)
-        return (1 - eps) * n3 + Fraction(14, 3) * (1 - 4 * eps) * n2 - 57
-    if lemma_id == "2.7":
-        return Fraction(9, 10) * n3 + Fraction(16, 5) * n2 - 30
-    raise InvariantViolation(f"no closed-form bound for rule {lemma_id!r}")
-
-
-def bound_cases_2_5(n2: int, n3: int) -> tuple[Fraction, ...]:
-    """The six candidate forms of rule 2.5, in statement order."""
-    n2, n3 = Fraction(n2), Fraction(n3)
-    return (
-        n3 + 3 * n2 - 23,
-        Fraction(5, 6) * n3 + Fraction(10, 3) * n2 - 10,
-        Fraction(5, 6) * n3 + Fraction(13, 4) * n2 - 2,
-        Fraction(7, 12) * n3 + Fraction(15, 4) * n2 - 6,
-        Fraction(1, 2) * n3 + 4 * n2 - 4,
-        5 * n2 - 31,
-    )
+    forms = _rule(lemma_id).forms_at(Fraction(epsilon))
+    if not forms:
+        raise InvariantViolation(f"no closed-form bound for rule {lemma_id!r}")
+    return min(c3 * n3 + c2 * n2 + c0 for c3, c2, c0 in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +130,7 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
                       epsilon: Fraction = CHAIN_RATIO_EPSILON,
                       verify_convexity: bool = False) -> HypothesisReport:
     """Check the side hypotheses of one rule against a concrete triple."""
-    if lemma_id not in LEMMA_IDS:
-        raise InvariantViolation(f"unknown rule id {lemma_id!r}")
+    _rule(lemma_id)
     n1, n2, n3 = triple.sizes()
     checks: list[Check] = [Check("nested", True, "enforced by ConvexTriple")]
     if verify_convexity:
@@ -118,8 +145,8 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
     if lemma_id == "2.4":
         return HypothesisReport("2.4", tuple(checks))
 
+    d1 = dimension(triple.a1) if n1 else -1
     if lemma_id == "2.5":
-        d1 = dimension(triple.a1) if n1 else -1
         c3, c2 = longest_chain(triple.a3), longest_chain(triple.a2)
         checks += [
             Check("dim_a1_eq_3", d1 == 3, d1),
@@ -129,7 +156,6 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
             Check("a3_at_most_2a2", n3 <= 2 * n2, f"{n3} vs 2*{n2}"),
         ]
     elif lemma_id == "2.6":
-        d1 = dimension(triple.a1) if n1 else -1
         c3 = longest_chain(triple.a3)
         checks += [
             Check("dim_a1_ge_4", d1 >= 4, d1),
@@ -138,7 +164,6 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
             Check("4a2_ge_a3", 4 * n2 >= n3, f"4*{n2} vs {n3}"),
         ]
     elif lemma_id == "2.7":
-        d1 = dimension(triple.a1) if n1 else -1
         d2 = dimension(triple.a2) if n2 else -1
         c3, c2 = longest_chain(triple.a3), longest_chain(triple.a2)
         checks += [
@@ -168,11 +193,9 @@ class VerificationOutcome:
     trial_seed: int
 
     def to_json_dict(self):
-        rhs = self.rhs_bound
-        rhs_str = str(rhs.numerator) if rhs.denominator == 1 else f"{rhs.numerator}/{rhs.denominator}"
         out = {
             "lhs": self.lhs_count,
-            "rhs": rhs_str,
+            "rhs": str(self.rhs_bound),
             "satisfied": self.satisfied,
             "trial_seed": self.trial_seed,
         }
@@ -204,19 +227,12 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple, trial_seed: int = 0,
         counts = [union_count(triple)]
         cur = triple
         step_checks = list(report.checks)
-        ok = True
         for axis in range(triple.dim):
-            cur = ConvexTriple(
-                arrangement(cur.a1, axis),
-                arrangement(cur.a2, axis),
-                arrangement(cur.a3, axis),
-            )
+            cur = ConvexTriple(*(arrangement(s, axis) for s in (cur.a1, cur.a2, cur.a3)))
             counts.append(union_count(cur))
-            passed = counts[-1] <= counts[-2]
-            ok = ok and passed
-            step_checks.append(
-                Check(f"nonincreasing_axis_{axis}", passed, f"{counts[-2]} -> {counts[-1]}")
-            )
+            step_checks.append(Check(f"nonincreasing_axis_{axis}", counts[-1] <= counts[-2],
+                                     f"{counts[-2]} -> {counts[-1]}"))
+        ok = all(after <= before for before, after in zip(counts, counts[1:]))
         report = HypothesisReport("2.4", tuple(step_checks))
         outcome = VerificationOutcome(
             lhs_count=counts[0],
@@ -438,10 +454,7 @@ def _box_triple(rng: random.Random, dim: int, size_target: int) -> ConvexTriple:
           for c in range(dim)]
 
     def box(ranges):
-        pts = [()]
-        for r in ranges:
-            pts = [p + (c,) for p in pts for c in r]
-        return LatticeSet(pts, dim)
+        return LatticeSet(itertools.product(*ranges), dim)
 
     return ConvexTriple(
         box(a1), box(a2), box(a3),
@@ -455,6 +468,8 @@ def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
     Rule 2.4 holds for any nested finite integral sets, so its property
     suite deliberately samples beyond the convex generator's range.
     """
+    if dim < 1:
+        raise InvariantViolation("generator needs dim >= 1")
     rng = random.Random(seed)
     side = max(3, round((2.5 * size_target) ** (1.0 / dim)) + 1)
     box = [tuple(rng.randint(-2, side - 2) for _ in range(dim)) for _ in range(4 * size_target)]
@@ -475,33 +490,22 @@ def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
 # suites
 # ---------------------------------------------------------------------------
 
-_SUITE_DEFAULTS = {
-    # lemma_id: (dim, size_lo, size_hi, ratios)
-    "2.4": (3, 12, 44, None),
-    "2.5": (3, 40, 170, (0.60, 0.92)),
-    "2.6": (4, 4900, 9600, None),
-    "2.7": (3, 50, 220, (0.50, 0.90)),
-}
-
-_INNER_DIM = {"2.5": 3, "2.6": 4, "2.7": 3}
-
-
 def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
                     min_size: Optional[int] = None,
                     max_size: Optional[int] = None) -> ConvexTriple:
     """One deterministic draw from the rule's tuned instance distribution."""
-    d_dim, lo, hi, ratios = _SUITE_DEFAULTS[lemma_id]
-    dim = dim or d_dim
-    lo = lo if min_size is None else min_size
-    hi = hi if max_size is None else max_size
+    rule = _rule(lemma_id)
+    dim = rule.dim if dim is None else dim
+    lo = rule.sizes[0] if min_size is None else min_size
+    hi = rule.sizes[1] if max_size is None else max_size
     if hi < lo:
         raise InvariantViolation("max_size < min_size")
     rng = random.Random(seed)
     size = rng.randint(lo, hi)
     if lemma_id == "2.4":
         return generate_nested_sets(dim, size, seed)
-    return generate_nested_triple(dim, size, seed, ratios=ratios,
-                                  inner_dim=_INNER_DIM.get(lemma_id))
+    return generate_nested_triple(dim, size, seed, ratios=rule.ratios,
+                                  inner_dim=rule.inner_dim)
 
 
 def admissible_triple(lemma_id: str, master_seed: int, trial: int,
@@ -556,8 +560,7 @@ class SuiteResult:
         header = ["lemma", "trial", "seed", "admissible", "lhs", "rhs", "satisfied", "n3", "draws"]
         yield header
         for r in self.rows:
-            yield [r[k] for k in ("lemma", "trial", "seed", "admissible",
-                                  "lhs", "rhs", "satisfied", "n3", "draws")]
+            yield [r[k] for k in header]
 
 
 def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
@@ -567,34 +570,26 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
                     max_draws: int = _MAX_DRAWS) -> SuiteResult:
     """Run `trials` deterministic instances of one rule.
 
-    Rules 2.5/2.6/2.7 rejection-sample admissible instances; rule 2.4 uses
-    every draw. A violated admissible instance is recorded as a finding with
-    a replayable witness.
+    Each trial rejection-samples an admissible instance; rule 2.4 has no side
+    hypotheses, so its first draw always is. A violated admissible instance
+    is recorded as a finding with a replayable witness.
     """
-    if lemma_id not in LEMMA_IDS:
-        raise InvariantViolation(f"unknown rule id {lemma_id!r}")
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
     result = SuiteResult(lemma_id, master_seed, trials)
     for trial in range(trials):
-        if lemma_id == "2.4":
-            seed = derive_seed(derive_seed(master_seed, trial), 0)
-            triple = triple_for_rule("2.4", seed, dim, min_size, max_size)
-            report, draws = hypothesis_report("2.4", triple), 1
-        else:
-            triple, report, draws = admissible_triple(
-                lemma_id, master_seed, trial, dim, min_size, max_size,
-                max_draws=max_draws)
-            seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
+        triple, report, draws = admissible_triple(
+            lemma_id, master_seed, trial, dim, min_size, max_size,
+            max_draws=max_draws)
+        seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
         rep, outcome = verify_lemma(lemma_id, triple, trial_seed=seed, report=report)
-        rhs = outcome.rhs_bound
         row = {
             "lemma": lemma_id,
             "trial": trial,
             "seed": seed,
             "admissible": report.admissible,
             "lhs": outcome.lhs_count,
-            "rhs": str(rhs.numerator) if rhs.denominator == 1 else f"{rhs.numerator}/{rhs.denominator}",
+            "rhs": str(outcome.rhs_bound),
             "satisfied": outcome.satisfied,
             "n3": len(triple.a3),
             "draws": draws,
@@ -602,11 +597,7 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
         result.rows.append(row)
         if report.admissible and not outcome.satisfied:
             result.violations.append({
-                "lemma": lemma_id,
-                "trial": trial,
-                "seed": seed,
-                "lhs": outcome.lhs_count,
-                "rhs": row["rhs"],
+                **{k: row[k] for k in ("lemma", "trial", "seed", "lhs", "rhs")},
                 "triple": triple.to_json_dict(),
                 "hypotheses": rep.to_json_dict(),
             })

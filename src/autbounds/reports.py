@@ -65,7 +65,3 @@ class HypothesisReport:
             "admissible": self.admissible,
             "checks": [c.to_json_dict() for c in self.checks],
         }
-
-
-def make_report(subject: str, checks: list[tuple]) -> HypothesisReport:
-    return HypothesisReport(subject, tuple(Check(*c) for c in checks))

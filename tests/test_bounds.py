@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from autbounds import bounds
 from autbounds.bounds import (
     BoundResult,
     SurfaceInvariants,
@@ -18,6 +19,7 @@ from autbounds.bounds import (
     universal_n,
 )
 from autbounds.errors import InvariantViolation
+from autbounds.lemmas import CHAIN_RATIO_EPSILON
 
 
 @lru_cache(maxsize=None)
@@ -201,6 +203,21 @@ def test_universal_n_minimality_witness_is_real():
 def test_universal_n_sampled_confirmation():
     n_star, _ = _universal()
     assert confirm_universal_n(n_star, k3_limit=100)
+
+
+@pytest.mark.parametrize("epsilon", [CHAIN_RATIO_EPSILON, Fraction(1, 1000)])
+def test_margin_and_size_polynomials_match_the_plurigenus_path(epsilon):
+    a, b, c0 = bounds._margin_polynomials(epsilon)
+    sz_a, sz_b = bounds._size_polynomials()
+    assert c0 == -57
+    for k3 in (2, 4, 6, 12, 38, 200):
+        for chi in admissible_chi_range(k3):
+            inv = ThreefoldInvariants(k3, chi)
+            for n in range(2, 61):
+                margin, _ = decomposability_margin("prop3.3", inv, n=n, epsilon=epsilon)
+                assert bounds._poly(a, n) * k3 + bounds._poly(b, n) * chi + c0 == margin
+                assert bounds._poly(sz_a, n) * k3 + bounds._poly(sz_b, n) * chi == \
+                    4 * plurigenus(inv, 2 * n) - plurigenus(inv, 3 * n)
 
 
 def test_universal_n_epsilon_guard():

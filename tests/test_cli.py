@@ -74,6 +74,23 @@ def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     assert len(err.strip().splitlines()) == 1 and key in err
 
 
+@pytest.mark.parametrize("kv", ["d=3", "d=1", "ci=2", "ci=2,2"])
+def test_degrees_without_positive_canonical_class_are_65(capsys, kv):
+    # by adjunction K = O(sum d_i - len - 3); these surfaces are not of general type
+    code, out, err = run_cli(capsys, "bounds", "surface", kv)
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and kv.partition("=")[0] + "=" in err
+
+
+@pytest.mark.parametrize("lemma", ["2.4", "2.5"])
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_nonpositive_dim_is_65(capsys, lemma, dim):
+    code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", lemma, "--trials", "2",
+                             "--dim", dim)
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "dim" in err
+
+
 def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -110,6 +127,8 @@ def test_kv_derives_k2_from_degree():
     assert inv.k2 == 5 and inv.p3_degree == 5
     inv = surface_invariants_from_kv({"ci": "4,5"})
     assert inv.k2 == (9 - 4 - 1) ** 2 * 20
+    # d= is ci= with a single degree
+    assert surface_invariants_from_kv({"ci": "7"}).k2 == surface_invariants_from_kv({"d": "7"}).k2 == 63
 
 
 def test_kv_requires_k2():
@@ -215,6 +234,14 @@ def test_bounds_table_csv(capsys):
     assert lines[0] == "k2,chi,value,source"
     assert len(lines) == 6
     assert lines[1].startswith("1,,270,")
+
+
+def test_reproduce_all_passes(capsys):
+    code, out, _ = run_cli(capsys, "reproduce-all")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines)
+    assert "FAIL" not in out
 
 
 def test_min_size_2_6_run_has_no_small_admissible(capsys):

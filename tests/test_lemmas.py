@@ -7,8 +7,8 @@ from autbounds.errors import InvariantViolation
 from autbounds.lattice import LatticeSet, dimension, longest_chain
 from autbounds.lemmas import (
     CHAIN_RATIO_EPSILON,
+    RULES,
     admissible_triple,
-    bound_cases_2_5,
     bound_formula,
     check_intermediate_identities,
     derive_seed,
@@ -28,7 +28,7 @@ from tests_oracles import scalar_gauge_triple
 # ---------------------------------------------------------------------------
 
 def test_bound_2_5_min_of_six():
-    cases = bound_cases_2_5(21, 42)
+    cases = tuple(c3 * 42 + c2 * 21 + c0 for c3, c2, c0 in RULES["2.5"].forms)
     assert cases == (
         Fraction(82), Fraction(95), Fraction(405, 4),
         Fraction(389, 4), Fraction(101), Fraction(74),
@@ -99,6 +99,12 @@ def test_generator_matches_scalar_gauge_scan(monkeypatch):
 def test_nested_sets_generator():
     t = generate_nested_sets(3, 25, seed=9)
     assert t.a1.issubset(t.a2) and t.a2.issubset(t.a3)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_nested_sets_generator_needs_positive_dim(dim):
+    with pytest.raises(InvariantViolation):
+        generate_nested_sets(dim, 25, seed=9)
 
 
 # ---------------------------------------------------------------------------
