@@ -10,14 +10,16 @@ All evaluation is in exact rationals. The universal-n search reduces the
 "for all admissible (K^3, chi)" quantifier to finitely many exact sign
 checks: margins are linear in chi with negative chi-coefficient, so the
 integer upper endpoint chi = floor(K^3/6) binds, and splitting even K^3 by
-residue mod 6 turns the all-K^3 check into two closed forms.
+residue mod 6 turns the all-K^3 check into two closed forms. Each closed
+form is a cubic in the level n, so the least level is found by exact
+integer root isolation rather than by walking the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, isqrt, lcm
 from typing import Optional
 
 from .errors import InvariantViolation
@@ -472,11 +474,120 @@ def _size_polynomials():
     return _plurigenus_polynomials({2: 4, 3: -1})
 
 
-def _poly(coeffs, n: int) -> Fraction:
-    acc = Fraction(0)
+def _poly(coeffs, n: int):
+    """Horner evaluation, highest degree first; exact for int or Fraction coefficients."""
+    acc = 0
     for c in coeffs:
         acc = acc * n + c
     return acc
+
+
+def _cleared(coeffs, strict: bool = True) -> tuple[int, ...]:
+    """Integer coefficients q, highest degree first, such that q(n) > 0 at an
+    integer n exactly when the rational polynomial `coeffs` is > 0 there
+    (>= 0 when not `strict`).
+
+    Scaling by the lcm of the denominators keeps every sign, and an integer
+    value v is >= 0 exactly when v + 1 > 0. A leading coefficient that is not
+    positive would leave the condition false at arbitrarily large levels, so
+    no search could end; it is rejected instead.
+    """
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    q = [int(c * scale) for c in coeffs]
+    if not strict:
+        q[-1] += 1
+    while q and q[0] == 0:
+        del q[0]
+    if not q or q[0] <= 0 or len(q) > 4:
+        raise InvariantViolation(f"level condition {tuple(coeffs)} is not a polynomial of degree "
+                                 "at most 3 with a positive leading coefficient")
+    return tuple(q)
+
+
+def _turning_floors(q: tuple[int, ...]) -> list[int]:
+    """floor(r) for each real root r of q' at which q' changes sign, ascending.
+
+    q is monotone on the integers of each run (-inf, t1], (t1, t2], ...,
+    (tk, inf) and increasing on the last one. A cubic's critical points are
+    (-b -+ sqrt(D))/(3a) with D = b^2 - 3ac; sqrt(D) lies in [s, s+1) for
+    s = isqrt(D), and no integer lies strictly between two consecutive
+    integers, so the floors come out exactly.
+    """
+    if len(q) == 3:
+        a, b, _ = q
+        return [-b // (2 * a)]
+    if len(q) == 4:
+        a, b, c, _ = q
+        disc = b * b - 3 * a * c
+        if disc <= 0:
+            return []
+        s = isqrt(disc)
+        inexact = s * s != disc
+        return [(-b - s - inexact) // (3 * a), (-b + s) // (3 * a)]
+    return []
+
+
+def _next_holding_level(q: tuple[int, ...], n: int) -> int:
+    """The least level m >= n with q(m) > 0.
+
+    A decreasing run can only start with a holding level; an increasing one
+    is binary-searched when its last level holds, and the unbounded last run
+    is galloped first. About 2 log2(m - n) evaluations.
+    """
+    cuts = _turning_floors(q)
+    for j, (after, last) in enumerate(zip([None] + cuts, cuts + [None])):
+        lo = n if after is None else max(n, after + 1)
+        if last is not None and lo > last:
+            continue
+        if (len(cuts) - j) % 2:  # decreasing run
+            if _poly(q, lo) > 0:
+                return lo
+            continue
+        if last is None:
+            hi, step = lo, 1
+            while _poly(q, hi) <= 0:
+                lo, hi, step = hi + 1, hi + step, 2 * step
+        elif _poly(q, last) > 0:
+            hi = last
+        else:
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _poly(q, mid) > 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    raise AssertionError("the last run increases without bound")
+
+
+def _chain_floor(eps: Fraction) -> int:
+    """The least level n >= 2 whose chain cap is <= eps.
+
+    (6n-1)(3n-2) = 18n^2 - 15n + 2 >= 12/eps from the root
+    (15 + sqrt(81 + 864/eps))/36 up; the isqrt of the floor of the radicand
+    puts the estimate at most one level low, and _chain_cap corrects it.
+    """
+    n = max(2, (15 + isqrt(81 + 864 * eps.denominator // eps.numerator)) // 36)
+    while _chain_cap(n) > eps:
+        n += 1
+    return n
+
+
+def _least_common_level(conditions, n: int) -> int:
+    """The least level m >= n at which every integer polynomial in
+    `conditions` is positive.
+
+    No level below a failing condition's next holding level can pass, so
+    jumping to the largest of them never skips a passing level; each
+    condition has at most two failing stretches above n, so this takes a
+    handful of rounds.
+    """
+    while True:
+        failing = [q for q in conditions if _poly(q, n) <= 0]
+        if not failing:
+            return n
+        n = max(_next_holding_level(q, n) for q in failing)
 
 
 def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
@@ -496,49 +607,68 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
     min(2A+c0, 6A+B+c0) > 0, with c0 the constant term of rule 2.6 (and
     min(2a_sz, 6a_sz+b_sz) >= 0 for the size condition), all recorded in the
     certificate together with a minimality witness for n-1.
+
+    The levels are not walked. The chain floor comes from an isqrt
+    estimate. The seven conditions (B < 0, B_sz < 0, three margins, two
+    sizes) are integer polynomials in n of degree <= 3 once their
+    denominators are cleared; each is searched over its monotone runs, split
+    at isqrt-exact floors of its turning points, and the least level from
+    the floor up where all seven hold is reached in a few rounds of jumps.
+    This is exact integer sign-change isolation with no float. It takes
+    about a millisecond for any eps in (0, 1/529) with a denominator of a
+    few dozen digits, and under a second up to the 500-digit limit. Only the
+    certificate evaluates the rational conditions, at n* and n*-1.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 529):
         raise InvariantViolation("epsilon must lie in (0, 1/529) for the cubic term to stay positive")
+    if eps.denominator >= 10 ** 499:
+        # n* and the certificate's values grow to about four times as many
+        # digits, and Python will not print an int past 4300 digits
+        raise InvariantViolation("epsilon's denominator must have fewer than 500 digits")
     a_coeffs, b_coeffs, c0 = _margin_polynomials(eps)
     sz_a, sz_b = _size_polynomials()
     lead = a_coeffs[0]
     assert lead == (1 - 529 * eps) / 18
 
-    n_chain = 2
-    while _chain_cap(n_chain) > eps:
-        n_chain += 1
+    n_chain = _chain_floor(eps)
+
+    # every condition is a cubic in n (B, B_sz and c0 padded to degree 3)
+    a, b, c = a_coeffs, (0, 0, *b_coeffs), (0, 0, 0, c0)
+    asz, bsz = sz_a, (0, 0, *sz_b)
+
+    def cubic(*terms):
+        return tuple(sum(w * p[i] for w, p in terms) for i in range(4))
+
+    # the endpoint reduction relies on B < 0 and B_sz < 0
+    negated_b = (cubic((-1, b)), cubic((-1, bsz)))
+    closed_forms = {
+        "margin_k3_2_chi_0": cubic((2, a), (1, c)),
+        "margin_k3_6_chi_1": cubic((6, a), (1, b), (1, c)),
+        "margin_k3_2_chi_min": cubic((2, a), (-6, b), (1, c)),
+        "size_k3_2_chi_0": cubic((2, asz)),
+        "size_k3_6_chi_1": cubic((6, asz), (1, bsz)),
+    }
+
+    def holds(name, value):
+        # margins must be positive, sizes nonnegative
+        return value >= 0 if name.startswith("size") else value > 0
 
     def conditions(n):
-        a = _poly(a_coeffs, n)
-        b = _poly(b_coeffs, n)
-        asz = _poly(sz_a, n)
-        bsz = _poly(sz_b, n)
-        if b >= 0 or bsz >= 0:  # the endpoint reduction relies on these signs
+        if any(_poly(p, n) <= 0 for p in negated_b):
             return False, {}
-        vals = {
-            "A": a, "B": b,
-            "margin_k3_2_chi_0": 2 * a + c0,
-            "margin_k3_6_chi_1": 6 * a + b + c0,
-            "margin_k3_2_chi_min": 2 * a - 6 * b + c0,
-            "size_k3_2_chi_0": 2 * asz,
-            "size_k3_6_chi_1": 6 * asz + bsz,
-        }
-        ok = (
-            vals["margin_k3_2_chi_0"] > 0
-            and vals["margin_k3_6_chi_1"] > 0
-            and vals["margin_k3_2_chi_min"] > 0
-            and vals["size_k3_2_chi_0"] >= 0
-            and vals["size_k3_6_chi_1"] >= 0
-        )
-        return ok, vals
+        vals = {"A": _poly(a, n), "B": _poly(b, n)}
+        vals.update((name, _poly(p, n)) for name, p in closed_forms.items())
+        return all(holds(name, vals[name]) for name in closed_forms), vals
 
-    n = n_chain
-    while True:
-        ok, vals = conditions(n)
-        if ok:
-            break
-        n += 1
+    # a condition is strict when a zero value fails it
+    n = _least_common_level(
+        [_cleared(p) for p in negated_b]
+        + [_cleared(p, strict=not holds(name, 0)) for name, p in closed_forms.items()],
+        n_chain)
+    ok, vals = conditions(n)
+    if not ok:
+        raise AssertionError(f"the integer search stopped at level {n}, where a condition fails")
 
     witness = {"n": n - 1}
     if n - 1 < n_chain:
@@ -553,8 +683,7 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
             ("size_k3_2_chi_0", {"k3": 2, "chi": 0}),
             ("margin_k3_2_chi_min", {"k3": 2, "chi": -6}),
         ):
-            # margins must be positive, sizes nonnegative
-            if prev and (prev[name] < 0 if name.startswith("size") else prev[name] <= 0):
+            if prev and not holds(name, prev[name]):
                 witness.update({"failed": name, "value": prev[name], **point})
                 break
         else:

@@ -2,6 +2,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autbounds import bounds
 from autbounds.bounds import (
@@ -20,6 +22,8 @@ from autbounds.bounds import (
 )
 from autbounds.errors import InvariantViolation
 from autbounds.lemmas import CHAIN_RATIO_EPSILON
+
+from tests_oracles import naive_universal_n
 
 
 @lru_cache(maxsize=None)
@@ -218,6 +222,83 @@ def test_margin_and_size_polynomials_match_the_plurigenus_path(epsilon):
                 assert bounds._poly(a, n) * k3 + bounds._poly(b, n) * chi + c0 == margin
                 assert bounds._poly(sz_a, n) * k3 + bounds._poly(sz_b, n) * chi == \
                     4 * plurigenus(inv, 2 * n) - plurigenus(inv, 3 * n)
+
+
+@pytest.mark.parametrize("epsilon, n_star", [
+    (Fraction(1, 540), 2544), (Fraction(1, 560), 937), (Fraction(1, 600), 440),
+    (Fraction(1, 1000), 112), (Fraction(1, 5000), 60), (Fraction(1, 10 ** 6), 817),
+])
+def test_universal_n_matches_the_level_scan(epsilon, n_star):
+    result = universal_n(epsilon)
+    assert result[0] == n_star
+    assert result == naive_universal_n(epsilon)
+
+
+def test_universal_n_matches_the_level_scan_at_the_paper_epsilon():
+    assert _universal() == naive_universal_n(CHAIN_RATIO_EPSILON)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(560, 10 ** 6))
+def test_universal_n_matches_the_level_scan_at_eps_one_over_q(q):
+    epsilon = Fraction(1, q)
+    assert universal_n(epsilon) == naive_universal_n(epsilon)
+
+
+def test_universal_n_near_the_epsilon_limit():
+    # a level-by-level scan needs about 30 s here
+    assert universal_n(Fraction(1000, 529100))[0] == 274014
+    # and hours here, so check the five conditions straight from p_m instead
+    epsilon = Fraction(10 ** 6 - 1, 529 * 10 ** 6)
+    n_star, cert = universal_n(epsilon)
+    for k3, chi in ((2, 0), (6, 1), (2, -6)):
+        inv = ThreefoldInvariants(k3, chi)
+        assert decomposability_margin("prop3.3", inv, n=n_star, epsilon=epsilon)[0] > 0
+        if chi >= 0:
+            assert 4 * plurigenus(inv, 2 * n_star) >= plurigenus(inv, 3 * n_star)
+    wit = cert["minimality_witness"]
+    assert wit["n"] == n_star - 1 and "k3" in wit
+    below, _ = decomposability_margin("prop3.3", ThreefoldInvariants(wit["k3"], wit["chi"]),
+                                      n=n_star - 1, epsilon=epsilon)
+    assert below == wit["value"] <= 0
+
+
+@pytest.mark.parametrize("epsilon", [
+    CHAIN_RATIO_EPSILON, Fraction(1, 10 ** 6), Fraction(1, 10 ** 12), Fraction(1, 10 ** 30),
+])
+def test_universal_n_chain_floor_is_the_least_capped_level(epsilon):
+    n = universal_n(epsilon)[1]["chain_floor"]["n"]
+    assert bounds._chain_cap(n) <= epsilon < bounds._chain_cap(n - 1)
+
+
+def _first_holding_by_scan(q, n):
+    while bounds._poly(q, n) <= 0:
+        n += 1
+    return n
+
+
+# integer polynomials of degree 1..3 with a positive lead, as the search takes them
+cubics = st.integers(1, 3).flatmap(
+    lambda degree: st.tuples(st.integers(1, 6), *[st.integers(-400, 400)] * degree))
+
+
+@settings(deadline=None)
+@given(st.lists(cubics, min_size=1, max_size=4), st.integers(-60, 60))
+def test_integer_search_matches_a_scan_on_any_cubics(conditions, n):
+    for q in conditions:
+        assert bounds._next_holding_level(q, n) == _first_holding_by_scan(q, n)
+    expected = n
+    while any(bounds._poly(q, expected) <= 0 for q in conditions):
+        expected += 1
+    assert bounds._least_common_level(conditions, n) == expected
+
+
+def test_cleared_conditions_keep_signs_and_reject_a_nonpositive_lead():
+    assert bounds._cleared((Fraction(1, 6), Fraction(-1, 4), 0)) == (2, -3, 0)
+    assert bounds._cleared((0, Fraction(1, 2), -1), strict=False) == (1, -1)
+    for coeffs in ((-1, 0, 0, 5), (0, 0, 0, 0), (0, 0, 0, -3), (1, 0, 0, 0, 0)):
+        with pytest.raises(InvariantViolation):
+            bounds._cleared(coeffs)
 
 
 def test_universal_n_epsilon_guard():

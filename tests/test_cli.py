@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import autbounds
+from autbounds import bounds, cli
 from autbounds.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -72,6 +77,14 @@ def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, "bounds", *argv)
     assert code == EXIT_DATA
     assert len(err.strip().splitlines()) == 1 and key in err
+
+
+@pytest.mark.parametrize("value", ["1e-5000", "1/" + "9" * 500])
+def test_epsilon_past_500_digits_is_65(capsys, value):
+    # at 1e-5000, n* has about 2500 digits and the certificate passes Python's print limit
+    code, out, err = run_cli(capsys, "bounds", "universal-n", f"epsilon={value}")
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "epsilon" in err
 
 
 @pytest.mark.parametrize("kv", ["d=3", "d=1", "ci=2", "ci=2,2"])
@@ -234,6 +247,31 @@ def test_bounds_table_csv(capsys):
     assert lines[0] == "k2,chi,value,source"
     assert len(lines) == 6
     assert lines[1].startswith("1,,270,")
+
+
+_BOUNDS_KEYS = sorted(cli._SURFACE_KEYS | {"k3", "chi", "n", "epsilon", "variant"})
+_bounds_values = st.one_of(
+    st.integers(-12, 80).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 10 ** 7)),
+    st.builds("{}{}{}".format, st.integers(-3, 12), st.sampled_from(":-,"), st.integers(-3, 12)),
+    st.sampled_from(bounds.MARGIN_VARIANTS + ("true", "")),
+    st.text(max_size=6),
+)
+_bounds_argv = st.tuples(
+    st.sampled_from(["surface", "threefold", "plurigenus", "margin", "universal-n", "constant"]),
+    st.lists(st.builds("{}={}".format, st.sampled_from(_BOUNDS_KEYS), _bounds_values), max_size=5),
+    st.booleans(),
+).map(lambda t: ["bounds", t[0], *t[1]] + (["--table"] if t[2] else []))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_bounds_argv)
+def test_bounds_argv_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_DATA)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_reproduce_all_passes(capsys):

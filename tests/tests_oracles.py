@@ -5,14 +5,15 @@ production shortcuts: rational mid-points instead of doubled encodings, an
 all-pairs (start, step) walk for chains, a clause-by-clause membership
 test for arrangement, a point-by-point gauge scan for the convex generator,
 automorphisms as element->element dicts filtered from every tuple of
-generator images, and the closed-form count of Hillar & Rhea.
+generator images, the closed-form count of Hillar & Rhea, and a
+level-by-level scan for the universal level n*.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from autbounds import lemmas
+from autbounds import bounds, lemmas
 from autbounds.covers import FiniteAbelianGroup
 from autbounds.lattice import ConvexTriple, LatticeSet
 
@@ -203,3 +204,90 @@ def hillar_rhea_aut_order(factors):
             c_k = min(l for l in range(1, n + 1) if es[l - 1] == e)
             total *= (p ** d_k - p ** (k - 1)) * p ** (e * (n - d_k)) * p ** ((e - 1) * (n - c_k + 1))
     return total
+
+
+def naive_universal_n(epsilon):
+    """(n*, certificate) of `bounds.universal_n` by walking every level from
+    the chain floor up with rational Horner evaluations; the work grows like
+    1/(1 - 529 eps), so keep eps well away from 1/529."""
+    eps = Fraction(epsilon)
+    a_coeffs, b_coeffs, c0 = bounds._margin_polynomials(eps)
+    sz_a, sz_b = bounds._size_polynomials()
+    lead = a_coeffs[0]
+    poly, chain_cap = bounds._poly, bounds._chain_cap
+
+    n_chain = 2
+    while chain_cap(n_chain) > eps:
+        n_chain += 1
+
+    def conditions(n):
+        a = poly(a_coeffs, n)
+        b = poly(b_coeffs, n)
+        asz = poly(sz_a, n)
+        bsz = poly(sz_b, n)
+        if b >= 0 or bsz >= 0:
+            return False, {}
+        vals = {
+            "A": a, "B": b,
+            "margin_k3_2_chi_0": 2 * a + c0,
+            "margin_k3_6_chi_1": 6 * a + b + c0,
+            "margin_k3_2_chi_min": 2 * a - 6 * b + c0,
+            "size_k3_2_chi_0": 2 * asz,
+            "size_k3_6_chi_1": 6 * asz + bsz,
+        }
+        ok = (
+            vals["margin_k3_2_chi_0"] > 0
+            and vals["margin_k3_6_chi_1"] > 0
+            and vals["margin_k3_2_chi_min"] > 0
+            and vals["size_k3_2_chi_0"] >= 0
+            and vals["size_k3_6_chi_1"] >= 0
+        )
+        return ok, vals
+
+    n = n_chain
+    while True:
+        ok, vals = conditions(n)
+        if ok:
+            break
+        n += 1
+
+    witness = {"n": n - 1}
+    if n - 1 < n_chain:
+        witness["failed"] = "chain_ratio"
+        witness["detail"] = f"(6n-1)(3n-2) = {12 / chain_cap(n - 1)} < {12 / eps}"
+    else:
+        _, prev = conditions(n - 1)
+        for name, point in (
+            ("margin_k3_6_chi_1", {"k3": 6, "chi": 1}),
+            ("margin_k3_2_chi_0", {"k3": 2, "chi": 0}),
+            ("size_k3_6_chi_1", {"k3": 6, "chi": 1}),
+            ("size_k3_2_chi_0", {"k3": 2, "chi": 0}),
+            ("margin_k3_2_chi_min", {"k3": 2, "chi": -6}),
+        ):
+            if prev and (prev[name] < 0 if name.startswith("size") else prev[name] <= 0):
+                witness.update({"failed": name, "value": prev[name], **point})
+                break
+        else:
+            witness["failed"] = "endpoint-sign precondition"
+
+    certificate = {
+        "epsilon": eps,
+        "leading_coefficient": lead,
+        "chain_floor": {
+            "n": n_chain,
+            "value_at_floor": 12 / chain_cap(n_chain),
+            "value_below": 12 / chain_cap(n_chain - 1),
+            "required": 12 / eps,
+        },
+        "margin_coefficients_A": a_coeffs,
+        "margin_coefficients_B": b_coeffs,
+        "size_coefficients": (sz_a, sz_b),
+        "endpoint_reduction": (
+            "chi ranges over [-(5/2)K^3-1, floor(K^3/6)]; the chi-coefficient is negative, "
+            "so chi = floor(K^3/6) binds, and K^3 = 6q+s (s in 0,2,4) reduces the all-K^3 "
+            f"check to min(2A{c0}, 6A+B{c0}) with the lower chi endpoint checked at K^3=2"
+        ),
+        "conditions_at_n_star": vals,
+        "minimality_witness": witness,
+    }
+    return n, certificate
