@@ -35,7 +35,7 @@ from .reports import Check, HypothesisReport, jsonable
 class ThreefoldInvariants:
     """K^3 and chi(O) of a minimal 3-fold of general type with nef K.
 
-    K^3 must be even and positive; chi <= K^3/6 and -chi <= (5/2)K^3 + 1.
+    K^3 must be even and positive, and chi within `admissible_chi_range`.
     """
 
     k3: int
@@ -46,26 +46,31 @@ class ThreefoldInvariants:
             raise InvariantViolation("K^3 must be positive")
         if self.k3 % 2 != 0:
             raise InvariantViolation("K^3 must be even")
-        if Fraction(self.chi) > Fraction(self.k3, 6):
-            raise InvariantViolation(f"chi must be at most K^3/6 = {Fraction(self.k3, 6)}")
-        if Fraction(-self.chi) > Fraction(5, 2) * self.k3 + 1:
-            raise InvariantViolation(f"-chi must be at most (5/2)K^3+1 = {Fraction(5, 2) * self.k3 + 1}")
+        lo, hi = admissible_chi_range(self.k3)
+        if not lo <= self.chi <= hi:
+            raise InvariantViolation("chi must lie in [-(5/2)K^3 - 1, K^3/6]")
 
 
 def admissible_chi_range(k3: int) -> tuple[int, int]:
-    """Integer chi endpoints for a given even K^3 > 0."""
+    """Integer chi endpoints for a given even K^3 > 0: chi <= K^3/6, -chi <= (5/2)K^3 + 1."""
     return -(5 * k3) // 2 - 1, k3 // 6
 
 
+def _plurigenus_coefficients(m: int) -> tuple[Fraction, int]:
+    """(a, b) with p_m = h^0(mK) = a*K^3 + b*chi: a = (2m-1)m(m-1)/12, b = 1-2m."""
+    return Fraction((2 * m - 1) * m * (m - 1), 12), 1 - 2 * m
+
+
 def plurigenus(inv: ThreefoldInvariants, n: int) -> int:
-    """h^0(nK) = (2n-1)n(n-1)/12 * K^3 + (1-2n) chi, exact, for n >= 2.
+    """h^0(nK), exact, for n >= 2 (see `_plurigenus_coefficients`).
 
     The value is asserted integral, and at least 5 for n >= 3; a failure of
     either marks the inputs as inadmissible rather than being silently kept.
     """
     if n < 2:
         raise InvariantViolation("the plurigenus formula needs n >= 2")
-    value = Fraction((2 * n - 1) * n * (n - 1), 12) * inv.k3 + (1 - 2 * n) * inv.chi
+    a, b = _plurigenus_coefficients(n)
+    value = a * inv.k3 + b * inv.chi
     if value.denominator != 1:
         raise InvariantViolation(f"plurigenus p_{n} = {value} is not an integer; inputs inadmissible")
     value = int(value)
@@ -448,7 +453,7 @@ def _plurigenus_polynomials(weights: dict) -> tuple[tuple, tuple]:
     """Coefficients (highest degree first) of A(n), B(n) in
     sum_k w_k p_{kn} = A(n)*K^3 + B(n)*chi, for weights {k: w_k}.
 
-    p_m = (2m-1)m(m-1)/12 * K^3 + (1-2m) chi at m = kn expands to
+    `_plurigenus_coefficients` at m = kn expand p_m to
     (2k^3 n^3 - 3k^2 n^2 + k n)/12 * K^3 + (1 - 2kn) chi.
     """
     a = [Fraction(0)] * 4
@@ -760,14 +765,13 @@ def threefold_constant(n_star: Optional[int] = None,
     }
 
     m = b + 4
-    a_m = Fraction((2 * m - 1) * m * (m - 1), 12)
-    chi_coeff = 2 * m - 1
-    big_coeff = 335 * (a_m + Fraction(5, 2) * chi_coeff)
-    big_const = Fraction(335 * chi_coeff)
+    a_m, b_m = _plurigenus_coefficients(m)
+    big_coeff = 335 * (a_m - Fraction(5, 2) * b_m)
+    big_const = Fraction(-335 * b_m)
     absorbed = big_coeff + big_const / 2
     trail["branch_large_pg"] = {
         "factors": {"per_pg": 335, "plurigenus_level": m,
-                    "k3_coefficient_of_p": a_m, "chi_coefficient_of_p": -chi_coeff},
+                    "k3_coefficient_of_p": a_m, "chi_coefficient_of_p": b_m},
         "chi_elimination": "-chi <= (5/2)K^3 + 1",
         "coefficient": big_coeff,
         "constant": big_const,

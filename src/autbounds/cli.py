@@ -148,6 +148,8 @@ def _golden_signatures(name: str, text: str) -> list:
 def cmd_enumerate_covers(args) -> int:
     started = time.monotonic()
     bound = covers_mod.LinearBound.parse(args.bound)
+    if args.gamma is not None and args.gamma < 0:
+        raise InvariantViolation(f"--gamma must be a quotient genus >= 0, got {args.gamma}")
     golden = None
     if args.golden:
         try:
@@ -506,6 +508,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:  # an integer too long to write as text, in a report or a trail
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"invalid data: a result has more than {sys.get_int_max_str_digits()} digits, "
+              "Python's limit for writing an integer as text", file=sys.stderr)
         return EXIT_DATA
 
 

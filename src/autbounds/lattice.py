@@ -9,11 +9,10 @@ module.
 
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim
-    HalfPointSet    a mid-point set, stored doubled
     ConvexTriple    nested sets a1 <= a2 <= a3 (convexity validated on demand)
 
 Main operations
-    midpoint_set / midpoint_count / union_midpoint_count
+    midpoint_count / union_midpoint_count
     dimension, longest_chain, arrangement, arrange_all_axes
     in_convex_hull (exact rational simplex), is_integrally_convex,
     is_relatively_convex, lattice_points_in_hull
@@ -107,20 +106,6 @@ class LatticeSet:
         return LatticeSet(self.points | other.points, self.dim)
 
     # -- serialization ------------------------------------------------------
-    def to_text(self) -> str:
-        lines = [f"dim={self.dim}"]
-        lines += [" ".join(str(c) for c in p) for p in self.sorted_points()]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LatticeSet":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("dim="):
-            raise InvariantViolation("lattice-set text must start with 'dim=<d>'")
-        dim = int(lines[0].split("=", 1)[1])
-        pts = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-        return cls(pts, dim)
-
     def to_json(self):
         return [list(p) for p in self.sorted_points()]
 
@@ -134,28 +119,6 @@ def _require_same_dim(*sets: LatticeSet) -> int:
     if len(dims) != 1:
         raise InvariantViolation(f"dimension mismatch between sets: {sorted(dims)}")
     return dims.pop()
-
-
-@dataclass(frozen=True)
-class HalfPointSet:
-    """A set of mid-points (p+q)/2, stored as the doubled integer sums p+q."""
-
-    doubled: LatticeSet
-
-    def __len__(self) -> int:
-        return len(self.doubled)
-
-    def contains_midpoint_of(self, p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-        return tuple(a + b for a, b in zip(p, q)) in self.doubled
-
-    def integral_midpoints(self) -> LatticeSet:
-        """The mid-points that are themselves lattice points (all coords even)."""
-        pts = [
-            tuple(c // 2 for c in s)
-            for s in self.doubled
-            if all(c % 2 == 0 for c in s)
-        ]
-        return LatticeSet(pts, self.doubled.dim)
 
 
 class ConvexTriple:
@@ -238,15 +201,8 @@ class ConvexTriple:
 
 
 # ---------------------------------------------------------------------------
-# mid-point sets and counts
+# mid-point counts
 # ---------------------------------------------------------------------------
-
-def midpoint_set(a: LatticeSet, b: LatticeSet) -> HalfPointSet:
-    """All mid-points (p+q)/2 with p in a, q in b, stored doubled."""
-    dim = _require_same_dim(a, b)
-    sums = {tuple(x + y for x, y in zip(p, q)) for p in a for q in b}
-    return HalfPointSet(LatticeSet(sums, dim))
-
 
 def _sum_frame(sets: list[LatticeSet]):
     """Common integer frame for encoding pair sums of points of the sets.

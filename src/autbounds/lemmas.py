@@ -127,9 +127,8 @@ def bound_formula(lemma_id: str, n2: int, n3: int,
 # ---------------------------------------------------------------------------
 
 def hypothesis_report(lemma_id: str, triple: ConvexTriple,
-                      epsilon: Fraction = CHAIN_RATIO_EPSILON,
                       verify_convexity: bool = False) -> HypothesisReport:
-    """Check the side hypotheses of one rule against a concrete triple."""
+    """Check the side hypotheses of one rule on a triple; `verify_lemma` only counts."""
     _rule(lemma_id)
     n1, n2, n3 = triple.sizes()
     checks: list[Check] = [Check("nested", True, "enforced by ConvexTriple")]
@@ -159,8 +158,8 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
         c3 = longest_chain(triple.a3)
         checks += [
             Check("dim_a1_ge_4", d1 >= 4, d1),
-            Check("chain_a3_lt_eps", Fraction(c3) < Fraction(epsilon) * n3,
-                  f"{c3} vs {epsilon}*{n3}"),
+            Check("chain_a3_lt_eps", Fraction(c3) < CHAIN_RATIO_EPSILON * n3,
+                  f"{c3} vs {CHAIN_RATIO_EPSILON}*{n3}"),
             Check("4a2_ge_a3", 4 * n2 >= n3, f"4*{n2} vs {n3}"),
         ]
     elif lemma_id == "2.7":
@@ -186,74 +185,34 @@ def union_count(triple: ConvexTriple) -> int:
 
 @dataclass(frozen=True)
 class VerificationOutcome:
+    """One rule counted on one triple; `checks` holds rule 2.4's per-axis steps."""
+
     lhs_count: int
     rhs_bound: Fraction
     satisfied: bool
-    witness: Optional[ConvexTriple]
-    trial_seed: int
-
-    def to_json_dict(self):
-        out = {
-            "lhs": self.lhs_count,
-            "rhs": str(self.rhs_bound),
-            "satisfied": self.satisfied,
-            "trial_seed": self.trial_seed,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-        return out
+    checks: tuple[Check, ...] = ()
 
 
-def verify_lemma(lemma_id: str, triple: ConvexTriple, trial_seed: int = 0,
-                 epsilon: Fraction = CHAIN_RATIO_EPSILON,
-                 verify_convexity: bool = False, *,
-                 report: Optional[HypothesisReport] = None):
-    """Run one rule on one triple: (hypothesis report, verification outcome).
+def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
+    """Count one rule on one triple; its hypotheses are `hypothesis_report`'s.
 
     For "2.4" the outcome compares the mid-point union count before and after
-    arranging along every axis in order; each single-axis step is checked.
+    arranging along every axis in order; each single-axis step is a check.
     For the other rules the count is compared against the closed-form bound;
-    an inadmissible triple still yields the comparison, but makes no claim.
-    `report` is the triple's hypothesis report under the same `epsilon` and
-    `verify_convexity`, when the caller already has it; it is returned in
-    place of a recomputed one, so a report of another rule is rejected.
+    on an inadmissible triple the comparison makes no claim.
     """
-    if report is None:
-        report = hypothesis_report(lemma_id, triple, epsilon, verify_convexity)
-    elif report.subject != lemma_id:
-        raise InvariantViolation(f"hypothesis report of rule {report.subject!r} "
-                                 f"passed to verify_lemma for rule {lemma_id!r}")
     if lemma_id == "2.4":
-        counts = [union_count(triple)]
-        cur = triple
-        step_checks = list(report.checks)
+        counts, checks, cur = [union_count(triple)], [], triple
         for axis in range(triple.dim):
             cur = ConvexTriple(*(arrangement(s, axis) for s in (cur.a1, cur.a2, cur.a3)))
             counts.append(union_count(cur))
-            step_checks.append(Check(f"nonincreasing_axis_{axis}", counts[-1] <= counts[-2],
-                                     f"{counts[-2]} -> {counts[-1]}"))
-        ok = all(after <= before for before, after in zip(counts, counts[1:]))
-        report = HypothesisReport("2.4", tuple(step_checks))
-        outcome = VerificationOutcome(
-            lhs_count=counts[0],
-            rhs_bound=Fraction(counts[-1]),
-            satisfied=ok,
-            witness=None if ok else triple,
-            trial_seed=trial_seed,
-        )
-        return report, outcome
-
+            checks.append(Check(f"nonincreasing_axis_{axis}", counts[-1] <= counts[-2],
+                                f"{counts[-2]} -> {counts[-1]}"))
+        return VerificationOutcome(counts[0], Fraction(counts[-1]),
+                                   all(c.passed for c in checks), tuple(checks))
     lhs = union_count(triple)
-    rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3), epsilon)
-    satisfied = Fraction(lhs) >= rhs
-    outcome = VerificationOutcome(
-        lhs_count=lhs,
-        rhs_bound=rhs,
-        satisfied=satisfied,
-        witness=None if satisfied else triple,
-        trial_seed=trial_seed,
-    )
-    return report, outcome
+    rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3))
+    return VerificationOutcome(lhs, rhs, lhs >= rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +356,8 @@ def _gauge_triple(rng: random.Random, dim: int, size_target: int,
 
     pts, vals = _scan_sublevel(gauge, dim, center, size_target)
     ordered = np.sort(vals)
-    f2 = rng.uniform(*(ratios[0:2] if ratios else (0.55, 0.92)))
-    f1 = rng.uniform(0.12, 0.45) if not ratios or len(ratios) < 3 else ratios[2]
+    f2 = rng.uniform(*(ratios or (0.55, 0.92)))
+    f1 = rng.uniform(0.12, 0.45)
     size3 = min(size_target, len(pts))
     size2 = max(dim + 2, int(round(f2 * size3)))
     size1 = max(dim + 2, int(round(f1 * size3)))
@@ -582,7 +541,7 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
             lemma_id, master_seed, trial, dim, min_size, max_size,
             max_draws=max_draws)
         seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
-        rep, outcome = verify_lemma(lemma_id, triple, trial_seed=seed, report=report)
+        outcome = verify_lemma(lemma_id, triple)
         row = {
             "lemma": lemma_id,
             "trial": trial,
@@ -599,6 +558,6 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
             result.violations.append({
                 **{k: row[k] for k in ("lemma", "trial", "seed", "lhs", "rhs")},
                 "triple": triple.to_json_dict(),
-                "hypotheses": rep.to_json_dict(),
+                "hypotheses": HypothesisReport(lemma_id, report.checks + outcome.checks).to_json_dict(),
             })
     return result

@@ -56,7 +56,8 @@ def test_invalid_data_is_65(capsys):
 @pytest.mark.parametrize("argv, code, flag", [
     (["--bound", "3*g+6"], EXIT_DATA, "--bound"),
     (["--bound", "3g+6", "--golden", "/missing.json"], EXIT_USAGE, "--golden"),
-], ids=["bad-bound", "missing-golden"])
+    (["--bound", "3g+6", "--gamma", "-1"], EXIT_DATA, "--gamma"),
+], ids=["bad-bound", "missing-golden", "negative-gamma"])
 def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     src = str(Path(autbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -85,6 +86,18 @@ def test_epsilon_past_500_digits_is_65(capsys, value):
     code, out, err = run_cli(capsys, "bounds", "universal-n", f"epsilon={value}")
     assert code == EXIT_DATA and out == ""
     assert len(err.strip().splitlines()) == 1 and "epsilon" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plurigenus", "k3=2" + "0" * 1500, "chi=0", "n=2" + "0" * 1500],
+    ["surface", "d=" + "9" * 1500],
+], ids=["plurigenus", "surface-degree"])
+def test_result_past_the_int_to_text_limit_is_65(capsys, argv):
+    # each result has about 4,500 digits; Python writes at most 4,300 as text
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("kv", ["d=3", "d=1", "ci=2", "ci=2,2"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -165,9 +167,8 @@ def test_union_count_at_least_a2():
 
 def test_verify_2_4_reports_per_axis():
     t = triple_for_rule("2.4", derive_seed(derive_seed(1, 0), 0), dim=3)
-    rep, out = verify_lemma("2.4", t)
-    axis_checks = [c for c in rep.checks if c.name.startswith("nonincreasing_axis_")]
-    assert len(axis_checks) == 3
+    out = verify_lemma("2.4", t)
+    assert [c.name for c in out.checks] == [f"nonincreasing_axis_{axis}" for axis in range(3)]
     assert out.satisfied
     assert out.lhs_count >= out.rhs_bound
 
@@ -176,8 +177,8 @@ def test_verify_2_5_admissible_holds():
     for trial in range(10):
         t, rep, _ = admissible_triple("2.5", 77, trial)
         assert rep.admissible
-        _, out = verify_lemma("2.5", t)
-        assert out.satisfied, f"violation witness: {t.to_json()}"
+        out = verify_lemma("2.5", t)
+        assert out.satisfied and not out.checks, f"violation witness: {t.to_json()}"
 
 
 def _box(*ranges):
@@ -211,23 +212,8 @@ def test_verify_boundary_triples():
     for lemma, triple in cases:
         rep = hypothesis_report(lemma, triple, verify_convexity=True)
         assert rep.admissible, (lemma, rep.failed())
-        _, out = verify_lemma(lemma, triple)
+        out = verify_lemma(lemma, triple)
         assert out.satisfied, (lemma, out.lhs_count, out.rhs_bound)
-
-
-def test_verify_outcome_serialization():
-    t, _, _ = admissible_triple("2.7", 3, 0)
-    _, out = verify_lemma("2.7", t, trial_seed=123)
-    d = out.to_json_dict()
-    assert d["trial_seed"] == 123
-    assert "/" in d["rhs"] or d["rhs"].lstrip("-").isdigit()
-
-
-def test_verify_takes_a_given_report_of_the_same_rule_only():
-    t, rep, _ = admissible_triple("2.7", 3, 0)
-    assert verify_lemma("2.7", t, report=rep) == verify_lemma("2.7", t)
-    with pytest.raises(InvariantViolation):
-        verify_lemma("2.5", t, report=rep)
 
 
 def test_violation_machinery_records_witness(monkeypatch):
@@ -247,6 +233,25 @@ def test_violation_machinery_records_witness(monkeypatch):
     from autbounds.lattice import ConvexTriple
     replay = ConvexTriple.from_json_dict(wit["triple"])
     assert union_count(replay) == wit["lhs"]
+    assert wit["hypotheses"] == hypothesis_report("2.5", replay).to_json_dict()
+
+
+def test_violation_of_2_4_records_the_axis_steps(monkeypatch):
+    # each count is larger than the one before, so every axis step fails
+    real = lemmas.union_count
+    calls = []
+
+    def growing(triple):
+        calls.append(None)
+        return real(triple) + 10 ** 6 * len(calls)
+
+    monkeypatch.setattr(lemmas, "union_count", growing)
+    res = run_lemma_suite("2.4", 2, master_seed=5, dim=3)
+    assert res.violation_count == 2
+    checks = res.violations[0]["hypotheses"]["checks"]
+    assert [c["name"] for c in checks] == ["nested", "integrally_convex", "nonincreasing_axis_0",
+                                           "nonincreasing_axis_1", "nonincreasing_axis_2"]
+    assert [c["passed"] for c in checks] == [True, True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +276,25 @@ def test_suite_checks_hypotheses_once_per_draw(monkeypatch, lemma):
     monkeypatch.setattr(lemmas, "hypothesis_report", counted)
     res = run_lemma_suite(lemma, 4, master_seed=4, dim=3)
     assert len(calls) == sum(row["draws"] for row in res.rows)
+
+
+# sha256 of each suite body's sorted compact JSON at seed 20260808: a refactor
+# of the generators, the counts or the hypothesis checks must leave them as is
+_PINNED_SUITES = [
+    ("2.4", 100, 3, "7eae2e7ee004c9974356c151b4efdfeb257a413c0a2f1f9c04364b5c2816bb36"),
+    ("2.4", 100, 4, "e1d2a3912d619ff35ae3cda4869f185800c4db0baddf85f1f0b8ce9c406e4ee9"),
+    ("2.5", 10, None, "fb7d2d374d4db770ed475269918ead42aa5d1a2d5eb692281febaf4eb2a23793"),
+    ("2.7", 10, None, "ae05bd77fec918a0b7a26736b360f14faef00b862b75444738d4176f3517e5cc"),
+    ("2.6", 1, None, "051dbbe2dce7cd8e28bc78a9f14066385f1c264dcb091b22543f5925001aa183"),
+]
+
+
+@pytest.mark.parametrize("lemma, trials, dim, digest", _PINNED_SUITES,
+                         ids=["2.4-dim3", "2.4-dim4", "2.5", "2.7", "2.6"])
+def test_suite_body_digest_is_pinned(lemma, trials, dim, digest):
+    body = run_lemma_suite(lemma, trials, 20260808, dim=dim).to_json_body()
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_suite_2_4_small():
