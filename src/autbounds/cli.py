@@ -150,6 +150,10 @@ def cmd_enumerate_covers(args) -> int:
     bound = covers_mod.LinearBound.parse(args.bound)
     if args.gamma is not None and args.gamma < 0:
         raise InvariantViolation(f"--gamma must be a quotient genus >= 0, got {args.gamma}")
+    if args.gmin < 0:
+        raise InvariantViolation(f"--gmin must be a genus >= 0, got {args.gmin}")
+    if args.gmin > args.gmax:
+        raise InvariantViolation(f"--gmin must be at most --gmax, got {args.gmin} > {args.gmax}")
     golden = None
     if args.golden:
         try:

@@ -4,8 +4,8 @@ Everything here is integer/rational exact. Mid-points of two integer points
 are stored *doubled* (as the sum p+q), so sets of mid-points stay integral
 and hashable; all mid-point counts are counts of the doubled set, which is in
 bijection with the set of actual mid-points. numpy appears only as bulk
-integer bitmaps for pair sums and chains; there is no floating point in this
-module.
+integer codes and bitmaps for pair sums, chains and arrangements; there is no
+floating point in this module.
 
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim
@@ -14,6 +14,10 @@ Main objects
 Main operations
     midpoint_count / union_midpoint_count
     dimension, longest_chain, arrangement, arrange_all_axes
+    arranged_union_counts  (rule 2.4's dim+1 union counts on one int64 encoding
+                            of the triple; a triple whose arranged frame does
+                            not fit in int64 takes the loop of arrangement and
+                            union_midpoint_count)
     in_convex_hull (exact rational simplex), is_integrally_convex,
     is_relatively_convex, lattice_points_in_hull
     squash_projection  (injective flattening maps that never increase
@@ -37,6 +41,7 @@ from .errors import InvariantViolation
 # (2**25 bools = 32 MiB worst case; typical instances are a few hundred KiB).
 _DENSE_CELL_LIMIT = 1 << 25
 _OUTER_CHUNK = 1 << 22
+_INT64_MAX = (1 << 63) - 1
 # (start, step) pairs followed at once by longest_chain (2 MiB of int64 codes)
 _WALK_CHUNK = 1 << 18
 
@@ -216,17 +221,22 @@ def _sum_frame(sets: list[LatticeSet]):
     dim = len(pts[0])
     mins = [min(p[c] for p in pts) for c in range(dim)]
     maxs = [max(p[c] for p in pts) for c in range(dim)]
-    sumspan = [2 * (hi - lo) + 1 for lo, hi in zip(mins, maxs)]
-    strides = [0] * dim
+    return (mins, *_frame_strides(mins, maxs))
+
+
+def _frame_strides(mins, maxs) -> tuple[list[int], int]:
+    """(strides, cells) of the box of sums of two points of [mins, maxs]:
+    coordinate c of a sum, less 2*mins[c], is a digit in base 2*span_c - 1."""
+    strides = [0] * len(mins)
     acc = 1
-    for c in reversed(range(dim)):
+    for c in reversed(range(len(mins))):
         strides[c] = acc
-        acc *= sumspan[c]
-    return mins, strides, acc
+        acc *= 2 * (maxs[c] - mins[c]) + 1
+    return strides, acc
 
 
 def _encode_array(s: LatticeSet, mins, strides) -> np.ndarray:
-    arr = np.array(s.sorted_points(), dtype=np.int64)
+    arr = np.array(s.sorted_points(), dtype=np.int64).reshape(len(s), len(mins))
     arr -= np.array(mins, dtype=np.int64)
     return arr @ np.array(strides, dtype=np.int64)
 
@@ -240,6 +250,14 @@ def _mark_pair_sums(bitmap: np.ndarray, codes_a: np.ndarray, codes_b: np.ndarray
         bitmap[np.add.outer(chunk, codes_b).ravel()] = True
 
 
+def _count_dense(code_pairs, cells: int) -> int:
+    """Distinct sums a+b over int64 code-array pairs whose sums lie in [0, cells)."""
+    bitmap = np.zeros(cells, dtype=bool)
+    for codes_a, codes_b in code_pairs:
+        _mark_pair_sums(bitmap, codes_a, codes_b)
+    return int(np.count_nonzero(bitmap))
+
+
 def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
     """Count distinct sums p+q over the union of the given set pairs."""
     frame = _sum_frame([s for pair in pairs for s in pair])
@@ -247,11 +265,13 @@ def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
         return 0
     mins, strides, cells = frame
     if cells <= _DENSE_CELL_LIMIT:
-        bitmap = np.zeros(cells, dtype=bool)
-        for a, b in pairs:
-            _mark_pair_sums(bitmap, _encode_array(a, mins, strides),
-                            _encode_array(b, mins, strides))
-        return int(bitmap.sum())
+        try:
+            code_pairs = [(_encode_array(a, mins, strides), _encode_array(b, mins, strides))
+                          for a, b in pairs]
+        except OverflowError:  # a coordinate past int64 takes the exact path below
+            pass
+        else:
+            return _count_dense(code_pairs, cells)
     # sparse fallback: exact python-int codes, any dimension
     seen: set[int] = set()
     for a, b in pairs:
@@ -463,6 +483,76 @@ def arrange_all_axes(a: LatticeSet) -> LatticeSet:
     for axis in range(a.dim):
         out = arrangement(out, axis)
     return out
+
+
+def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
+    """#(a1.a3 u a2.a2) of nested a1 <= a2 <= a3, then the same count after
+    arranging all three sets along axis 0, 1, ..., dim-1 in turn: dim+1 counts.
+
+    A3 is encoded once, as int64 codes in one sum frame that fits every step:
+    axis c spans [min(lo_c, 0), max(hi_c, hi_c - lo_c)], because a fiber holds
+    at most hi_c - lo_c + 1 points and the steps along other axes never change
+    coordinate c. Each point carries a level: 1 in a1, 2 in a2 - a1, 3 in the
+    rest. Arranged nested sets stay nested, so arranging a3 arranges all
+    three: sort the points by fiber (the code with the axis digit cleared),
+    then by level; the r-th point of a fiber moves to coordinate r and keeps
+    its level, which is 1 exactly when r < #(a1 in the fiber) and 2 exactly
+    when #(a1 in the fiber) <= r < #(a2 in the fiber).
+
+    A triple whose frame does not fit in int64 takes the loop of
+    `arrangement` and `union_midpoint_count` instead.
+    """
+    dim = _require_same_dim(a1, a2, a3)
+    if not a1.issubset(a2) or not a2.issubset(a3):
+        raise InvariantViolation("arranged_union_counts requires a1 <= a2 <= a3")
+    if not len(a3):
+        return [0] * (dim + 1)
+    pts = list(a3.points)
+    try:
+        arr = np.array(pts, dtype=np.int64)
+    except OverflowError:
+        return _arranged_union_counts_loop(a1, a2, a3)
+    lo, hi = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
+    mins = [min(x, 0) for x in lo]
+    maxs = [max(y, y - x) for x, y in zip(lo, hi)]
+    strides, cells = _frame_strides(mins, maxs)
+    if cells > _INT64_MAX:
+        return _arranged_union_counts_loop(a1, a2, a3)
+
+    in1, in2 = a1.points, a2.points
+    level = np.array([1 if p in in1 else 2 if p in in2 else 3 for p in pts], dtype=np.int8)
+    codes = (arr - np.array(mins, dtype=np.int64)) @ np.array(strides, dtype=np.int64)
+    counts = [_level_union_count(codes, level, cells)]
+    index = np.arange(len(pts), dtype=np.int64)
+    for c in range(dim):
+        radix = 2 * (maxs[c] - mins[c]) + 1
+        key = codes - (codes // strides[c]) % radix * strides[c]
+        order = np.lexsort((level, key))
+        key, level = key[order], level[order]
+        start = np.zeros_like(index)
+        start[1:] = np.where(key[1:] != key[:-1], index[1:], 0)
+        rank = index - np.maximum.accumulate(start)
+        codes = key + (rank - mins[c]) * strides[c]
+        counts.append(_level_union_count(codes, level, cells))
+    return counts
+
+
+def _level_union_count(codes: np.ndarray, level: np.ndarray, cells: int) -> int:
+    """#(a1.a3 u a2.a2) of the leveled codes of a3, all sums in [0, cells)."""
+    low, mid = codes[level == 1], codes[level <= 2]
+    pairs = [(low, codes), (mid, mid)]
+    if cells <= _DENSE_CELL_LIMIT:
+        return _count_dense(pairs, cells)
+    return len(np.unique(np.concatenate([np.add.outer(a, b).ravel() for a, b in pairs])))
+
+
+def _arranged_union_counts_loop(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
+    sets = (a1, a2, a3)
+    counts = [union_midpoint_count(a1, a3, a2)]
+    for axis in range(a3.dim):
+        sets = [arrangement(s, axis) for s in sets]
+        counts.append(union_midpoint_count(sets[0], sets[2], sets[1]))
+    return counts
 
 
 def is_staircase(a: LatticeSet) -> bool:

@@ -57,7 +57,9 @@ def test_invalid_data_is_65(capsys):
     (["--bound", "3*g+6"], EXIT_DATA, "--bound"),
     (["--bound", "3g+6", "--golden", "/missing.json"], EXIT_USAGE, "--golden"),
     (["--bound", "3g+6", "--gamma", "-1"], EXIT_DATA, "--gamma"),
-], ids=["bad-bound", "missing-golden", "negative-gamma"])
+    (["--bound", "3g+6", "--gmin", "-3", "--gmax", "1"], EXIT_DATA, "--gmin"),
+    (["--bound", "3g+6", "--gmin", "3", "--gmax", "2"], EXIT_DATA, "--gmin"),
+], ids=["bad-bound", "missing-golden", "negative-gamma", "negative-gmin", "inverted-genus-range"])
 def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     src = str(Path(autbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autbounds import lattice
 from autbounds.errors import InvariantViolation
 from autbounds.lattice import (
+    _DENSE_CELL_LIMIT,
     ConvexTriple,
     LatticeSet,
     arrange_all_axes,
+    arranged_union_counts,
     arrangement,
     dimension,
     in_convex_hull,
@@ -25,7 +28,13 @@ from autbounds.lattice import (
     union_midpoint_count,
 )
 from autbounds.lemmas import triple_for_rule
-from tests_oracles import naive_chain, naive_midpoints, naive_rank
+from tests_oracles import (
+    naive_arrangement_by_definition,
+    naive_chain,
+    naive_midpoints,
+    naive_rank,
+    naive_union_count,
+)
 
 # ---------------------------------------------------------------------------
 # naive oracles, kept deliberately independent of the implementation
@@ -141,6 +150,20 @@ def test_sparse_counting_path_matches_dense():
     sub_far = LatticeSet([tuple(c * 10_000 for c in p) for p in base[:7]])
     assert union_midpoint_count(sub_far, far, sub_far) == \
         union_midpoint_count(sub, near, sub)
+
+
+def test_pair_sums_with_an_empty_set_are_none():
+    a, empty = LatticeSet([(0, 0), (1, 0)]), LatticeSet([], 2)
+    assert midpoint_count(empty, a) == midpoint_count(a, empty) == 0
+    assert union_midpoint_count(empty, a, a) == 3
+
+
+def test_pair_sums_past_int64_are_exact():
+    base = 2 ** 63 + 5
+    a = LatticeSet([(base, 0), (base + 1, 0), (base + 3, 1)])
+    b = LatticeSet([(base, 0)])
+    assert midpoint_count(a, a) == len(naive_midpoints(a, a)) == 6
+    assert union_midpoint_count(b, a, a) == naive_union_count(b, a, a)
 
 
 def test_union_count_matches_bruteforce():
@@ -343,6 +366,105 @@ def test_full_arrangement_gives_staircase():
         out = arrange_all_axes(a)
         assert len(out) == len(a)
         assert is_staircase(out)
+
+
+# ---------------------------------------------------------------------------
+# arranged union counts (rule 2.4's steps)
+# ---------------------------------------------------------------------------
+
+def naive_arranged_counts(a1, a2, a3):
+    """The union count of the triple, then after each single-axis step."""
+    sets = [a1, a2, a3]
+    counts = [naive_union_count(a1, a3, a2)]
+    for axis in range(a3.dim):
+        sets = [naive_arrangement_by_definition(s, axis) for s in sets]
+        counts.append(naive_union_count(sets[0], sets[2], sets[1]))
+    return counts
+
+
+def random_nested(rng, dim, n3, spreads, base=0):
+    """A nested triple of random sets; a1 or a2 may be empty or all of a3."""
+    a3 = sorted({tuple(base + rng.randint(-s, s) for s in spreads) for _ in range(n3)})
+    a2 = rng.sample(a3, rng.choice((0, len(a3), rng.randint(0, len(a3)))))
+    a1 = rng.sample(a2, rng.choice((0, len(a2), rng.randint(0, len(a2)))))
+    return LatticeSet(a1, dim), LatticeSet(a2, dim), LatticeSet(a3, dim)
+
+
+@pytest.fixture
+def arrangement_calls(monkeypatch):
+    """Count the calls of `lattice.arrangement`, which only the int64-overflow
+    fallback of `arranged_union_counts` makes."""
+    real, calls = lattice.arrangement, []
+
+    def counted(a, axis):
+        calls.append(axis)
+        return real(a, axis)
+
+    monkeypatch.setattr(lattice, "arrangement", counted)
+    return calls
+
+
+def test_arranged_union_counts_match_the_oracle_step_by_step(arrangement_calls):
+    # non-convex sets with negative coordinates; per-axis spreads from 0 to 5
+    # give fibers from one point to the whole set
+    rng = random.Random(24)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        spreads = [rng.choice((0, 1, 2, 5)) for _ in range(dim)]
+        a1, a2, a3 = random_nested(rng, dim, rng.randint(1, 18), spreads, base=rng.randint(-4, 2))
+        assert arranged_union_counts(a1, a2, a3) == naive_arranged_counts(a1, a2, a3)
+    assert arrangement_calls == []
+
+
+@pytest.mark.parametrize("which", ["empty-a1", "all-equal"])
+def test_arranged_union_counts_at_the_nesting_extremes(which):
+    rng = random.Random(25)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        _, _, a3 = random_nested(rng, dim, rng.randint(1, 16), [3] * dim)
+        if which == "empty-a1":
+            a1 = LatticeSet([], dim)
+            a2 = LatticeSet(rng.sample(a3.sorted_points(), rng.randint(0, len(a3))), dim)
+        else:
+            a1 = a2 = a3
+        assert arranged_union_counts(a1, a2, a3) == naive_arranged_counts(a1, a2, a3)
+    empty = LatticeSet([], 3)
+    assert arranged_union_counts(empty, empty, empty) == [0, 0, 0, 0]
+
+
+def test_arranged_union_counts_past_the_dense_limit(arrangement_calls):
+    rng = random.Random(26)
+    for _ in range(20):
+        dim = rng.randint(2, 4)
+        spread = {2: 10 ** 5, 3: 10 ** 4, 4: 2000}[dim]  # the arranged frame still fits int64
+        a1, a2, a3 = random_nested(rng, dim, rng.randint(4, 14), [spread] * dim)
+        spans = [max(p[c] for p in a3) - min(p[c] for p in a3) for c in range(dim)]
+        assert prod(2 * s + 1 for s in spans) > _DENSE_CELL_LIMIT
+        assert arranged_union_counts(a1, a2, a3) == naive_arranged_counts(a1, a2, a3)
+    assert arrangement_calls == []
+
+
+@pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4, 2 ** 63 + 5],
+                         ids=["near-max", "near-min", "past-max"])
+def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base):
+    # near +-2**63 the points fit in int64 but the arranged frame, which also
+    # holds the new coordinates 0, 1, ..., does not; past 2**63 neither does
+    rng = random.Random(27)
+    for _ in range(10):
+        dim = rng.randint(1, 3)
+        a1, a2, a3 = random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
+        expected = naive_arranged_counts(a1, a2, a3)
+        calls = len(arrangement_calls)
+        assert arranged_union_counts(a1, a2, a3) == expected
+        assert len(arrangement_calls) - calls == 3 * dim
+
+
+def test_arranged_union_counts_need_nested_sets_of_one_dim():
+    a = LatticeSet([(0, 0), (1, 0)])
+    with pytest.raises(InvariantViolation):
+        arranged_union_counts(a, LatticeSet([(0, 0)]), a)
+    with pytest.raises(InvariantViolation):
+        arranged_union_counts(LatticeSet([(0,)]), a, a)
 
 
 # ---------------------------------------------------------------------------

@@ -238,14 +238,12 @@ def test_violation_machinery_records_witness(monkeypatch):
 
 def test_violation_of_2_4_records_the_axis_steps(monkeypatch):
     # each count is larger than the one before, so every axis step fails
-    real = lemmas.union_count
-    calls = []
+    real = lemmas.arranged_union_counts
 
-    def growing(triple):
-        calls.append(None)
-        return real(triple) + 10 ** 6 * len(calls)
+    def growing(a1, a2, a3):
+        return [count + 10 ** 6 * step for step, count in enumerate(real(a1, a2, a3))]
 
-    monkeypatch.setattr(lemmas, "union_count", growing)
+    monkeypatch.setattr(lemmas, "arranged_union_counts", growing)
     res = run_lemma_suite("2.4", 2, master_seed=5, dim=3)
     assert res.violation_count == 2
     checks = res.violations[0]["hypotheses"]["checks"]
