@@ -421,17 +421,52 @@ def _box_triple(rng: random.Random, dim: int, size_target: int) -> ConvexTriple:
     )
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> np.ndarray:
+    """`[rng.randint(lo, hi) for _ in range(count)]` as an int64 array, drawn in bulk.
+
+    The values and the state `rng` is left in are those of the loop, for a
+    width n = hi - lo + 1 below 2**32. This rests on two facts of CPython's
+    Mersenne Twister: `randint` draws `getrandbits(k)` with k = n.bit_length()
+    until the value is below n, and each `getrandbits(k <= 32)` is one 32-bit
+    output shifted right by 32 - k; and `getrandbits(32*m)` is the next m
+    outputs, the first one least significant. Each round reads as many
+    outputs as values are still missing, and an output gives at most one
+    value, so no round reads an output the loop would not have read.
+    """
+    width = hi - lo + 1
+    if not 1 <= width < 1 << 32:
+        raise InvariantViolation(f"randint range [{lo}, {hi}] needs a width in [1, 2**32)")
+    shift = 32 - width.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        m = count - filled
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        values = words >> shift
+        kept = values[values < width]
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    out += lo
+    return out
+
+
 def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
     """Arbitrary nested integral sets (no convexity), for the 2.4 rule.
 
     Rule 2.4 holds for any nested finite integral sets, so its property
     suite deliberately samples beyond the convex generator's range.
+    The box coordinates come from `_randints`, which gives the values and
+    the stream of a `rng.randint` call per coordinate: every triple is the
+    one the per-coordinate loop draws (one 32-bit output per
+    `getrandbits(k <= 32)`, the first output least significant in
+    `getrandbits(32*m)`).
     """
     if dim < 1:
         raise InvariantViolation("generator needs dim >= 1")
     rng = random.Random(seed)
     side = max(3, round((2.5 * size_target) ** (1.0 / dim)) + 1)
-    box = [tuple(rng.randint(-2, side - 2) for _ in range(dim)) for _ in range(4 * size_target)]
+    coords = _randints(rng, -2, side - 2, 4 * size_target * dim)
+    box = list(map(tuple, coords.reshape(-1, dim).tolist()))
     a3_pts = list({p for p in box})[: max(size_target, 3)]
     if len(a3_pts) < 3:
         a3_pts = [tuple(0 for _ in range(dim)), tuple(1 for _ in range(dim))]

@@ -271,6 +271,22 @@ def test_chain_sparse_fallback_matches_oracle():
         assert longest_chain(far) == longest_chain(huge) == longest_chain(a) == naive_chain(a)
 
 
+def test_chain_of_wide_sparse_sets_walks_pairs(monkeypatch):
+    # a few points spread over a box that fits the bitmap: the level-3 cap
+    # box holds about 2 M (square) and 1.7 M (cube) directions, so walking
+    # the pairs is far cheaper than scanning every direction from each point
+    rng = random.Random(94)
+    square = LatticeSet({(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(40)}, 2)
+    cube = LatticeSet({tuple(rng.randint(0, 150) for _ in range(3)) for _ in range(30)}, 3)
+
+    def no_scan(*args):
+        raise AssertionError("scanned the bitmap")
+
+    monkeypatch.setattr(lattice, "_longest_run", no_scan)
+    for a in (square, cube):
+        assert longest_chain(a) == lattice._sparse_longest_chain(a) == naive_chain(a)
+
+
 def test_chain_of_a_box_is_its_longest_side():
     # 2.6-scale product boxes of 5,000-9,900 points
     rng = random.Random(92)
