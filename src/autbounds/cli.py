@@ -238,10 +238,38 @@ def _int_range(kv: dict, key: str, default: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _only_keys(kv: dict, allowed, what: str) -> None:
+    """Reject the keys of kv that `what` does not read."""
+    unknown = set(kv) - set(allowed)
+    if unknown:
+        raise InvariantViolation(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _epsilon(kv: dict) -> Fraction:
+    """kv['epsilon'] as a rational, or the chain-ratio epsilon 1/530 when absent."""
+    if "epsilon" not in kv:
+        return lemmas_mod.CHAIN_RATIO_EPSILON
+    try:
+        return Fraction(kv["epsilon"])
+    except (ValueError, ZeroDivisionError):
+        raise InvariantViolation(f"epsilon={kv['epsilon']!r} is not a rational number") from None
+
+
+# the keys each bounds subcommand reads; surface and margin check theirs per
+# variant, and surface --table reads only its two ranges
+_BOUNDS_KEYS = {
+    "threefold": ("k3", "chi"),
+    "plurigenus": ("k3", "chi", "n"),
+    "universal-n": ("epsilon",),
+    "constant": (),
+}
+_PROP33_KEYS = ("k3", "chi", "n", "epsilon")
+_TABLE_KEYS = {"k2_range", "chi_range"}
+
 _SURFACE_KEYS = {
     "k2", "chi", "pencils", "no_pencils", "canonical_image_dim", "birational",
-    "even", "ci", "d", "two_pencils_genus", "k2_range", "chi_range",
-}
+    "even", "ci", "d", "two_pencils_genus",
+} | _TABLE_KEYS
 
 
 def _k2_from_degrees(kv: dict, key: str) -> int:
@@ -259,9 +287,7 @@ def _k2_from_degrees(kv: dict, key: str) -> int:
 
 
 def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
-    unknown = set(kv) - _SURFACE_KEYS
-    if unknown:
-        raise InvariantViolation(f"unknown surface keys: {sorted(unknown)}")
+    _only_keys(kv, _SURFACE_KEYS - _TABLE_KEYS, "surface")
     known = frozenset(_int_list(kv, "pencils")) if "pencils" in kv else frozenset()
     absent = frozenset(_int_list(kv, "no_pencils")) if "no_pencils" in kv else frozenset()
     d = _int(kv, "d", None)
@@ -287,6 +313,8 @@ def cmd_bounds(args) -> int:
     started = time.monotonic()
     kv = _parse_kv(args.params)
     sub = args.what
+    if sub in _BOUNDS_KEYS:
+        _only_keys(kv, _BOUNDS_KEYS[sub], sub)
     if sub == "surface":
         if args.table:
             return _surface_table(args, kv)
@@ -309,8 +337,10 @@ def cmd_bounds(args) -> int:
             raise InvariantViolation(
                 f"margin needs variant=<one of {bounds_mod.MARGIN_VARIANTS}>")
         if variant == "prop3.3":
+            _only_keys(kv, _PROP33_KEYS, variant)
             inv = bounds_mod.ThreefoldInvariants(_int(kv, "k3"), _int(kv, "chi"))
-            margin, report = bounds_mod.decomposability_margin(variant, inv, n=_int(kv, "n"))
+            margin, report = bounds_mod.decomposability_margin(variant, inv, n=_int(kv, "n"),
+                                                               epsilon=_epsilon(kv))
         else:
             inv = surface_invariants_from_kv(kv)
             margin, report = bounds_mod.decomposability_margin(variant, inv)
@@ -319,13 +349,7 @@ def cmd_bounds(args) -> int:
                 "margin": jsonable(margin), "positive": margin > 0,
                 "hypotheses": report.to_json_dict()}
     elif sub == "universal-n":
-        eps = lemmas_mod.CHAIN_RATIO_EPSILON
-        if "epsilon" in kv:
-            try:
-                eps = Fraction(kv["epsilon"])
-            except (ValueError, ZeroDivisionError):
-                raise InvariantViolation(f"epsilon={kv['epsilon']!r} is not a rational number") from None
-        n_star, cert = bounds_mod.universal_n(eps)
+        n_star, cert = bounds_mod.universal_n(_epsilon(kv))
         body = {"format": "universal-n", "n_star": n_star, "certificate": jsonable(cert)}
     elif sub == "constant":
         c, trail = bounds_mod.threefold_constant()
@@ -337,6 +361,7 @@ def cmd_bounds(args) -> int:
 
 
 def _surface_table(args, kv) -> int:
+    _only_keys(kv, _TABLE_KEYS, "surface --table")
     k2_lo, k2_hi = _int_range(kv, "k2_range", "1:64")
     writer = csv.writer(sys.stdout)
     writer.writerow(["k2", "chi", "value", "source"])

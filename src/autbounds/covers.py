@@ -165,6 +165,20 @@ def _index(factors: tuple[int, ...]) -> dict[Element, int]:
 
 
 @lru_cache(maxsize=None)
+def _addition_table(factors: tuple[int, ...]) -> np.ndarray:
+    """The index of x + y at [x, y], for element indices x and y.
+
+    An element's index is its mixed-radix number in elements() order, so the
+    table is the coordinatewise sum reduced mod each factor, read back in
+    that radix; the trivial group () gives [[0]].
+    """
+    n, m = prod(factors, start=1), len(factors)
+    coords = np.array(_elements(factors), dtype=np.int64).reshape(n, m)
+    strides = np.array([prod(factors[i + 1:], start=1) for i in range(m)], dtype=np.int64)
+    return ((coords[:, None, :] + coords[None, :, :]) % np.array(factors, dtype=np.int64)) @ strides
+
+
+@lru_cache(maxsize=None)
 def _automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     """All automorphisms, as an int32 array of shape (|Aut G|, |G|).
 
@@ -176,15 +190,18 @@ def _automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     repeats an element, so the leaves are exactly the automorphisms, in the
     lex order of their generator images.
 
-    The build costs |Aut(G)|*|G| table lookups. (Z/2)^5, with |Aut| =
-    9,999,360, is the first group out of reach; an enumeration first needs
-    it for a gamma = 0 datum with six involutions at genus 17.
+    The build costs |Aut(G)|*|G| lookups in :func:`_addition_table`.
+    (Z/2)^5, with |Aut| = 9,999,360, is the first group out of reach; an
+    enumeration first needs it for a gamma = 0 datum with six involutions at
+    genus 17.
     """
-    elements = _elements(factors)
-    index = _index(factors)
-    group = FiniteAbelianGroup(factors)
-    add = [[index[group.add(x, y)] for y in elements] for x in elements]
-    multiples = [[index[group.scale(m, x)] for m in range(group.element_order(x))] for x in elements]
+    add = _addition_table(factors).tolist()
+    multiples = []  # multiples[x]: the index of m*x for m = 0, 1, ..., order(x) - 1
+    for x in range(len(add)):
+        ms = [0]
+        while add[ms[-1]][x]:
+            ms.append(add[ms[-1]][x])
+        multiples.append(ms)
     candidates = [[y for y, ms in enumerate(multiples) if len(ms) == d] for d in factors]
     rows = []
 
@@ -455,14 +472,18 @@ def lemma43_signature_checks(order: int, signature, assume_cyclic: bool = False)
 # canonical forms and enumeration
 # ---------------------------------------------------------------------------
 
+def _orbit(group: FiniteAbelianGroup, idx) -> np.ndarray:
+    """The images of the multiset of element indices idx under Aut(G), one
+    sorted row per automorphism."""
+    return np.sort(group.automorphisms()[:, list(idx)], axis=1)
+
+
 def canonical_branch(group: FiniteAbelianGroup, branch: tuple[Element, ...]) -> tuple[Element, ...]:
     """Lexicographically least image of the branch multiset under Aut(G)."""
     index = _index(group.invariant_factors)
-    images = np.sort(group.automorphisms()[:, [index[b] for b in branch]], axis=1)
-    for col in range(images.shape[1]):
-        images = images[images[:, col] == images[:, col].min()]
+    least = min(map(tuple, _orbit(group, [index[b] for b in branch]).tolist()))
     elements = group.elements()
-    return tuple(elements[i] for i in images[0])
+    return tuple(elements[i] for i in least)
 
 
 @dataclass(frozen=True)
@@ -484,8 +505,9 @@ class LinearBound:
                 raise ValueError
             a = Fraction(head) if head not in ("", "+", "-") else Fraction(head + "1")
             b = Fraction(tail) if tail else Fraction(0)
-        except ValueError:
-            raise InvariantViolation(f"--bound {text!r} must be linear in g, like '3g+6'") from None
+        except (ValueError, ZeroDivisionError):
+            raise InvariantViolation(f"--bound {text!r} must be linear in g with nonzero "
+                                     "denominators, like '3g+6'") from None
         return cls(a, b, text)
 
 
@@ -526,39 +548,64 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
                     k_min: int = 0) -> list[CoverDatum]:
     """All covers (up to Aut(G)) with the given group, quotient genus, genus.
 
-    Exhausts multisets of nonzero elements with the exact degree-sum target,
-    then filters by the sum-zero and generation conditions. The degree sum is
-    scaled by |G|: an element of order r weighs |G| - |G|/r (an integer, as r
-    divides |G|) and the target is (2g - 2) - |G|(2*gamma - 2).
+    The degree sum is scaled by |G|: an element of order r weighs
+    |G| - |G|/r (an integer, as r divides |G|) and the target is
+    (2g - 2) - |G|(2*gamma - 2). A depth-first search over element indices,
+    ordered by (order, index) so that weights ascend, picks multisets with
+    that weight and carries their sum. Every weight is at least |G|/2, so it
+    descends only while at least |G|/2 of the target is left; the one element
+    that can then close a branch is minus the running sum, and it is a leaf
+    when it comes no earlier than the last pick and weighs exactly what is
+    left. Those leaves are the weight-exact, sum-zero multisets, in the
+    search's lex order; a target of 0 is the one empty leaf (k = 0).
+
+    Aut(G) keeps elements nonzero, sums zero and generation intact, so the
+    leaves fall into whole orbits. The first leaf of an orbit that passes
+    the generation test becomes the class's datum, and its orbit, as sorted
+    index rows, joins `seen`; later leaves found in `seen` are skipped.
     """
     n = group.order
     target = (2 * genus - 2) - n * (2 * gamma - 2)
     if target < 0:
         return []
-    elements = [e for e in group.elements() if e != group.identity()]
-    elements.sort(key=lambda e: (group.element_order(e), e))
-    weights = [n - n // group.element_order(e) for e in elements]
-    found: dict[tuple, CoverDatum] = {}
+    elements = group.elements()
+    add = _addition_table(group.invariant_factors).tolist()
+    neg = [row.index(0) for row in add]
+    orders = [group.element_order(x) for x in elements]
+    pool = sorted(range(1, n), key=lambda i: (orders[i], i))
+    weights = [n - n // orders[i] for i in pool]
+    position = {x: p for p, x in enumerate(pool)}
+    seen: set[tuple[int, ...]] = set()
+    found: list[CoverDatum] = []
 
-    def rec(start: int, remaining: int, chosen: list[Element]):
-        if remaining == 0:
-            if len(chosen) >= k_min and _branch_fault(group, gamma, chosen) is None:
-                datum = CoverDatum(group, gamma, tuple(chosen))
-                found.setdefault(canonical_branch(group, datum.branch), datum)
+    def leaf(chosen: list[int]):
+        idx = tuple(sorted(chosen))
+        if len(idx) < k_min or idx in seen:
             return
-        if 2 * remaining < n:  # every weight is at least |G|/2
-            return
-        for i in range(start, len(elements)):
-            if weights[i] > remaining:  # weights ascend with the order
+        branch = tuple(elements[i] for i in idx)
+        if _branch_fault(group, gamma, branch) is None:
+            found.append(CoverDatum(group, gamma, branch))
+            seen.update(map(tuple, _orbit(group, idx).tolist()))
+
+    def rec(start: int, remaining: int, total: int, chosen: list[int]):
+        for p in range(start, len(pool)):
+            if 2 * (remaining - weights[p]) < n:  # weights ascend
                 break
-            chosen.append(elements[i])
-            rec(i, remaining - weights[i], chosen)
+            chosen.append(pool[p])
+            rec(p, remaining - weights[p], add[total][pool[p]], chosen)
+            chosen.pop()
+        last = position.get(neg[total])  # None when the sum is already zero
+        if last is not None and last >= start and weights[last] == remaining:
+            chosen.append(pool[last])
+            leaf(chosen)
             chosen.pop()
 
-    rec(0, target, [])
-    out = list(found.values())
-    out.sort(key=lambda d: (d.signature(), d.branch))
-    return out
+    if target == 0:
+        leaf([])
+    else:
+        rec(0, target, 0, [])
+    found.sort(key=lambda d: (d.signature(), d.branch))
+    return found
 
 
 def enumerate_extremal(genus_range, bound: LinearBound,

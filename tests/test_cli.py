@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,11 @@ def test_invalid_data_is_65(capsys):
     (["--bound", "3g+6", "--gamma", "-1"], EXIT_DATA, "--gamma"),
     (["--bound", "3g+6", "--gmin", "-3", "--gmax", "1"], EXIT_DATA, "--gmin"),
     (["--bound", "3g+6", "--gmin", "3", "--gmax", "2"], EXIT_DATA, "--gmin"),
-], ids=["bad-bound", "missing-golden", "negative-gamma", "negative-gmin", "inverted-genus-range"])
+    (["--bound", "1/0g"], EXIT_DATA, "--bound"),
+    (["--bound", "3g+1/0"], EXIT_DATA, "--bound"),
+    (["--bound", "0/0g+1"], EXIT_DATA, "--bound"),
+], ids=["bad-bound", "missing-golden", "negative-gamma", "negative-gmin", "inverted-genus-range",
+        "zero-slope-denominator", "zero-constant-denominator", "zero-over-zero"])
 def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     src = str(Path(autbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -80,6 +85,35 @@ def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, "bounds", *argv)
     assert code == EXIT_DATA
     assert len(err.strip().splitlines()) == 1 and key in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["threefold", "k3=2", "chi=0", "foo=1"], "foo"),
+    (["plurigenus", "k3=2", "chi=0", "n=3", "k2=1"], "k2"),
+    (["constant", "n=3"], "n"),
+    (["universal-n", "eps=1/600"], "eps"),
+    (["margin", "variant=prop3.3", "k3=6", "chi=1", "n=5", "k2=72"], "k2"),
+    (["surface", "k2=72", "--table"], "k2"),
+    (["surface", "k2=72", "k2_range=1:5"], "k2_range"),
+], ids=["threefold", "plurigenus", "constant", "universal-n", "prop3.3", "table", "range-without-table"])
+def test_unknown_bounds_key_is_65_naming_it(capsys, argv, key):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and repr(key) in err
+
+
+def test_prop33_margin_reads_epsilon(capsys):
+    argv = ["bounds", "margin", "variant=prop3.3", "k3=6", "chi=1", "n=5"]
+    code, out, err = run_cli(capsys, *argv, "epsilon=0/0")
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "epsilon" in err
+    _, out, _ = run_cli(capsys, *argv)
+    _, out_default, _ = run_cli(capsys, *argv, "epsilon=1/530")
+    _, out_other, _ = run_cli(capsys, *argv, "epsilon=1/600")
+    margin = body_of(out)["margin"]
+    assert body_of(out_default)["margin"] == margin != body_of(out_other)["margin"]
+    assert body_of(out_other)["margin"] == str(bounds.decomposability_margin(
+        "prop3.3", bounds.ThreefoldInvariants(6, 1), n=5, epsilon=Fraction(1, 600))[0])
 
 
 @pytest.mark.parametrize("value", ["1e-5000", "1/" + "9" * 500])
@@ -282,6 +316,37 @@ _bounds_argv = st.tuples(
 @settings(deadline=None, max_examples=300)
 @given(_bounds_argv)
 def test_bounds_argv_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_DATA)
+    assert "Traceback" not in err.getvalue()
+
+
+_bound_numbers = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-6, 6), st.integers(0, 4)),
+)
+_enumerate_bounds = st.one_of(
+    _bound_numbers,
+    st.builds("{}g".format, st.sampled_from(["", "+", "-"]) | _bound_numbers),
+    st.builds("{}g{}{}".format, st.sampled_from(["", "-"]) | _bound_numbers,
+              st.sampled_from("+-"), _bound_numbers),
+    st.text(max_size=6),
+)
+_small = st.integers(-2, 5).map(str)
+_enumerate_argv = st.tuples(
+    _enumerate_bounds, _small, _small,
+    st.none() | _small, st.none() | _small, st.booleans(), st.booleans(),
+).map(lambda t: ["enumerate-covers", f"--bound={t[0]}", "--gmin", t[1], "--gmax", t[2]]
+      + (["--gamma", t[3]] if t[3] is not None else [])
+      + (["--kmin", t[4]] if t[4] is not None else [])
+      + (["--no-hyperelliptic"] if t[5] else []) + (["--cyclic"] if t[6] else []))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_enumerate_argv)
+def test_enumerate_argv_exits_with_a_contract_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -27,7 +28,12 @@ from autbounds.covers import (
 from autbounds.errors import InvariantViolation
 from functools import lru_cache
 
-from tests_oracles import hillar_rhea_aut_order, naive_automorphisms, naive_canonical_branch
+from tests_oracles import (
+    hillar_rhea_aut_order,
+    naive_automorphisms,
+    naive_branch_data_for,
+    naive_canonical_branch,
+)
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +256,55 @@ def test_branch_data_signature_uniqueness_for_family_groups():
         fam = example_family_49(m)
         data = branch_data_for(fam.group, 0, 3 * m - 2)
         assert {d.signature() for d in data} == {(3 * m, 3 * m, 3)}
+
+
+BRANCH_ORACLE_GROUPS = [g for g in ORACLE_GROUPS if g.order <= 16]
+
+
+@pytest.mark.parametrize("group", BRANCH_ORACLE_GROUPS, ids=str)
+def test_branch_data_match_naive_oracle(group):
+    # target (2g - 2) - |G|(2 gamma - 2) runs over 0, 2, ..., 2|G| + 4
+    for gamma in range(3):
+        first = group.order * (gamma - 1) + 1  # the genus of target 0
+        for genus in range(first, first + group.order + 3):
+            for k_min in (0, 4):
+                assert branch_data_for(group, gamma, genus, k_min) \
+                    == naive_branch_data_for(group, gamma, genus, k_min), (gamma, genus, k_min)
+
+
+def test_unramified_double_cover_of_genus_2_is_found():
+    # target 0 at Z/2, gamma = 2, g = 3: the datum with no branch points
+    group = FiniteAbelianGroup((2,))
+    assert branch_data_for(group, 2, 3) == [CoverDatum(group, 2, ())]
+    assert branch_data_for(group, 2, 3, k_min=1) == []
+
+
+# sha256 of records_to_json for each search, as the leaf-by-leaf search that
+# put every class in canonical form gave it; a change of class representative
+# or of record order shows here
+_PINNED_SEARCHES = [
+    ("3g+6", 2, 8, dict(require_no_hyperelliptic_witness=True),
+     "1c39cc6fc7f638baf42482adc9cbc37fbe7540148f003ba9b0f9ce564750d569"),
+    ("3g-3", 3, 6, dict(gamma=0, k_min=4),
+     "e3d7cb88f4378cc0cf42e00b81de5cc0978891ebffe1b21dcf7ee4993c03ce11"),
+    ("2g+2", 3, 8, dict(gamma=0, k_min=4, assume_cyclic=True),
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("3g+6", 2, 12, {},
+     "04e1eda8c35895a829631e3327fa0eba324acafffb5047f45b0e16a4e02aea9d"),
+    ("0g+0", 2, 6, {},
+     "dfe165e636ed227879dc33dd675baeeb4e1e196fbc8d7a19c191ee8c3c2ff2b8"),
+    ("0g+0", 2, 7, dict(gamma=2),
+     "53662cebe2ad069eb36b0bba89fb113540aaa6659c3e80fcae47ccbb9c1834d1"),
+]
+
+
+@pytest.mark.parametrize("bound, gmin, gmax, filters, digest", _PINNED_SEARCHES,
+                         ids=["fermat", "variable-moduli", "cyclic", "3g+6-to-12",
+                              "all-to-6", "all-gamma-2-to-7"])
+def test_search_records_digest_is_pinned(bound, gmin, gmax, filters, digest):
+    records = enumerate_extremal(range(gmin, gmax + 1), LinearBound.parse(bound), **filters)
+    text = json.dumps(records_to_json(records), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_enumeration_bound_parse():

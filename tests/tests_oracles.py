@@ -5,16 +5,18 @@ production shortcuts: rational mid-points instead of doubled encodings, an
 all-pairs (start, step) walk for chains, a clause-by-clause membership
 test for arrangement, a point-by-point gauge scan for the convex generator,
 automorphisms as element->element dicts filtered from every tuple of
-generator images, the closed-form count of Hillar & Rhea, and a
-level-by-level scan for the universal level n*.
+generator images, every weight-exact multiset for the cover classes, the
+closed-form count of Hillar & Rhea, and a level-by-level scan for the
+universal level n*.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from autbounds import bounds, lemmas
-from autbounds.covers import FiniteAbelianGroup
+from autbounds.covers import CoverDatum, FiniteAbelianGroup
+from autbounds.errors import InvariantViolation
 from autbounds.lattice import ConvexTriple, LatticeSet
 
 
@@ -174,6 +176,36 @@ def naive_canonical_branch(group, branch):
     """The least sorted image of the branch over every automorphism."""
     return min(tuple(sorted(aut[b] for b in branch))
                for aut in naive_automorphisms(group.invariant_factors))
+
+
+def naive_branch_data_for(group, gamma, genus, k_min=0):
+    """`covers.branch_data_for` by checking every multiset of nonzero elements.
+
+    The elements are listed by (order, element), so weights ascend; each
+    multiset of positions from that list whose weights hit the degree-sum
+    target is tried as a CoverDatum, in lex order of the position tuples
+    over every size k at once. The first datum of each
+    `naive_canonical_branch` class is kept.
+    """
+    n = group.order
+    target = (2 * genus - 2) - n * (2 * gamma - 2)
+    if target < 0:
+        return []
+    pool = sorted((x for x in group.elements() if x != group.identity()),
+                  key=lambda x: (group.element_order(x), x))
+    weights = [n - n // group.element_order(x) for x in pool]
+    exact = [combo
+             for k in range(max(k_min, 0), 2 * target // n + 1)  # each weight >= n/2
+             for combo in combinations_with_replacement(range(len(pool)), k)
+             if sum(weights[p] for p in combo) == target]
+    found = {}
+    for combo in sorted(exact):
+        try:
+            datum = CoverDatum(group, gamma, tuple(pool[p] for p in combo))
+        except InvariantViolation:
+            continue
+        found.setdefault(naive_canonical_branch(group, datum.branch), datum)
+    return sorted(found.values(), key=lambda d: (d.signature(), d.branch))
 
 
 def hillar_rhea_aut_order(factors):
