@@ -3,13 +3,15 @@
 Exit codes: 0 success, 2 mathematical violation or golden mismatch found,
 64 usage error, 65 invalid input data. Reports are JSON with a `header`
 (timestamps, timings, tool version) and a canonical `body`; identical run
-configurations produce byte-identical bodies.
+configurations produce byte-identical bodies. A reader that closes stdout
+early gets no more output, and the run still ends with its own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -45,6 +47,25 @@ def _output_dir() -> str:
     return os.environ.get("AUTBOUNDS_OUTPUT_DIR", ".")
 
 
+def _stdout(text: str) -> None:
+    """Write text to stdout. Once the reader has closed it, the rest of the
+    run's output goes to the null device, so the run carries on to its own
+    exit code (and its witness files) without a traceback."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -68,9 +89,9 @@ def _emit(body, args, extra_header=None, started=None):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
-        print(path)
+        _stdout(path + "\n")
     else:
-        sys.stdout.write(text)
+        _stdout(text)
 
 
 def _golden_text(name_or_path: str) -> str:
@@ -101,7 +122,7 @@ def cmd_verify_lemmas(args) -> int:
     body = result.to_json_body()
     body["format"] = "lemma-suite"
     if args.format == "csv":
-        csv.writer(sys.stdout).writerows(result.csv_rows())
+        _stdout(_csv_text(result.csv_rows()))
     else:
         _emit(body, args, started=started)
     for violation in result.violations:
@@ -311,8 +332,11 @@ def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
 
 def cmd_bounds(args) -> int:
     started = time.monotonic()
-    kv = _parse_kv(args.params)
     sub = args.what
+    if args.table and sub != "surface":
+        print(f"--table applies to 'bounds surface' only, not to {sub!r}", file=sys.stderr)
+        return EXIT_USAGE
+    kv = _parse_kv(args.params)
     if sub in _BOUNDS_KEYS:
         _only_keys(kv, _BOUNDS_KEYS[sub], sub)
     if sub == "surface":
@@ -363,8 +387,7 @@ def cmd_bounds(args) -> int:
 def _surface_table(args, kv) -> int:
     _only_keys(kv, _TABLE_KEYS, "surface --table")
     k2_lo, k2_hi = _int_range(kv, "k2_range", "1:64")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["k2", "chi", "value", "source"])
+    rows = [["k2", "chi", "value", "source"]]
     for k2 in range(k2_lo, k2_hi + 1):
         chi_vals = [None]
         if "chi_range" in kv:
@@ -373,11 +396,12 @@ def _surface_table(args, kv) -> int:
         for chi in chi_vals:
             inv = bounds_mod.SurfaceInvariants(k2=k2, chi=chi)
             res = bounds_mod.surface_bound(inv)
-            writer.writerow([
+            rows.append([
                 k2, "" if chi is None else chi,
                 "" if res.value is None else jsonable(res.value),
                 "|".join(res.source),
             ])
+    _stdout(_csv_text(rows))
     return EXIT_OK
 
 
@@ -386,7 +410,7 @@ def _surface_table(args, kv) -> int:
 # ---------------------------------------------------------------------------
 
 def _check(name: str, ok: bool, detail: str = "") -> bool:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
+    _stdout(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "") + "\n")
     return ok
 
 

@@ -86,23 +86,11 @@ class FiniteAbelianGroup:
 
     def subgroup(self, generators) -> frozenset[Element]:
         """Closure of the given elements (rejects non-elements)."""
-        gens = [self.reduce(g) for g in generators]
-        for g, raw in zip(gens, generators):
-            if tuple(raw) != g:
-                raise InvariantViolation(f"{raw} is not a reduced element of {self}")
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
+        elements, gens = self.elements(), _indices(self, generators)
+        return frozenset(elements[i] for i in _closure(self.invariant_factors, gens))
 
     def generates(self, elements) -> bool:
-        return len(self.subgroup(elements)) == self.order
+        return len(_closure(self.invariant_factors, _indices(self, elements))) == self.order
 
     def involutions(self) -> tuple[Element, ...]:
         return tuple(x for x in self.elements() if self.element_order(x) == 2)
@@ -113,16 +101,7 @@ class FiniteAbelianGroup:
 
     def min_generators_of_quotient(self, subgroup: frozenset[Element]) -> int:
         """Minimal generating set size of G/H (the largest p-rank over p)."""
-        q_order = self.order // len(subgroup)
-        if q_order == 1:
-            return 0
-        cosets = _cosets(self, subgroup)
-        rank = 0
-        for p, _ in _factor(q_order):
-            # p-rank of Q from |Q/pQ| = |Q| / |pQ|
-            p_image = {cosets[self.scale(p, x)] for x in cosets}
-            rank = max(rank, _log_exact(q_order // len(p_image), p))
-        return rank
+        return _quotient_rank(self.invariant_factors, _indices(self, subgroup))
 
     def __str__(self):
         if not self.invariant_factors:
@@ -130,25 +109,13 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-def _log_exact(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0 and n > 1:
-        n //= p
-        e += 1
-    return e
-
-
-def _cosets(group: FiniteAbelianGroup, subgroup: frozenset[Element]) -> dict[Element, Element]:
-    """Map each element to a canonical representative of its H-coset."""
-    reps: dict[Element, Element] = {}
-    for x in group.elements():
-        if x in reps:
-            continue
-        coset = sorted(group.add(x, h) for h in subgroup)
-        rep = coset[0]
-        for y in coset:
-            reps[y] = rep
-    return reps
+def _indices(group: FiniteAbelianGroup, elements) -> list[int]:
+    """The element indices of reduced elements of the group (rejects the rest)."""
+    index = _index(group.invariant_factors)
+    try:
+        return [index[tuple(x)] for x in elements]
+    except KeyError as exc:
+        raise InvariantViolation(f"{exc.args[0]} is not a reduced element of {group}") from None
 
 
 @lru_cache(maxsize=None)
@@ -165,8 +132,8 @@ def _index(factors: tuple[int, ...]) -> dict[Element, int]:
 
 
 @lru_cache(maxsize=None)
-def _addition_table(factors: tuple[int, ...]) -> np.ndarray:
-    """The index of x + y at [x, y], for element indices x and y.
+def _addition_table(factors: tuple[int, ...]) -> list[list[int]]:
+    """The index of x + y at [x][y], for element indices x and y, as row lists.
 
     An element's index is its mixed-radix number in elements() order, so the
     table is the coordinatewise sum reduced mod each factor, read back in
@@ -175,7 +142,48 @@ def _addition_table(factors: tuple[int, ...]) -> np.ndarray:
     n, m = prod(factors, start=1), len(factors)
     coords = np.array(_elements(factors), dtype=np.int64).reshape(n, m)
     strides = np.array([prod(factors[i + 1:], start=1) for i in range(m)], dtype=np.int64)
-    return ((coords[:, None, :] + coords[None, :, :]) % np.array(factors, dtype=np.int64)) @ strides
+    table = ((coords[:, None, :] + coords[None, :, :]) % np.array(factors, dtype=np.int64)) @ strides
+    return table.tolist()
+
+
+@lru_cache(maxsize=None)
+def _multiples(factors: tuple[int, ...]) -> list[list[int]]:
+    """Entry x lists the indices of 0, x, 2x, ..., so its length is the order of x."""
+    add = _addition_table(factors)
+    out = []
+    for x in range(len(add)):
+        ms = [0]
+        while add[ms[-1]][x]:
+            ms.append(add[ms[-1]][x])
+        out.append(ms)
+    return out
+
+
+def _closure(factors: tuple[int, ...], gens) -> set[int]:
+    """The subgroup generated by the element indices gens, as an index set,
+    one generator at a time: <H, g> = {h + m*g : h in H, 0 <= m < order(g)}."""
+    add, multiples = _addition_table(factors), _multiples(factors)
+    sub = {0}
+    for g in gens:
+        if g not in sub:
+            sub = {add[h][m] for h in sub for m in multiples[g]}
+    return sub
+
+
+def _quotient_rank(factors: tuple[int, ...], gens) -> int:
+    """The least number of generators of Q = G/H for H = <gens>.
+
+    That is the largest p-rank of Q over the primes p dividing |Q|. The
+    p-rank r has p^r = |Q/pQ| = |G| / |H + pG|, and H + pG is generated by
+    gens and the p-multiples of every element.
+    """
+    n, multiples = prod(factors, start=1), _multiples(factors)
+    rank = 0
+    for p, _ in _factor(n // len(_closure(factors, gens))):
+        p_multiples = [ms[p % len(ms)] for ms in multiples]
+        [(_, r)] = _factor(n // len(_closure(factors, [*gens, *p_multiples])))
+        rank = max(rank, r)
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -186,22 +194,16 @@ def _automorphisms(factors: tuple[int, ...]) -> np.ndarray:
     index of an element is its position in elements(). An automorphism is
     fixed by the images y_i of the standard generators e_i, each of order
     exactly d_i. Backtracking over y_1, y_2, ... extends the image list of
-    <e_1..e_i> in elements() order and drops a branch as soon as that list
-    repeats an element, so the leaves are exactly the automorphisms, in the
-    lex order of their generator images.
+    <e_1..e_i> in elements() order from the :func:`_multiples` of y_i and
+    drops a branch as soon as that list repeats an element, so the leaves
+    are exactly the automorphisms, in the lex order of their generator images.
 
     The build costs |Aut(G)|*|G| lookups in :func:`_addition_table`.
     (Z/2)^5, with |Aut| = 9,999,360, is the first group out of reach; an
     enumeration first needs it for a gamma = 0 datum with six involutions at
     genus 17.
     """
-    add = _addition_table(factors).tolist()
-    multiples = []  # multiples[x]: the index of m*x for m = 0, 1, ..., order(x) - 1
-    for x in range(len(add)):
-        ms = [0]
-        while add[ms[-1]][x]:
-            ms.append(add[ms[-1]][x])
-        multiples.append(ms)
+    add, multiples = _addition_table(factors), _multiples(factors)
     candidates = [[y for y, ms in enumerate(multiples) if len(ms) == d] for d in factors]
     rows = []
 
@@ -284,7 +286,7 @@ class CoverDatum:
         object.__setattr__(self, "branch", branch)
         if self.quotient_genus < 0:
             raise InvariantViolation("quotient genus must be >= 0")
-        fault = _branch_fault(g, self.quotient_genus, branch)
+        fault = _branch_fault(g.invariant_factors, self.quotient_genus, _indices(g, branch))
         if fault:
             raise InvariantViolation(fault)
 
@@ -312,20 +314,19 @@ class CoverDatum:
         )
 
 
-def _branch_fault(group: FiniteAbelianGroup, gamma: int, branch) -> Optional[str]:
-    """Why nonzero-ness, sum zero or generation fails for the branch, or None."""
-    ident = group.identity()
-    if any(b == ident for b in branch):
+def _branch_fault(factors: tuple[int, ...], gamma: int, branch) -> Optional[str]:
+    """Why nonzero-ness, sum zero or generation fails for the branch indices, or None."""
+    if 0 in branch:
         return "branch elements must be nonzero"
-    total = ident
+    add, total = _addition_table(factors), 0
     for b in branch:
-        total = group.add(total, b)
-    if total != ident:
+        total = add[total][b]
+    if total:
         return "branch elements must sum to zero"
     if gamma == 0:
-        if not group.generates(branch):
+        if len(_closure(factors, branch)) < prod(factors, start=1):
             return "branch elements must generate the group when the quotient genus is 0"
-    elif group.min_generators_of_quotient(group.subgroup(branch)) > 2 * gamma:
+    elif _quotient_rank(factors, branch) > 2 * gamma:
         return "branch elements plus 2*gamma handle generators cannot generate the group"
     return None
 
@@ -352,17 +353,15 @@ def quotient_genus(datum: CoverDatum, subgroup_generators) -> int:
     indices are the orders of branch images in G/H (trivial ones weigh 0).
     """
     g = datum.group
-    sub = g.subgroup(subgroup_generators)
-    gy = _riemann_hurwitz(g.order // len(sub), datum.quotient_genus,
-                          [_image_order(g, sub, b) for b in datum.branch])
+    sub = _closure(g.invariant_factors, _indices(g, subgroup_generators))
+    multiples = _multiples(g.invariant_factors)
+    # b + H has order |<b>| / |<b> & H|
+    image_orders = [len(multiples[b]) // sum(m in sub for m in multiples[b])
+                    for b in _indices(g, datum.branch)]
+    gy = _riemann_hurwitz(g.order // len(sub), datum.quotient_genus, image_orders)
     if gy is None:
         raise InvariantViolation("the quotient by H has no genus; datum cannot be a cover")
     return gy
-
-
-def _image_order(group: FiniteAbelianGroup, subgroup: frozenset[Element], x: Element) -> int:
-    """Order of x + H in G/H: the least m >= 1 with m*x in H."""
-    return next(m for m in range(1, group.element_order(x) + 1) if group.scale(m, x) in subgroup)
 
 
 @dataclass(frozen=True)
@@ -568,10 +567,10 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
     target = (2 * genus - 2) - n * (2 * gamma - 2)
     if target < 0:
         return []
-    elements = group.elements()
-    add = _addition_table(group.invariant_factors).tolist()
+    factors, elements = group.invariant_factors, group.elements()
+    add = _addition_table(factors)
     neg = [row.index(0) for row in add]
-    orders = [group.element_order(x) for x in elements]
+    orders = [len(ms) for ms in _multiples(factors)]
     pool = sorted(range(1, n), key=lambda i: (orders[i], i))
     weights = [n - n // orders[i] for i in pool]
     position = {x: p for p, x in enumerate(pool)}
@@ -582,9 +581,8 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
         idx = tuple(sorted(chosen))
         if len(idx) < k_min or idx in seen:
             return
-        branch = tuple(elements[i] for i in idx)
-        if _branch_fault(group, gamma, branch) is None:
-            found.append(CoverDatum(group, gamma, branch))
+        if _branch_fault(factors, gamma, idx) is None:
+            found.append(CoverDatum(group, gamma, tuple(elements[i] for i in idx)))
             seen.update(map(tuple, _orbit(group, idx).tolist()))
 
     def rec(start: int, remaining: int, total: int, chosen: list[int]):

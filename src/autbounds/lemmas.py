@@ -463,6 +463,8 @@ def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
     """
     if dim < 1:
         raise InvariantViolation("generator needs dim >= 1")
+    if size_target < 0:
+        raise InvariantViolation("set sizes must be nonnegative")
     rng = random.Random(seed)
     side = max(3, round((2.5 * size_target) ** (1.0 / dim)) + 1)
     coords = _randints(rng, -2, side - 2, 4 * size_target * dim)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autbounds
@@ -102,6 +102,13 @@ def test_unknown_bounds_key_is_65_naming_it(capsys, argv, key):
     assert len(err.strip().splitlines()) == 1 and repr(key) in err
 
 
+@pytest.mark.parametrize("what", ["threefold", "plurigenus", "margin", "universal-n", "constant"])
+def test_table_outside_surface_is_64(capsys, what):
+    code, out, err = run_cli(capsys, "bounds", what, "--table")
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--table" in err
+
+
 def test_prop33_margin_reads_epsilon(capsys):
     argv = ["bounds", "margin", "variant=prop3.3", "k3=6", "chi=1", "n=5"]
     code, out, err = run_cli(capsys, *argv, "epsilon=0/0")
@@ -160,6 +167,40 @@ def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):
                              "--gmin", "2", "--gmax", "3", "--golden", str(path))
     assert code == EXIT_DATA and out == ""
     assert len(err.strip().splitlines()) == 1 and "--golden" in err
+
+
+def _run_with_closed_stdout(tmp_path, *argv, prelude=""):
+    """Run the CLI in a child whose stdout is a pipe that no one reads."""
+    src = str(Path(autbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, AUTBOUNDS_OUTPUT_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-c",
+             prelude + "import sys; from autbounds.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    proc = _run_with_closed_stdout(tmp_path, "bounds", "surface", "k2_range=1:2000", "--table")
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+
+
+def test_closed_stdout_still_writes_the_witness_files(tmp_path):
+    # an inflated bound makes every trial a violation
+    inflate = ("from autbounds import lemmas; real = lemmas.bound_formula; "
+               "lemmas.bound_formula = lambda *a, **k: real(*a, **k) + 10 ** 9; ")
+    proc = _run_with_closed_stdout(tmp_path, "verify-lemmas", "--lemma", "2.5", "--trials", "2",
+                                   "--seed", "5", prelude=inflate)
+    assert proc.returncode == EXIT_VIOLATION
+    assert "Traceback" not in proc.stderr
+    assert len(list(tmp_path.glob("witness_2.5_*.json"))) == 2
 
 
 def test_bounds_surface_value(capsys):
@@ -347,6 +388,25 @@ _enumerate_argv = st.tuples(
 @settings(deadline=None, max_examples=150)
 @given(_enumerate_argv)
 def test_enumerate_argv_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_DATA)
+    assert "Traceback" not in err.getvalue()
+
+
+_verify_argv = st.tuples(
+    st.sampled_from(["2.4", "2.5", "2.6", "2.7"]) | st.text(max_size=4),
+    st.integers(1, 2), st.integers(-1, 5), st.integers(-5, 60), st.integers(-5, 60),
+).map(lambda t: ["verify-lemmas", "--lemma", t[0], "--trials", str(t[1]), "--dim", str(t[2]),
+                 "--min-size", str(t[3]), "--max-size", str(t[4])])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_verify_argv)
+@example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "3",
+          "--min-size", "-5", "--max-size", "-5"])
+def test_verify_lemmas_argv_exits_with_a_contract_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -33,6 +33,9 @@ from tests_oracles import (
     naive_automorphisms,
     naive_branch_data_for,
     naive_canonical_branch,
+    naive_cover_conditions,
+    naive_quotient_rank,
+    naive_subgroup,
 )
 
 
@@ -128,6 +131,34 @@ def test_min_generators_of_quotient():
     sub = g.subgroup([(1, 0, 0, 0)])
     assert g.min_generators_of_quotient(sub) == 3
     assert g.min_generators_of_quotient(g.subgroup([])) == 4
+
+
+# order 18 brings in Z/3 x Z/6, the first group with a quotient whose p-rank
+# at an odd prime exceeds its 2-rank
+@pytest.mark.parametrize("group", [g for n in range(1, 19) for g in abelian_groups_of_order(n)],
+                         ids=str)
+def test_subgroups_quotient_ranks_and_validation_match_naive_oracles(group):
+    rng = random.Random(group.order)
+    elements = group.elements()
+    for trial in range(30):
+        gens = [rng.choice(elements) for _ in range(trial % 5)]
+        sub = naive_subgroup(group, gens)
+        assert group.subgroup(gens) == sub, gens
+        assert group.generates(gens) == (len(sub) == group.order), gens
+        assert group.min_generators_of_quotient(sub) == naive_quotient_rank(group, sub), gens
+        branch = list(gens)
+        if trial % 4:  # mostly sum-zero branches, so that generation decides
+            total = group.identity()
+            for x in gens:
+                total = group.add(total, x)
+            branch.append(group.neg(total))
+        for gamma in range(3):
+            try:
+                CoverDatum(group, gamma, tuple(branch))
+                valid = True
+            except InvariantViolation:
+                valid = False
+            assert valid == naive_cover_conditions(group, gamma, tuple(branch)), (branch, gamma)
 
 
 # ---------------------------------------------------------------------------

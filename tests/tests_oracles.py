@@ -5,18 +5,18 @@ production shortcuts: rational mid-points instead of doubled encodings, an
 all-pairs (start, step) walk for chains, a clause-by-clause membership
 test for arrangement, a point-by-point gauge scan for the convex generator,
 automorphisms as element->element dicts filtered from every tuple of
-generator images, every weight-exact multiset for the cover classes, the
-closed-form count of Hillar & Rhea, and a level-by-level scan for the
-universal level n*.
+generator images, subgroups by breadth-first search on tuples, quotient
+ranks as the fewest extra generators, every weight-exact multiset for the
+cover classes, the closed-form count of Hillar & Rhea, and a level-by-level
+scan for the universal level n*.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, product
 
 from autbounds import bounds, lemmas
 from autbounds.covers import CoverDatum, FiniteAbelianGroup
-from autbounds.errors import InvariantViolation
 from autbounds.lattice import ConvexTriple, LatticeSet
 
 
@@ -178,13 +178,42 @@ def naive_canonical_branch(group, branch):
                for aut in naive_automorphisms(group.invariant_factors))
 
 
+def naive_subgroup(group, generators):
+    """<generators> by a breadth-first search that adds each generator to
+    every element found so far."""
+    seen = frontier = {group.identity()}
+    while frontier:
+        frontier = {group.add(x, g) for x in frontier for g in generators} - seen
+        seen = seen | frontier
+    return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
+def naive_quotient_rank(group, subgroup):
+    """The least r such that the subgroup and some r elements generate the group."""
+    for r in count():
+        if any(len(naive_subgroup(group, [*subgroup, *extra])) == group.order
+               for extra in combinations(group.elements(), r)):
+            return r
+
+
+def naive_cover_conditions(group, gamma, branch):
+    """Whether the branch elements are nonzero, sum to zero and generate the
+    group together with 2*gamma more elements (the handles)."""
+    total = group.identity()
+    for b in branch:
+        total = group.add(total, b)
+    return (group.identity() not in branch and total == group.identity()
+            and naive_quotient_rank(group, naive_subgroup(group, branch)) <= 2 * gamma)
+
+
 def naive_branch_data_for(group, gamma, genus, k_min=0):
     """`covers.branch_data_for` by checking every multiset of nonzero elements.
 
     The elements are listed by (order, element), so weights ascend; each
     multiset of positions from that list whose weights hit the degree-sum
-    target is tried as a CoverDatum, in lex order of the position tuples
-    over every size k at once. The first datum of each
+    target is tried against `naive_cover_conditions`, in lex order of the
+    position tuples over every size k at once. The first datum of each
     `naive_canonical_branch` class is kept.
     """
     n = group.order
@@ -200,11 +229,10 @@ def naive_branch_data_for(group, gamma, genus, k_min=0):
              if sum(weights[p] for p in combo) == target]
     found = {}
     for combo in sorted(exact):
-        try:
-            datum = CoverDatum(group, gamma, tuple(pool[p] for p in combo))
-        except InvariantViolation:
-            continue
-        found.setdefault(naive_canonical_branch(group, datum.branch), datum)
+        branch = tuple(pool[p] for p in combo)
+        if naive_cover_conditions(group, gamma, branch):
+            datum = CoverDatum(group, gamma, branch)
+            found.setdefault(naive_canonical_branch(group, datum.branch), datum)
     return sorted(found.values(), key=lambda d: (d.signature(), d.branch))
 
 
