@@ -3,7 +3,7 @@
 Four layers, each exact:
 
 - :mod:`autbounds.lattice` — integer point sets, mid-point counting,
-  chains, arrangement, convexity predicates, flattening maps;
+  chains, arrangement, convexity predicates;
 - :mod:`autbounds.lemmas` — seeded generators and verifiers for the
   mid-point counting rules, with replayable violation witnesses;
 - :mod:`autbounds.covers` — abelian covers of curves as pure group data:

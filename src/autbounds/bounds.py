@@ -304,48 +304,6 @@ def surface_bound(inv: SurfaceInvariants) -> BoundResult:
     return BoundResult(best, source, applicable, trail)
 
 
-def canonical_pencil_cases(k2: int) -> tuple[dict, list[str]]:
-    """Per-genus values behind the 12.5*K^2+469 canonical-pencil headline.
-
-    Returns ({genus: value}, findings). Findings flag any case exceeding the
-    headline at this K^2 and the ranges where the printed comparison chains
-    need a K^2 floor (the g=4 chain 8K^2+640 <= 12K^2+496 needs K^2 >= 36,
-    and 12K^2+496 <= headline needs K^2 >= 54).
-    """
-    headline = Fraction(25, 2) * k2 + 469
-    cases = {
-        2: Fraction(25, 2) * k2 + 100,
-        3: Fraction(72, 7) * k2 + 376 + Fraction(8, 21),
-        4: Fraction(12 * k2 + 496),
-        "4_raw": Fraction(8 * k2 + 640),
-        5: Fraction(12 * k2 + 432),
-    }
-    findings = []
-    for genus, value in cases.items():
-        if value > headline:
-            findings.append(f"case {genus} value {value} exceeds headline {headline} at K^2={k2}")
-    if k2 < 36:
-        findings.append("chain 8K^2+640 <= 12K^2+496 needs K^2 >= 36")
-    if k2 < 54:
-        findings.append("chain 12K^2+496 <= 12.5K^2+469 needs K^2 >= 54")
-    return cases, findings
-
-
-def singular_fiber_floor(g: int, is_double_curve_of_half_genus: bool = False) -> int:
-    """Lower bound for chi_top(F') + 2g - 2 over singular fibers F'.
-
-    g-1 for a double curve of genus (g+1)/2 (g odd only), else g+2; the
-    value is >= 4 except in the g=3 double-curve case.
-    """
-    if g < 2:
-        raise InvariantViolation("fiber genus must be >= 2")
-    if is_double_curve_of_half_genus:
-        if g % 2 == 0:
-            raise InvariantViolation("the double-curve case needs odd g, so (g+1)/2 is a genus")
-        return g - 1
-    return g + 2
-
-
 # ---------------------------------------------------------------------------
 # decomposability margins
 # ---------------------------------------------------------------------------

@@ -13,22 +13,19 @@ Main objects
 
 Main operations
     midpoint_count / union_midpoint_count
-    dimension, longest_chain, arrangement, arrange_all_axes
+    dimension, longest_chain, arrangement
     arranged_union_counts  (rule 2.4's dim+1 union counts on one int64 encoding
                             of the triple; a triple whose arranged frame does
                             not fit in int64 takes the loop of arrangement and
                             union_midpoint_count)
     in_convex_hull (exact rational simplex), is_integrally_convex,
     is_relatively_convex, lattice_points_in_hull
-    squash_projection  (injective flattening maps that never increase
-                        the mid-point union count)
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
@@ -111,10 +108,6 @@ class LatticeSet:
     def issubset(self, other: "LatticeSet") -> bool:
         return self.points <= other.points
 
-    def union(self, other: "LatticeSet") -> "LatticeSet":
-        _require_same_dim(self, other)
-        return LatticeSet(self.points | other.points, self.dim)
-
     # -- serialization ------------------------------------------------------
     def to_json(self):
         return [list(p) for p in self.sorted_points()]
@@ -136,8 +129,7 @@ class ConvexTriple:
 
     Nesting is enforced at construction. Integral convexity and relative
     convexity are *properties of the generated instances*, checked by
-    :meth:`validate_convexity` (exact hull tests) where a test needs them;
-    images under squash maps are nested but in general no longer convex.
+    :meth:`validate_convexity` (exact hull tests) where a test needs them.
     """
 
     __slots__ = ("a1", "a2", "a3", "witness_regions")
@@ -483,18 +475,6 @@ def arrangement(a: LatticeSet, axis: int) -> LatticeSet:
     return LatticeSet(new_pts, a.dim)
 
 
-def arrange_all_axes(a: LatticeSet) -> LatticeSet:
-    """Arrange along every axis in order 0, 1, ..., dim-1.
-
-    The result is a staircase (lower) set: compression along a later axis
-    preserves lower-ness along the earlier ones.
-    """
-    out = a
-    for axis in range(a.dim):
-        out = arrangement(out, axis)
-    return out
-
-
 def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
     """#(a1.a3 u a2.a2) of nested a1 <= a2 <= a3, then the same count after
     arranging all three sets along axis 0, 1, ..., dim-1 in turn: dim+1 counts.
@@ -563,20 +543,6 @@ def _arranged_union_counts_loop(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) 
         sets = [arrangement(s, axis) for s in sets]
         counts.append(union_midpoint_count(sets[0], sets[2], sets[1]))
     return counts
-
-
-def is_staircase(a: LatticeSet) -> bool:
-    """True iff the set is closed under coordinatewise decrease towards 0."""
-    pts = a.points
-    for p in pts:
-        if any(c < 0 for c in p):
-            return False
-        for c in range(a.dim):
-            if p[c] > 0:
-                q = p[:c] + (p[c] - 1,) + p[c + 1:]
-                if q not in pts:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -682,162 +648,3 @@ def is_relatively_convex(b: LatticeSet, a: LatticeSet) -> bool:
         raise InvariantViolation("is_relatively_convex requires b <= a")
     hull_pts = b.sorted_points()
     return not any(in_convex_hull(p, hull_pts) for p in a.points - b.points)
-
-
-# ---------------------------------------------------------------------------
-# injectivity-preserving flattening (squash) maps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SquashStep:
-    axis: int
-    t: int
-
-
-@dataclass(frozen=True)
-class SquashMap:
-    """Record of one flattening map: translate, unimodular basis change,
-    then a sequence of single-axis squashes x -> (..., x_i + t*x_axis, ..., 0).
-
-    `t` in each step is the minimal integer strictly greater than the largest
-    coordinate-sum |p|_1 + |q|_1 over pairs in the set being made injective,
-    which is exactly what injectivity on that set needs; it is recorded here
-    so any run can be replayed.
-    """
-
-    variant: str
-    translation: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
-    steps: tuple[SquashStep, ...]
-
-    def apply(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        q = tuple(c - t for c, t in zip(p, self.translation))
-        q = _apply_matrix(self.basis, q)
-        for step in self.steps:
-            q = _squash_point(q, step.axis, step.t)
-        return q
-
-    def to_json_dict(self):
-        return {
-            "variant": self.variant,
-            "translation": list(self.translation),
-            "basis": [list(r) for r in self.basis],
-            "steps": [{"axis": s.axis, "t": s.t} for s in self.steps],
-        }
-
-
-def _apply_matrix(u: tuple[tuple[int, ...], ...], p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(u[i][j] * p[j] for j in range(len(p))) for i in range(len(u)))
-
-
-def _squash_point(p: tuple[int, ...], axis: int, t: int) -> tuple[int, ...]:
-    return tuple(
-        0 if i == axis else (c + t * p[axis] if i < axis else c)
-        for i, c in enumerate(p)
-    )
-
-
-def _flattening_basis(directions: list[tuple[int, ...]], n: int):
-    """Unimodular U with U*d supported on the first r coordinates for every
-    direction d; r is the rank. Found by integer row echelon on the n x k
-    matrix whose columns are the directions.
-    """
-    k = len(directions)
-    m = [[directions[j][i] for j in range(k)] for i in range(n)]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(k):
-        live = [i for i in range(r, n) if m[i][col] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(m[i][col]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = m[i][col] // m[i0][col]
-                m[i] = [x - q * y for x, y in zip(m[i], m[i0])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
-            live = [i for i in live if m[i][col] != 0]
-        if live:
-            i0 = live[0]
-            m[r], m[i0] = m[i0], m[r]
-            u[r], u[i0] = u[i0], u[r]
-            r += 1
-            if r == n:
-                break
-    return tuple(tuple(row) for row in u), r
-
-
-def _directions(s: LatticeSet) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    pts = s.sorted_points()
-    p0 = pts[0]
-    return p0, [tuple(c - d for c, d in zip(p, p0)) for p in pts[1:]]
-
-
-def _squash_t(pts: Iterable[tuple[int, ...]]) -> int:
-    big = max(sum(abs(c) for c in p) for p in pts)
-    return 2 * big + 1
-
-
-def squash_projection(triple: ConvexTriple, variant: str) -> tuple[ConvexTriple, SquashMap]:
-    """Flatten a nested triple into a lower-dimensional coordinate slice.
-
-    Variants (all return the image triple plus a replayable map record):
-
-    - "reduce-a3": requires dim span(a2) < dim span(a3). a1 and a2 are fixed
-      pointwise, a3 is mapped injectively into the span of a2.
-    - "reduce-a2": requires dim span(a1) < dim span(a2) == dim span(a3).
-      a1 fixed, a2 and a3 mapped, injectively on a3.
-    - "reduce-all": requires equal spans of dimension >= 2. All three sets
-      are mapped into a hyperplane, injectively on a3.
-
-    The induced map on doubled mid-points is p+q -> phi(p)+phi(q), so the
-    count #(a1.a3 union a2.a2) can only stay equal or drop.
-    """
-    n = triple.dim
-    r1, r2, r3 = (dimension(s) for s in (triple.a1, triple.a2, triple.a3))
-    if variant == "reduce-a3":
-        if not r2 < r3:
-            raise InvariantViolation(
-                f"reduce-a3 requires dim span(a2) < dim span(a3), got {r2} == {r3}"
-            )
-        anchor_set, keep = triple.a2, r2
-    elif variant == "reduce-a2":
-        if not (r1 < r2 and r2 == r3):
-            raise InvariantViolation(
-                "reduce-a2 requires dim span(a1) < dim span(a2) == dim span(a3), "
-                f"got ({r1}, {r2}, {r3})"
-            )
-        anchor_set, keep = triple.a1, r1
-    elif variant == "reduce-all":
-        if not (r1 == r2 == r3 and r3 >= 2):
-            raise InvariantViolation(
-                "reduce-all requires equal span dimensions >= 2, got "
-                f"({r1}, {r2}, {r3})"
-            )
-        anchor_set, keep = triple.a3, r3 - 1
-    else:
-        raise InvariantViolation(f"unknown squash variant {variant!r}")
-
-    p0, dirs = _directions(anchor_set)
-    basis, _rank = _flattening_basis(dirs, n)
-
-    def moved(s: LatticeSet) -> list[tuple[int, ...]]:
-        return [_apply_matrix(basis, tuple(c - t for c, t in zip(p, p0))) for p in s]
-
-    sets = {name: moved(getattr(triple, name)) for name in ("a1", "a2", "a3")}
-    steps = []
-    for axis in range(n - 1, keep - 1, -1):
-        if all(p[axis] == 0 for pts in sets.values() for p in pts):
-            continue
-        t = _squash_t(sets["a3"])
-        steps.append(SquashStep(axis, t))
-        for name in sets:
-            sets[name] = [_squash_point(p, axis, t) for p in sets[name]]
-    image3 = LatticeSet(sets["a3"], n)
-    if len(image3) != len(triple.a3):
-        raise AssertionError("squash map failed to stay injective on a3")
-    out = ConvexTriple(
-        LatticeSet(sets["a1"], n), LatticeSet(sets["a2"], n), image3,
-        witness_regions=f"squash[{variant}] of {triple.witness_regions or 'triple'}",
-    )
-    smap = SquashMap(variant, p0, basis, tuple(steps))
-    return out, smap

@@ -34,9 +34,7 @@ from .lattice import (
     LatticeSet,
     arranged_union_counts,
     dimension,
-    is_staircase,
     longest_chain,
-    midpoint_count,
     union_midpoint_count,
 )
 from .reports import Check, HypothesisReport
@@ -47,6 +45,11 @@ CHAIN_RATIO_EPSILON = Fraction(1, 530)
 # rejection loops in the drivers are bounded; both limits are plain caps.
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
+# Cap on rule 2.4's largest size times its dim. Drawing one triple holds
+# 0.8-0.9 KB per coordinate in dim 1 and less in higher dims (0.27 KB in
+# dim 3, 0.13 KB in dim 40), so a draw at the cap peaks under 0.9 GB (863 MiB
+# in dim 1), and the bulk draw's getrandbits(128 * size * dim) fits a C int.
+MAX_2_4_COORDINATES = 1 << 20
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -213,72 +216,6 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
     lhs = union_count(triple)
     rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3))
     return VerificationOutcome(lhs, rhs, lhs >= rhs)
-
-
-# ---------------------------------------------------------------------------
-# intermediate staircase identities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Measured #(A.A) against a closed-form expression, with direction flag.
-
-    The expression is reported, never asserted as an equality: on general
-    staircase sets only the direction `measured >= expression` is stable,
-    and that is the direction the counting arguments consume.
-    """
-
-    identity: str
-    expression: Fraction
-    measured: int
-    relation: str  # "=", ">", or "<"
-    inputs: dict
-
-    def to_json_dict(self):
-        return {
-            "identity": self.identity,
-            "expression": str(self.expression),
-            "measured": self.measured,
-            "relation": self.relation,
-            "inputs": dict(self.inputs),
-        }
-
-
-def check_intermediate_identities(a: LatticeSet) -> IdentityReport:
-    """Report #(A.A) against the planar or reduced-3d staircase expression.
-
-    dim 2: expression 4#A - 2(m_x + m_y) + 1 with m_x, m_y the axis counts.
-    dim 3: requires the reduced configuration (z = 0, or z = 1 and y = 0);
-           expression (t2-1)(m_y-3) + 5#A - 2(m_x + m_y) - 3 with t2 the
-           number of z = 1 points.
-    """
-    if not len(a):
-        raise InvariantViolation("identity check needs a nonempty set")
-    if not is_staircase(a):
-        raise InvariantViolation("identity check needs an arranged (staircase) set")
-    measured = midpoint_count(a, a)
-    n = len(a)
-    if a.dim == 2:
-        m_x = sum(1 for p in a if p[1] == 0)
-        m_y = sum(1 for p in a if p[0] == 0)
-        expr = Fraction(4 * n - 2 * (m_x + m_y) + 1)
-        name = "planar_staircase"
-        inputs = {"n": n, "m_x": m_x, "m_y": m_y}
-    elif a.dim == 3:
-        if any(p[2] not in (0, 1) for p in a) or any(p[1] != 0 for p in a if p[2] == 1):
-            raise InvariantViolation(
-                "3d identity needs the reduced configuration: z=0, or z=1 with y=0"
-            )
-        t2 = sum(1 for p in a if p[2] == 1)
-        m_x = sum(1 for p in a if p[1] == 0 and p[2] == 0)
-        m_y = sum(1 for p in a if p[0] == 0 and p[2] == 0)
-        expr = Fraction((t2 - 1) * (m_y - 3) + 5 * n - 2 * (m_x + m_y) - 3)
-        name = "reduced_3d_staircase"
-        inputs = {"n": n, "m_x": m_x, "m_y": m_y, "t2": t2}
-    else:
-        raise InvariantViolation("identity check is defined for dim 2 and 3 only")
-    relation = "=" if measured == expr else (">" if measured > expr else "<")
-    return IdentityReport(name, expr, measured, relation, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +433,9 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
     hi = rule.sizes[1] if max_size is None else max_size
     if hi < lo:
         raise InvariantViolation("max_size < min_size")
+    if lemma_id == "2.4" and hi * dim > MAX_2_4_COORDINATES:
+        raise InvariantViolation(f"rule 2.4 size {hi} in dim {dim} is past the cap: "
+                                 f"size * dim may be at most {MAX_2_4_COORDINATES}")
     rng = random.Random(seed)
     size = rng.randint(lo, hi)
     if lemma_id == "2.4":

@@ -11,11 +11,9 @@ from autbounds.bounds import (
     SurfaceInvariants,
     ThreefoldInvariants,
     admissible_chi_range,
-    canonical_pencil_cases,
     confirm_universal_n,
     decomposability_margin,
     plurigenus,
-    singular_fiber_floor,
     surface_bound,
     threefold_constant,
     universal_n,
@@ -370,29 +368,6 @@ def test_surface_bound_unconditional_coverage():
     for k2 in list(range(1, 70)) + [100, 500, 1000]:
         res = surface_bound(SurfaceInvariants(k2))
         assert res.value is not None
-
-
-def test_canonical_pencil_case_table():
-    cases, findings = canonical_pencil_cases(100)
-    assert cases[5] == 12 * 100 + 432
-    assert cases[2] == Fraction(25, 2) * 100 + 100
-    assert not findings
-    _, findings_small = canonical_pencil_cases(40)
-    assert any("K^2 >= 54" in f for f in findings_small)
-
-
-def test_singular_fiber_floor():
-    assert singular_fiber_floor(3, True) == 2
-    assert singular_fiber_floor(3, False) == 5
-    assert singular_fiber_floor(2) == 4
-    with pytest.raises(InvariantViolation):
-        singular_fiber_floor(4, True)
-    with pytest.raises(InvariantViolation):
-        singular_fiber_floor(1)
-    for g in range(2, 12):
-        assert singular_fiber_floor(g) >= 4
-        if g % 2 == 1 and g > 3:
-            assert singular_fiber_floor(g, True) >= 4
 
 
 def test_bound_result_serialization():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -158,6 +159,14 @@ def test_nonpositive_dim_is_65(capsys, lemma, dim):
                              "--dim", dim)
     assert code == EXIT_DATA and out == ""
     assert len(err.strip().splitlines()) == 1 and "dim" in err
+
+
+def test_rule_2_4_size_past_the_cap_is_65(capsys):
+    # in dim 1 this size would overflow the bulk draw's getrandbits(128 * size * dim)
+    code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "2.4", "--trials", "1",
+                             "--dim", "1", "--min-size", "20000000", "--max-size", "20000000")
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "size 20000000" in err
 
 
 def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):
@@ -406,6 +415,8 @@ _verify_argv = st.tuples(
 @given(_verify_argv)
 @example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "3",
           "--min-size", "-5", "--max-size", "-5"])
+@example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "1",
+          "--min-size", "20000000", "--max-size", "20000000"])
 def test_verify_lemmas_argv_exits_with_a_contract_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -420,6 +431,9 @@ def test_reproduce_all_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines)
     assert "FAIL" not in out
+    # the whole stdout, pinned: a refactor must leave it byte-identical
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fa6da1c8c13e83c77d4d490d522bafe358bd3cfb2c097151918c16b31ec5706d"
 
 
 def test_min_size_2_6_run_has_no_small_admissible(capsys):

@@ -12,7 +12,6 @@ from autbounds.lattice import (
     _DENSE_CELL_LIMIT,
     ConvexTriple,
     LatticeSet,
-    arrange_all_axes,
     arranged_union_counts,
     arrangement,
     dimension,
@@ -20,11 +19,9 @@ from autbounds.lattice import (
     integer_rank,
     is_integrally_convex,
     is_relatively_convex,
-    is_staircase,
     lattice_points_in_hull,
     longest_chain,
     midpoint_count,
-    squash_projection,
     union_midpoint_count,
 )
 from autbounds.lemmas import triple_for_rule
@@ -33,6 +30,7 @@ from tests_oracles import (
     naive_chain,
     naive_midpoints,
     naive_rank,
+    naive_staircase,
     naive_union_count,
 )
 
@@ -369,7 +367,9 @@ def test_arrangement_usually_preserves_dimension_on_fat_sets():
     for seed in range(8):
         t = generate_nested_triple(3, 40, seed=seed)
         for s in (t.a1, t.a2, t.a3):
-            arr = arrange_all_axes(s)
+            arr = s
+            for axis in range(s.dim):
+                arr = arrangement(arr, axis)
             assert len(arr) == len(s)
             assert dimension(arr) == dimension(s)
 
@@ -379,9 +379,11 @@ def test_full_arrangement_gives_staircase():
     for _ in range(60):
         dim = rng.randint(2, 4)
         a = random_set(rng, dim, max_points=35)
-        out = arrange_all_axes(a)
+        out = a
+        for axis in range(dim):
+            out = arrangement(out, axis)
         assert len(out) == len(a)
-        assert is_staircase(out)
+        assert naive_staircase(out)
 
 
 # ---------------------------------------------------------------------------
@@ -534,107 +536,11 @@ def test_generated_triples_pass_exact_convexity():
 
 
 # ---------------------------------------------------------------------------
-# squash projections
+# convex triples
 # ---------------------------------------------------------------------------
 
 def _triple(a1, a2, a3):
     return ConvexTriple(LatticeSet(a1), LatticeSet(a2), LatticeSet(a3))
-
-
-def test_squash_reduce_a3_plane_plus_point():
-    t = _triple(
-        [(0, 0, 0)],
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 1, 0), (0, 0, 1)],
-    )
-    out, smap = squash_projection(t, "reduce-a3")
-    assert len(out.a3) == len(t.a3)  # injective on a3
-    assert out.a1 == t.a1 and out.a2 == t.a2  # fixed pointwise
-    assert all(p[2] == 0 for p in out.a3)
-    assert union_midpoint_count(out.a1, out.a3, out.a2) <= union_midpoint_count(t.a1, t.a3, t.a2)
-    # the recorded map replays to exactly the returned image
-    assert {smap.apply(p) for p in t.a3} == set(out.a3.points)
-
-
-def test_squash_reduce_a3_needs_unimodular_flattening():
-    # a2 spans the off-axis line through (1,1,0); the map must still fix it.
-    t = _triple(
-        [(0, 0, 0)],
-        [(0, 0, 0), (1, 1, 0), (2, 2, 0)],
-        [(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 2)],
-    )
-    out, smap = squash_projection(t, "reduce-a3")
-    assert len(out.a3) == 4
-    assert len(out.a2) == 3 and len(out.a1) == 1
-    assert union_midpoint_count(out.a1, out.a3, out.a2) <= union_midpoint_count(t.a1, t.a3, t.a2)
-
-
-def test_squash_multi_step_rank_gap():
-    # a2 spans an off-axis line inside a 4-dim ambient; flattening needs a
-    # genuine unimodular basis change followed by three squash steps
-    a1 = LatticeSet([(0, 0, 0, 0)])
-    a2 = LatticeSet([(0, 0, 0, 0), (1, 2, 0, 1), (2, 4, 0, 2)])
-    a3 = LatticeSet(list(a2) + [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 3), (2, 1, 1, 1)])
-    t = ConvexTriple(a1, a2, a3)
-    out, smap = squash_projection(t, "reduce-a3")
-    assert len(smap.steps) == 3
-    assert len(out.a3) == len(a3)
-    assert set(out.a2.points) == {smap.apply(p) for p in a2}
-    assert dimension(out.a2) == dimension(a2) == 1
-    assert union_midpoint_count(out.a1, out.a3, out.a2) <= \
-        union_midpoint_count(a1, a3, a2)
-    assert {smap.apply(p) for p in a3} == set(out.a3.points)
-
-
-def test_squash_gap_zero_rejected():
-    t = _triple(
-        [(0, 0), (1, 0), (0, 1)],
-        [(0, 0), (1, 0), (0, 1)],
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-    )
-    with pytest.raises(InvariantViolation):
-        squash_projection(t, "reduce-a3")  # spans are equal (gap 0)
-
-
-def test_squash_reduce_a2_and_all():
-    t = _triple(
-        [(0, 0), (1, 0)],
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-    )
-    out, _ = squash_projection(t, "reduce-a2")
-    assert len(out.a3) == 4
-    assert out.a1 == t.a1
-    full = _triple(
-        [(0, 0), (1, 0), (0, 1)],
-        [(0, 0), (1, 0), (0, 1)],
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-    )
-    out2, smap2 = squash_projection(full, "reduce-all")
-    assert len(out2.a3) == 4
-    assert dimension(out2.a3) < dimension(full.a3)
-    before = union_midpoint_count(full.a1, full.a3, full.a2)
-    after = union_midpoint_count(out2.a1, out2.a3, out2.a2)
-    assert after <= before
-
-
-def test_squash_counts_never_increase_random():
-    rng = random.Random(77)
-    from autbounds.lemmas import generate_nested_triple
-    tested = 0
-    for seed in range(40):
-        t = generate_nested_triple(3, rng.randint(12, 40), seed=seed)
-        flat_a2 = LatticeSet([p[:2] + (0,) for p in t.a2], 3)
-        flat_a1 = LatticeSet([p[:2] + (0,) for p in t.a1], 3)
-        try:
-            cand = ConvexTriple(flat_a1, flat_a2, t.a3.union(flat_a2).union(flat_a1))
-            out, _ = squash_projection(cand, "reduce-a3")
-        except InvariantViolation:
-            continue
-        tested += 1
-        assert union_midpoint_count(out.a1, out.a3, out.a2) <= \
-            union_midpoint_count(cand.a1, cand.a3, cand.a2)
-    assert tested >= 10
 
 
 def test_convex_triple_requires_nesting():

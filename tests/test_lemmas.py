@@ -14,7 +14,6 @@ from autbounds.lemmas import (
     RULES,
     admissible_triple,
     bound_formula,
-    check_intermediate_identities,
     derive_seed,
     generate_nested_sets,
     generate_nested_triple,
@@ -196,6 +195,17 @@ def test_union_count_forced_example():
     assert union_count(ConvexTriple(a1, a23, a23)) == 3
 
 
+def test_rule_2_4_size_cap_is_on_size_times_dim(monkeypatch):
+    # the cap is on size * dim; a range that reaches past it is rejected whole
+    cap = lemmas.MAX_2_4_COORDINATES
+    with pytest.raises(InvariantViolation, match=f"size {cap // 2 + 1} in dim 2"):
+        triple_for_rule("2.4", 5, dim=2, min_size=1, max_size=cap // 2 + 1)
+    drawn = []
+    monkeypatch.setattr(lemmas, "generate_nested_sets", lambda *a: drawn.append(a))
+    triple_for_rule("2.4", 5, dim=2, min_size=cap // 2, max_size=cap // 2)
+    assert drawn == [(2, cap // 2, 5)]
+
+
 def test_union_count_at_least_a2():
     # each point of a2 averaged with itself is its own mid-point
     for trial in range(20):
@@ -344,53 +354,6 @@ def test_suite_csv_shape():
     rows = list(res.csv_rows())
     assert rows[0][0] == "lemma"
     assert len(rows) == 4
-
-
-# ---------------------------------------------------------------------------
-# staircase identities
-# ---------------------------------------------------------------------------
-
-def test_identity_planar_examples():
-    r = check_intermediate_identities(LatticeSet([(0, 0)]))
-    assert (r.expression, r.measured, r.relation) == (1, 1, "=")
-    r = check_intermediate_identities(LatticeSet([(0, 0), (1, 0)]))
-    assert (r.expression, r.measured, r.relation) == (3, 3, "=")
-    r = check_intermediate_identities(LatticeSet([(0, 0), (1, 0), (0, 1)]))
-    assert (r.expression, r.measured, r.relation) == (5, 6, ">")
-
-
-def test_identity_rectangle_is_exact():
-    rect = LatticeSet([(x, y) for x in range(3) for y in range(2)])
-    r = check_intermediate_identities(rect)
-    assert r.relation == "="
-
-
-def test_identity_lower_bound_direction_on_staircases():
-    import random
-    from autbounds.lattice import arrange_all_axes
-    rng = random.Random(6)
-    for _ in range(60):
-        pts = {(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 20))}
-        stair = arrange_all_axes(LatticeSet(pts, 2))
-        r = check_intermediate_identities(stair)
-        assert r.measured >= r.expression
-
-
-def test_identity_reduced_3d():
-    base = [(x, y, 0) for x in range(3) for y in range(2)]
-    top = [(0, 0, 1), (1, 0, 1)]
-    a = LatticeSet(base + top)
-    r = check_intermediate_identities(a)
-    assert r.identity == "reduced_3d_staircase"
-    assert r.inputs["t2"] == 2
-    assert r.measured >= r.expression
-
-
-def test_identity_rejects_non_staircase():
-    with pytest.raises(InvariantViolation):
-        check_intermediate_identities(LatticeSet([(1, 1)]))
-    with pytest.raises(InvariantViolation):
-        check_intermediate_identities(LatticeSet([(0, 0, 0), (0, 1, 1)]))
 
 
 def test_derive_seed_is_stable():

@@ -3,12 +3,14 @@
 These re-derive each quantity straight from its definition with none of the
 production shortcuts: rational mid-points instead of doubled encodings, an
 all-pairs (start, step) walk for chains, a clause-by-clause membership
-test for arrangement, a point-by-point gauge scan for the convex generator,
-automorphisms as element->element dicts filtered from every tuple of
-generator images, subgroups by breadth-first search on tuples, quotient
-ranks as the fewest extra generators, every weight-exact multiset for the
-cover classes, the closed-form count of Hillar & Rhea, and a level-by-level
-scan for the universal level n*.
+test for arrangement, the staircase predicate `naive_staircase` as a
+whole-box check (the box between the origin and each point lies in the
+set), a point-by-point gauge scan for the convex generator, automorphisms
+as element->element dicts filtered from every tuple of generator images,
+subgroups by breadth-first search on tuples, quotient ranks as the fewest
+extra generators, every weight-exact multiset for the cover classes, the
+closed-form count of Hillar & Rhea, and a level-by-level scan for the
+universal level n*.
 """
 
 from fractions import Fraction
@@ -147,6 +149,16 @@ def naive_arrangement_by_definition(a, axis):
         if cand[axis] >= 0 and fiber >= cand[axis] + 1:
             out.add(cand)
     return LatticeSet(out, a.dim)
+
+
+def naive_staircase(a):
+    """A staircase (lower) set: every point is nonnegative and the whole box
+    between the origin and it lies in the set."""
+    pts = set(a)
+    return all(
+        min(p) >= 0 and all(q in pts for q in product(*(range(c + 1) for c in p)))
+        for p in pts
+    )
 
 
 @lru_cache(maxsize=None)
