@@ -96,8 +96,11 @@ class FiniteAbelianGroup:
         return tuple(x for x in self.elements() if self.element_order(x) == 2)
 
     def automorphisms(self) -> np.ndarray:
-        """Aut(G) as rows of element indices; see :func:`_automorphisms`."""
-        return _automorphisms(self.invariant_factors)
+        """Aut(G) as int32 rows, sorted: row a sends the element of index j to
+        the element of index a[j]. It is the closure of the identity row under
+        :func:`_aut_generators`; the enumeration never builds it."""
+        rows = _orbit(self.invariant_factors, range(self.order), keep_positions=True)
+        return np.array(sorted(rows), dtype=np.int32)
 
     def min_generators_of_quotient(self, subgroup: frozenset[Element]) -> int:
         """Minimal generating set size of G/H (the largest p-rank over p)."""
@@ -187,37 +190,38 @@ def _quotient_rank(factors: tuple[int, ...], gens) -> int:
 
 
 @lru_cache(maxsize=None)
-def _automorphisms(factors: tuple[int, ...]) -> np.ndarray:
-    """All automorphisms, as an int32 array of shape (|Aut G|, |G|).
+def _aut_generators(factors: tuple[int, ...]) -> list[list[int]]:
+    """A generating set of Aut(G), each generator as the images of the element indices.
 
-    Row a sends the element of index j to the element of index a[j]; the
-    index of an element is its position in elements(). An automorphism is
-    fixed by the images y_i of the standard generators e_i, each of order
-    exactly d_i. Backtracking over y_1, y_2, ... extends the image list of
-    <e_1..e_i> in elements() order from the :func:`_multiples` of y_i and
-    drops a branch as soon as that list repeats an element, so the leaves
-    are exactly the automorphisms, in the lex order of their generator images.
-
-    The build costs |Aut(G)|*|G| lookups in :func:`_addition_table`.
-    (Z/2)^5, with |Aut| = 9,999,360, is the first group out of reach; an
-    enumeration first needs it for a gamma = 0 datum with six involutions at
-    genus 17.
+    For invariant factors d_1 | ... | d_m these are the unit scalings
+    e_i -> u*e_i (u a unit mod d_i other than 1) and the transvections
+    e_i -> e_i + c*e_j (i != j), where c = d_j / gcd(d_i, d_j) is the least c
+    that keeps the order of e_i. The tests check that they generate a group
+    of the order C. J. Hillar and D. L. Rhea (Amer. Math. Monthly, 2007) give.
     """
-    add, multiples = _addition_table(factors), _multiples(factors)
-    candidates = [[y for y, ms in enumerate(multiples) if len(ms) == d] for d in factors]
-    rows = []
+    elements, index = _elements(factors), _index(factors)
 
-    def extend(i: int, images: list[int]) -> None:
-        if i == len(factors):
-            rows.append(images)
-            return
-        for y in candidates[i]:
-            image = [add[h][m] for h in images for m in multiples[y]]
-            if len(set(image)) == len(image):
-                extend(i + 1, image)
+    def image(x: Element, j: int, value: int) -> int:
+        return index[x[:j] + (value % factors[j],) + x[j + 1:]]
 
-    extend(0, [0])
-    return np.array(rows, dtype=np.int32)
+    scalings = [[image(x, i, u * x[i]) for x in elements]
+                for i, d in enumerate(factors) for u in range(2, d) if gcd(u, d) == 1]
+    transvections = [[image(x, j, x[j] + dj // gcd(di, dj) * x[i]) for x in elements]
+                     for i, di in enumerate(factors) for j, dj in enumerate(factors) if i != j]
+    return scalings + transvections
+
+
+def _orbit(factors: tuple[int, ...], start, keep_positions: bool = False) -> set[tuple[int, ...]]:
+    """The closure of the index tuple start under :func:`_aut_generators`.
+    Images are sorted, so a multiset's orbit is a set of sorted tuples; with
+    keep_positions the closure of the identity row is all of Aut(G)."""
+    gens = _aut_generators(factors)
+    image = tuple if keep_positions else (lambda xs: tuple(sorted(xs)))
+    orbit = frontier = {image(start)}
+    while frontier:
+        frontier = {image([g[i] for i in x]) for x in frontier for g in gens} - orbit
+        orbit = orbit | frontier
+    return orbit
 
 
 def abelian_groups_of_order(n: int) -> tuple[FiniteAbelianGroup, ...]:
@@ -471,18 +475,10 @@ def lemma43_signature_checks(order: int, signature, assume_cyclic: bool = False)
 # canonical forms and enumeration
 # ---------------------------------------------------------------------------
 
-def _orbit(group: FiniteAbelianGroup, idx) -> np.ndarray:
-    """The images of the multiset of element indices idx under Aut(G), one
-    sorted row per automorphism."""
-    return np.sort(group.automorphisms()[:, list(idx)], axis=1)
-
-
 def canonical_branch(group: FiniteAbelianGroup, branch: tuple[Element, ...]) -> tuple[Element, ...]:
     """Lexicographically least image of the branch multiset under Aut(G)."""
-    index = _index(group.invariant_factors)
-    least = min(map(tuple, _orbit(group, [index[b] for b in branch]).tolist()))
-    elements = group.elements()
-    return tuple(elements[i] for i in least)
+    least = min(_orbit(group.invariant_factors, _indices(group, branch)))
+    return tuple(group.elements()[i] for i in least)
 
 
 @dataclass(frozen=True)
@@ -560,8 +556,8 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
 
     Aut(G) keeps elements nonzero, sums zero and generation intact, so the
     leaves fall into whole orbits. The first leaf of an orbit that passes
-    the generation test becomes the class's datum, and its orbit, as sorted
-    index rows, joins `seen`; later leaves found in `seen` are skipped.
+    the generation test becomes the class's datum, and its :func:`_orbit`, a
+    set of sorted index tuples, joins `seen`; later leaves in it are skipped.
     """
     n = group.order
     target = (2 * genus - 2) - n * (2 * gamma - 2)
@@ -583,7 +579,7 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
             return
         if _branch_fault(factors, gamma, idx) is None:
             found.append(CoverDatum(group, gamma, tuple(elements[i] for i in idx)))
-            seen.update(map(tuple, _orbit(group, idx).tolist()))
+            seen.update(_orbit(factors, idx))
 
     def rec(start: int, remaining: int, total: int, chosen: list[int]):
         for p in range(start, len(pool)):

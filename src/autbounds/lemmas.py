@@ -45,11 +45,12 @@ CHAIN_RATIO_EPSILON = Fraction(1, 530)
 # rejection loops in the drivers are bounded; both limits are plain caps.
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
-# Cap on rule 2.4's largest size times its dim. Drawing one triple holds
-# 0.8-0.9 KB per coordinate in dim 1 and less in higher dims (0.27 KB in
-# dim 3, 0.13 KB in dim 40), so a draw at the cap peaks under 0.9 GB (863 MiB
-# in dim 1), and the bulk draw's getrandbits(128 * size * dim) fits a C int.
-MAX_2_4_COORDINATES = 1 << 20
+# Cap on every rule's largest size times its dim. A rule-2.4 draw holds 0.8-0.9
+# KB per coordinate in dim 1, less in higher dims (0.13 KB in dim 40), so at the
+# cap it peaks under 0.9 GB and its getrandbits(128 * size * dim) fits a C int.
+# A box draw (rules 2.5-2.7) at the cap peaks at 87 MiB for 2.6 in dim 4
+# (262,144 points) and at 128 MiB for 2.5 or 2.7 in dim 3 (349,525 points).
+MAX_COORDINATES = 1 << 20
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -433,9 +434,9 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
     hi = rule.sizes[1] if max_size is None else max_size
     if hi < lo:
         raise InvariantViolation("max_size < min_size")
-    if lemma_id == "2.4" and hi * dim > MAX_2_4_COORDINATES:
-        raise InvariantViolation(f"rule 2.4 size {hi} in dim {dim} is past the cap: "
-                                 f"size * dim may be at most {MAX_2_4_COORDINATES}")
+    if hi * dim > MAX_COORDINATES:
+        raise InvariantViolation(f"rule {lemma_id} size {hi} in dim {dim} is past the cap: "
+                                 f"size * dim may be at most {MAX_COORDINATES}")
     rng = random.Random(seed)
     size = rng.randint(lo, hi)
     if lemma_id == "2.4":

@@ -162,11 +162,13 @@ def test_nonpositive_dim_is_65(capsys, lemma, dim):
 
 
 def test_rule_2_4_size_past_the_cap_is_65(capsys):
-    # in dim 1 this size would overflow the bulk draw's getrandbits(128 * size * dim)
-    code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "2.4", "--trials", "1",
-                             "--dim", "1", "--min-size", "20000000", "--max-size", "20000000")
-    assert code == EXIT_DATA and out == ""
-    assert len(err.strip().splitlines()) == 1 and "size 20000000" in err
+    # in dim 1 this size would overflow the bulk draw's getrandbits(128 * size * dim);
+    # the same cap stops rule 2.5's box draw before it runs out of memory
+    for lemma, dim in (("2.4", "1"), ("2.5", "3")):
+        code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", lemma, "--trials", "1",
+                                 "--dim", dim, "--min-size", "20000000", "--max-size", "20000000")
+        assert code == EXIT_DATA and out == ""
+        assert len(err.strip().splitlines()) == 1 and f"rule {lemma} size 20000000" in err
 
 
 def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):
@@ -416,6 +418,8 @@ _verify_argv = st.tuples(
 @example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "3",
           "--min-size", "-5", "--max-size", "-5"])
 @example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "1",
+          "--min-size", "20000000", "--max-size", "20000000"])
+@example(["verify-lemmas", "--lemma", "2.5", "--trials", "1",
           "--min-size", "20000000", "--max-size", "20000000"])
 def test_verify_lemmas_argv_exits_with_a_contract_code(argv):
     out, err = io.StringIO(), io.StringIO()

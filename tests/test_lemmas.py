@@ -197,7 +197,7 @@ def test_union_count_forced_example():
 
 def test_rule_2_4_size_cap_is_on_size_times_dim(monkeypatch):
     # the cap is on size * dim; a range that reaches past it is rejected whole
-    cap = lemmas.MAX_2_4_COORDINATES
+    cap = lemmas.MAX_COORDINATES
     with pytest.raises(InvariantViolation, match=f"size {cap // 2 + 1} in dim 2"):
         triple_for_rule("2.4", 5, dim=2, min_size=1, max_size=cap // 2 + 1)
     drawn = []
