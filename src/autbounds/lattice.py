@@ -3,16 +3,20 @@
 Everything here is integer/rational exact. Mid-points of two integer points
 are stored *doubled* (as the sum p+q), so sets of mid-points stay integral
 and hashable; all mid-point counts are counts of the doubled set, which is in
-bijection with the set of actual mid-points. numpy appears only as bulk
-integer codes and bitmaps for pair sums, chains and arrangements; there is no
-floating point in this module.
+bijection with the set of actual mid-points. numpy appears only as int64
+point arrays, bulk integer codes, bitmaps and difference arrays for pair
+sums, chains and arrangements; there is no floating point in this module.
 
 Main objects
-    LatticeSet      deduplicated finite set of integer points, fixed ambient dim
+    LatticeSet      deduplicated finite set of integer points, fixed ambient dim,
+                    stored as a lex-sorted int64 array while it fits in int64
     ConvexTriple    nested sets a1 <= a2 <= a3 (convexity validated on demand)
 
 Main operations
     midpoint_count / union_midpoint_count
+                           (int64 codes in one sum frame, counted by runs of
+                            consecutive codes, by a bitmap of every pair, or,
+                            past int64 or a 2**25-cell frame, in python ints)
     dimension, longest_chain, arrangement
     arranged_union_counts  (rule 2.4's dim+1 union counts on one int64 encoding
                             of the triple; a triple whose arranged frame does
@@ -39,6 +43,18 @@ from .errors import InvariantViolation
 _DENSE_CELL_LIMIT = 1 << 25
 _OUTER_CHUNK = 1 << 22
 _INT64_MAX = (1 << 63) - 1
+# _count_dense marks run pairs (an int64 difference array, 32 MiB at the cell
+# limit) in place of point pairs on calls of at least _RUN_MIN_PAIRS pairs
+# with fewer run pairs than pairs / _RUN_PAIR_COST. Measured on the suites'
+# calls (2-core Xeon, numpy 2.4): finding and marking runs costs 55-90 us at
+# 1,500-65,000 pairs, which the bitmap marks at 3-5 ns each (even near 25,000
+# pairs); at 2.6 scale a run pair costs 9.4-12.7 ns, a point pair 2.8-3.5 ns.
+# Rule 2.4's calls, under 4,000 pairs, never look for runs.
+_RUN_MIN_PAIRS = 1 << 15
+_RUN_CELL_LIMIT = 1 << 22
+_RUN_PAIR_COST = 4
+# LatticeSet._array of a set with a coordinate past int64
+_PAST_INT64 = False
 # (start, step) pairs followed at once by longest_chain (2 MiB of int64 codes)
 _WALK_CHUNK = 1 << 18
 # longest_chain's pair walk costs about this many bitmap (start, step) moves
@@ -51,10 +67,16 @@ _PAIR_WALK_COST = 500
 class LatticeSet:
     """A deduplicated finite set of integer points with a fixed ambient dim.
 
-    Immutable; safe to share across workers. Points are plain int tuples.
+    Immutable; safe to share across workers. While its coordinates fit in
+    int64 the set is read as `array`, a lex-sorted, deduplicated, read-only
+    (n, dim) int64 array, which `from_array` stores directly; `points` (a
+    frozenset of int tuples) and `sorted_points()` are views filled on first
+    use. A set built from an iterable keeps its normalised tuples and fills
+    `array` on first use. A coordinate past int64 leaves `array` None, and
+    every operation then takes its exact tuple path.
     """
 
-    __slots__ = ("points", "dim", "_sorted")
+    __slots__ = ("dim", "_points", "_array", "_sorted", "_rank")
 
     def __init__(self, points: Iterable[tuple[int, ...]], dim: Optional[int] = None):
         pts = frozenset(tuple(map(int, p)) for p in points)
@@ -68,16 +90,61 @@ class LatticeSet:
             dim = inferred
         elif dim is None:
             raise InvariantViolation("an empty LatticeSet needs an explicit dim")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dim", int(dim))
+        self._fill(int(dim), pts, None)
+
+    @classmethod
+    def from_array(cls, arr, dim: int) -> "LatticeSet":
+        """The set of the rows of an (n, dim) integer array, in any order and
+        with any repeats; the array is copied, never kept."""
+        arr = np.asarray(arr)
+        if arr.ndim != 2 or arr.shape[1] != dim or not np.can_cast(arr.dtype, np.int64):
+            raise InvariantViolation(f"from_array needs an (n, {dim}) int64 array, "
+                                     f"not {arr.dtype} of shape {arr.shape}")
+        arr = arr.astype(np.int64, order="F")  # a copy, even of an int64 array
+        if len(arr) > 1 and not _lex_increasing(arr):
+            arr = arr[np.lexsort(arr.T[::-1])]
+            arr = np.asfortranarray(arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]])
+        arr.flags.writeable = False
+        self = cls.__new__(cls)
+        self._fill(int(dim), None, arr)
+        return self
+
+    def _fill(self, dim: int, points: Optional[frozenset], arr) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSet is immutable")
 
+    @property
+    def points(self) -> frozenset:
+        if self._points is None:
+            object.__setattr__(self, "_points", frozenset(self.sorted_points()))
+        return self._points
+
+    @property
+    def array(self) -> Optional[np.ndarray]:
+        """The points as a lex-sorted, read-only (n, dim) int64 array, None
+        when a coordinate does not fit in int64. It is column-major, so that
+        the per-axis reductions of the frames run along contiguous columns."""
+        arr = self._array
+        if arr is None:
+            try:
+                arr = np.array(self.sorted_points(), dtype=np.int64, order="F")
+                arr = arr.reshape(len(self), self.dim, order="F")
+            except OverflowError:
+                arr = _PAST_INT64
+            else:
+                arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return None if arr is _PAST_INT64 else arr
+
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._points) if self._points is not None else len(self._array)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.points)
@@ -89,7 +156,8 @@ class LatticeSet:
         return (
             isinstance(other, LatticeSet)
             and self.dim == other.dim
-            and self.points == other.points
+            and len(self) == len(other)
+            and self.issubset(other)
         )
 
     def __hash__(self) -> int:
@@ -99,14 +167,37 @@ class LatticeSet:
         return f"LatticeSet(dim={self.dim}, n={len(self)})"
 
     def sorted_points(self) -> tuple[tuple[int, ...], ...]:
-        cached = object.__getattribute__(self, "_sorted")
-        if cached is None:
-            cached = tuple(sorted(self.points))
-            object.__setattr__(self, "_sorted", cached)
-        return cached
+        if self._sorted is None:
+            if self._points is None:
+                ordered = tuple(map(tuple, self._array.tolist()))
+            else:
+                ordered = tuple(sorted(self._points))
+            object.__setattr__(self, "_sorted", ordered)
+        return self._sorted
 
     def issubset(self, other: "LatticeSet") -> bool:
-        return self.points <= other.points
+        """Every point of self lies in other. Two sets that both hold their
+        tuples compare those; otherwise self's points, once inside other's
+        box, are encoded in its frame and looked up in other's sorted codes."""
+        if self._points is not None and other._points is not None:
+            return self._points <= other._points
+        mine, theirs = self.array, other.array
+        if mine is None or theirs is None:
+            return self.points <= other.points
+        if not len(mine):
+            return True
+        if self.dim != other.dim or len(mine) > len(theirs):
+            return False
+        lo, hi = theirs.min(axis=0), theirs.max(axis=0)
+        if ((mine < lo) | (mine > hi)).any():
+            return False
+        strides, cells = _frame_strides(lo.tolist(), hi.tolist())
+        if cells > _INT64_MAX:
+            return self.points <= other.points
+        strides = np.array(strides, dtype=np.int64)
+        codes, within = (mine - lo) @ strides, (theirs - lo) @ strides
+        at = np.minimum(np.searchsorted(within, codes), len(within) - 1)
+        return bool((within[at] == codes).all())
 
     # -- serialization ------------------------------------------------------
     def to_json(self):
@@ -115,6 +206,16 @@ class LatticeSet:
     @classmethod
     def from_json(cls, data, dim: Optional[int] = None) -> "LatticeSet":
         return cls((tuple(row) for row in data), dim)
+
+
+def _lex_increasing(arr: np.ndarray) -> bool:
+    """Whether each row of the array is lex-greater than the row before."""
+    rising = np.zeros(len(arr) - 1, dtype=bool)
+    tied = np.ones(len(arr) - 1, dtype=bool)
+    for col in arr.T:
+        rising |= tied & (col[1:] > col[:-1])
+        tied &= col[1:] == col[:-1]
+    return bool(rising.all())
 
 
 def _require_same_dim(*sets: LatticeSet) -> int:
@@ -210,20 +311,28 @@ def _sum_frame(sets: list[LatticeSet]):
     """Common integer frame for encoding pair sums of points of the sets.
 
     Returns (mins, strides, cells) where index(p+q) = dot(p+q, strides) - base
-    is injective over the sum box, or None when some set is empty.
+    is injective over the sum box, or None when every set is empty. Sets
+    past int64 are scanned as tuples, the rest as arrays.
     """
-    pts = [p for s in sets for p in s]
-    if not pts:
+    arrays = [s.array for s in sets if len(s)]
+    if not arrays:
         return None
-    dim = len(pts[0])
-    mins = [min(p[c] for p in pts) for c in range(dim)]
-    maxs = [max(p[c] for p in pts) for c in range(dim)]
+    if any(arr is None for arr in arrays):
+        pts = [p for s in sets for p in s]
+        mins = [min(p[c] for p in pts) for c in range(sets[0].dim)]
+        maxs = [max(p[c] for p in pts) for c in range(sets[0].dim)]
+    else:
+        mins = np.min([arr.min(axis=0) for arr in arrays], axis=0).tolist()
+        maxs = np.max([arr.max(axis=0) for arr in arrays], axis=0).tolist()
     return (mins, *_frame_strides(mins, maxs))
 
 
 def _frame_strides(mins, maxs) -> tuple[list[int], int]:
     """(strides, cells) of the box of sums of two points of [mins, maxs]:
-    coordinate c of a sum, less 2*mins[c], is a digit in base 2*span_c - 1."""
+    coordinate c of a sum, less 2*mins[c], is a digit in base 2*span_c + 1.
+    A point's own digit is at most span_c, so the codes of a lex-sorted set
+    increase, and a step of +1 between two codes is a step along the last
+    axis."""
     strides = [0] * len(mins)
     acc = 1
     for c in reversed(range(len(mins))):
@@ -233,26 +342,64 @@ def _frame_strides(mins, maxs) -> tuple[list[int], int]:
 
 
 def _encode_array(s: LatticeSet, mins, strides) -> np.ndarray:
-    arr = np.array(s.sorted_points(), dtype=np.int64).reshape(len(s), len(mins))
-    arr -= np.array(mins, dtype=np.int64)
-    return arr @ np.array(strides, dtype=np.int64)
-
-
-def _mark_pair_sums(bitmap: np.ndarray, codes_a: np.ndarray, codes_b: np.ndarray) -> None:
-    if len(codes_a) == 0 or len(codes_b) == 0:
-        return
-    rows = max(1, _OUTER_CHUNK // len(codes_b))
-    for start in range(0, len(codes_a), rows):
-        chunk = codes_a[start:start + rows]
-        bitmap[np.add.outer(chunk, codes_b).ravel()] = True
+    """The increasing int64 codes of the points of an int64 set in the frame."""
+    return (s.array - np.array(mins, dtype=np.int64)) @ np.array(strides, dtype=np.int64)
 
 
 def _count_dense(code_pairs, cells: int) -> int:
-    """Distinct sums a+b over int64 code-array pairs whose sums lie in [0, cells)."""
+    """Distinct sums a+b over int64 code-array pairs whose sums lie in [0, cells).
+
+    Each point pair is marked in a bitmap, unless the codes fall into so
+    few runs of consecutive integers that marking each run pair's interval
+    of sums costs less. Calls of under `_RUN_MIN_PAIRS` point pairs never
+    look for runs.
+    """
+    pairs = sum(len(a) * len(b) for a, b in code_pairs)
+    if pairs >= _RUN_MIN_PAIRS and cells <= _RUN_CELL_LIMIT:
+        run_pairs = [(_runs(a), _runs(b)) for a, b in code_pairs]
+        if _RUN_PAIR_COST * sum(len(ra[0]) * len(rb[0]) for ra, rb in run_pairs) < pairs:
+            return _count_runs(run_pairs, cells)
+    return _count_bitmap(code_pairs, cells)
+
+
+def _count_bitmap(code_pairs, cells: int) -> int:
     bitmap = np.zeros(cells, dtype=bool)
     for codes_a, codes_b in code_pairs:
-        _mark_pair_sums(bitmap, codes_a, codes_b)
+        if not len(codes_a) or not len(codes_b):
+            continue
+        rows = max(1, _OUTER_CHUNK // len(codes_b))
+        for start in range(0, len(codes_a), rows):
+            bitmap[np.add.outer(codes_a[start:start + rows], codes_b).ravel()] = True
     return int(np.count_nonzero(bitmap))
+
+
+def _runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, lasts) of the maximal runs of consecutive integers in the codes."""
+    codes = np.sort(codes)
+    gap = np.diff(codes) != 1
+    first, last = np.ones(len(codes), dtype=bool), np.ones(len(codes), dtype=bool)
+    first[1:], last[:-1] = gap, gap
+    return codes[first], codes[last]
+
+
+def _count_runs(run_pairs, cells: int) -> int:
+    """Distinct sums over pairs of runs: the sums of runs [s_a, e_a] and
+    [s_b, e_b] are every integer of [s_a + s_b, e_a + e_b]. Each interval
+    adds 1 at its first sum and -1 past its last on a difference array,
+    `_OUTER_CHUNK` run pairs at a time, and a sum is reached exactly where
+    the running total is positive."""
+    diff = np.zeros(cells + 1, dtype=np.int64)
+    for (firsts_a, lasts_a), (firsts_b, lasts_b) in run_pairs:
+        if not len(firsts_a) or not len(firsts_b):
+            continue
+        rows = max(1, _OUTER_CHUNK // len(firsts_b))
+        for start in range(0, len(firsts_a), rows):
+            stop = start + rows
+            diff += np.bincount(np.add.outer(firsts_a[start:stop], firsts_b).ravel(),
+                                minlength=cells + 1)
+            diff -= np.bincount(np.add.outer(lasts_a[start:stop], lasts_b).ravel() + 1,
+                                minlength=cells + 1)
+    return int(np.count_nonzero(np.cumsum(diff, out=diff)))
 
 
 def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
@@ -261,14 +408,9 @@ def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
     if frame is None:
         return 0
     mins, strides, cells = frame
-    if cells <= _DENSE_CELL_LIMIT:
-        try:
-            code_pairs = [(_encode_array(a, mins, strides), _encode_array(b, mins, strides))
-                          for a, b in pairs]
-        except OverflowError:  # a coordinate past int64 takes the exact path below
-            pass
-        else:
-            return _count_dense(code_pairs, cells)
+    if cells <= _DENSE_CELL_LIMIT and all(s.array is not None for pair in pairs for s in pair):
+        return _count_dense([(_encode_array(a, mins, strides), _encode_array(b, mins, strides))
+                             for a, b in pairs], cells)
     # sparse fallback: exact python-int codes, any dimension
     seen: set[int] = set()
     for a, b in pairs:
@@ -319,12 +461,25 @@ def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
 
 
 def dimension(a: LatticeSet) -> int:
-    """Dimension of the affine space generated by the set."""
+    """Dimension of the affine space generated by the set, cached on it.
+
+    The points that are least and greatest along each axis lead the rows:
+    `integer_rank` stops at full rank, which they usually reach on a
+    full-dimensional set.
+    """
     if not len(a):
         raise InvariantViolation("dimension of an empty set is undefined")
-    pts = a.sorted_points()
-    p0 = pts[0]
-    return integer_rank(tuple(c - d for c, d in zip(p, p0)) for p in pts[1:])
+    if a._rank is None:
+        arr = a.array
+        if arr is None:
+            pts = a.sorted_points()
+        else:
+            extremes = np.concatenate((arr.argmin(axis=0), arr.argmax(axis=0)))
+            pts = arr[extremes].tolist() + arr.tolist()
+        p0 = pts[0]
+        object.__setattr__(a, "_rank", integer_rank(tuple(c - d for c, d in zip(p, p0))
+                                                    for p in pts[1:]))
+    return a._rank
 
 
 def longest_chain(a: LatticeSet) -> int:
@@ -358,9 +513,8 @@ def longest_chain(a: LatticeSet) -> int:
         raise InvariantViolation("longest_chain of an empty set is undefined")
     if n == 1:
         return 1
-    try:
-        pts = np.array(a.sorted_points(), dtype=np.int64)
-    except OverflowError:
+    pts = a.array
+    if pts is None:
         return _sparse_longest_chain(a)
     lo = pts.min(axis=0)
     r = [int(hi) - int(low) for hi, low in zip(pts.max(axis=0), lo)]  # hi - lo may pass int64

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +27,13 @@ from autbounds.lattice import (
 )
 from autbounds.lemmas import triple_for_rule
 from tests_oracles import (
+    box_sum_count,
     naive_arrangement_by_definition,
     naive_chain,
     naive_midpoints,
     naive_rank,
     naive_staircase,
+    naive_sum_count,
     naive_union_count,
 )
 
@@ -106,6 +109,98 @@ def test_round_trip_is_bit_exact():
     for _ in range(50):
         s = random_set(rng, rng.randint(1, 4))
         assert LatticeSet.from_json(s.to_json()) == s
+
+
+def _agree(x, y):
+    """x and y hold the same points, by every view and comparison."""
+    assert x == y and y == x and hash(x) == hash(y) and len(x) == len(y)
+    assert x.points == y.points and x.sorted_points() == y.sorted_points()
+    assert x.to_json() == y.to_json() and x.issubset(y) and y.issubset(x)
+
+
+def _twins(rng, dim, n, spread):
+    """The same random points (with repeats, in random order) as a set built
+    from tuples and as one built from an array."""
+    rows = [[rng.randint(-spread, spread) for _ in range(dim)] for _ in range(n)]
+    rows += rng.sample(rows, n // 3)
+    rng.shuffle(rows)
+    return (LatticeSet(map(tuple, rows), dim),
+            LatticeSet.from_array(np.array(rows, dtype=np.int64), dim))
+
+
+def test_from_array_agrees_with_tuples():
+    rng = random.Random(31)
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        spread = rng.choice((2, 5, 10 ** 6, 2 ** 40))  # 2**40 puts the frame past int64
+        tup, arr = _twins(rng, dim, rng.randint(1, 30), spread)
+        _agree(tup, arr)
+        _agree(arr, LatticeSet.from_array(arr.array[::-1], dim))  # array vs array
+        assert arr.array.tolist() == [list(p) for p in sorted(tup.points)]
+        # subsets drawn from the set, and random sets that are mostly not subsets
+        sub = rng.sample(tup.sorted_points(), rng.randint(0, len(tup)))
+        for other in (sub, sub + [tuple(rng.randint(-spread, spread) for _ in range(dim))]):
+            pair = LatticeSet(other, dim), LatticeSet.from_array(np.array(other, dtype=np.int64)
+                                                               .reshape(-1, dim), dim)
+            expected = set(other) <= tup.points
+            for small in pair:
+                for big in (tup, arr):
+                    assert small.issubset(big) == expected
+                    assert (small == big) == (set(other) == tup.points)
+
+
+def test_from_array_subset_test_outside_the_box():
+    inner = LatticeSet.from_array(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), 2)
+    # (0, 3) and (1, -2) would take the codes of (1, 0) and (0, 1) in the
+    # frame of the 2 x 2 box
+    for point in ([2, 0], [0, -1], [-1, 5], [1, 2], [0, 3], [1, -2]):
+        outer = LatticeSet.from_array(np.array([point]), 2)
+        mixed = LatticeSet.from_array(np.array([[0, 0], point]), 2)
+        assert not outer.issubset(inner) and not mixed.issubset(inner)
+        assert not mixed.issubset(LatticeSet([(0, 0), (1, 1), (0, 5)]))
+    # inside the box but not a member: the code falls between two codes
+    assert not LatticeSet.from_array(np.array([[1, 1]]), 2).issubset(
+        LatticeSet.from_array(np.array([[0, 0], [2, 2], [0, 2]]), 2))
+    empty = LatticeSet.from_array(np.zeros((0, 2), dtype=np.int64), 2)
+    assert empty.issubset(inner) and not inner.issubset(empty) and len(empty) == 0
+
+
+def test_from_array_sorts_and_drops_repeats():
+    rows = np.array([[3, -1], [0, 5], [3, -1], [-2, 7], [0, 5], [0, 4]])
+    s = LatticeSet.from_array(rows, 2)
+    assert s.array.tolist() == [[-2, 7], [0, 4], [0, 5], [3, -1]]
+    assert s.sorted_points() == ((-2, 7), (0, 4), (0, 5), (3, -1))
+    assert len(s) == 4 and (0, 5) in s and (5, 0) not in s
+    rows[0, 0] = 99  # the set keeps its own copy
+    assert s.array.tolist()[3] == [3, -1]
+
+
+def test_stored_array_is_read_only():
+    for s in (LatticeSet.from_array(np.array([[1, 2], [3, 4]]), 2), LatticeSet([(1, 2), (3, 4)])):
+        with pytest.raises(ValueError):
+            s.array[0, 0] = 7
+        assert s.sorted_points() == ((1, 2), (3, 4))
+
+
+def test_from_array_rejects_bad_input():
+    for bad, dim in ((np.zeros((2, 3)), 3), (np.zeros(4, dtype=np.int64), 1),
+                     (np.zeros((2, 3), dtype=np.uint64), 3), (np.zeros((2, 3), dtype=np.int64), 2),
+                     (np.zeros((0, 2), dtype=np.int64), None)):
+        with pytest.raises(InvariantViolation):
+            LatticeSet.from_array(bad, dim)
+    with pytest.raises(InvariantViolation):
+        LatticeSet([])  # an empty set still needs a dim
+
+
+def test_sets_past_int64_keep_the_tuple_path():
+    base = 2 ** 63 + 5
+    a = LatticeSet([(base, 0), (base + 1, 0), (base + 2, 0), (base + 3, 1), (base + 1, 2)])
+    assert a.array is None
+    assert midpoint_count(a, a) == len(naive_midpoints(a, a))
+    assert longest_chain(a) == naive_chain(a) == 3
+    assert dimension(a) == 2 and a.issubset(a) and a == LatticeSet(a.sorted_points())
+    origin = LatticeSet.from_array(np.zeros((1, 2), dtype=np.int64), 2)
+    assert not origin.issubset(a) and not a.issubset(origin) and a != origin
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +290,103 @@ def test_selfsum_floor(points):
         assert midpoint_count(a, a) >= 2 * len(a) - 1
 
 
+def _both_paths(pairs):
+    """(bitmap count, run count) of the distinct sums over the set pairs."""
+    mins, strides, cells = lattice._sum_frame([s for pair in pairs for s in pair])
+    code_pairs = [(lattice._encode_array(a, mins, strides), lattice._encode_array(b, mins, strides))
+                  for a, b in pairs]
+    runs = [(lattice._runs(a), lattice._runs(b)) for a, b in code_pairs]
+    return lattice._count_bitmap(code_pairs, cells), lattice._count_runs(runs, cells)
+
+
+def _staircase(rng, dim, gens, top):
+    """A fully arranged set: the union of the boxes between 0 and a few points."""
+    corners = [[rng.randint(0, top) for _ in range(dim)] for _ in range(gens)]
+    return LatticeSet({p for c in corners for p in itertools.product(*(range(x + 1) for x in c))},
+                      dim)
+
+
+def _runs_set(rng, dim, rows, spread):
+    """Random runs along the last axis, from random starts and of random lengths."""
+    pts = set()
+    for _ in range(rows):
+        head = tuple(rng.randint(-spread, spread) for _ in range(dim - 1))
+        start = rng.randint(-spread, spread)
+        pts.update(head + (x,) for x in range(start, start + rng.randint(1, 3 * spread)))
+    return LatticeSet(pts, dim)
+
+
+def _edge_set(rng, dim, spread):
+    """Runs that end on one face of the frame and start again on the opposite
+    face one row on, plus the frame's two corners; dim >= 2."""
+    pts = {(spread,) * dim, (-spread,) * dim}
+    for _ in range(rng.randint(1, 4)):
+        head = [rng.randint(-spread, spread - 1) for _ in range(dim - 1)]
+        cut = rng.randint(-spread, spread)
+        pts.update(tuple(head) + (x,) for x in range(cut, spread + 1))
+        pts.update(tuple(head[:-1] + [head[-1] + 1]) + (x,) for x in range(-spread, cut + 1))
+    return LatticeSet(pts, dim)
+
+
+@pytest.mark.parametrize("kind", ["boxes", "staircases", "runs", "frame-edges", "empty-side"])
+def test_run_and_bitmap_paths_match_the_oracle(kind, monkeypatch):
+    monkeypatch.setattr(lattice, "_OUTER_CHUNK", 5)  # many chunks per pair
+    rng = random.Random(kind)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        if kind == "boxes":
+            a, b = (_box([rng.randint(1, 5) for _ in range(dim)],
+                         [rng.randint(-3, 3) for _ in range(dim)]) for _ in range(2))
+        elif kind == "staircases":
+            a, b = (_staircase(rng, dim, rng.randint(1, 4), 3) for _ in range(2))
+        elif kind == "runs":
+            a, b = (_runs_set(rng, dim, rng.randint(1, 6), 4) for _ in range(2))
+        elif kind == "frame-edges":
+            spread = rng.randint(1, 4)
+            a, b = _edge_set(rng, max(dim, 2), spread), _edge_set(rng, max(dim, 2), spread)
+        else:
+            a, b = LatticeSet([], dim), _runs_set(rng, dim, rng.randint(1, 6), 4)
+        sub = LatticeSet(rng.sample(b.sorted_points(), rng.randint(0, len(b))), b.dim)
+        for pairs in ([(a, b)], [(b, a)], [(a, b), (sub, sub)], [(sub, b), (a, a)]):
+            expected = naive_sum_count(pairs)
+            assert _both_paths(pairs) == (expected, expected), (kind, pairs)
+
+
+def test_run_path_counts_two_boxes_by_their_closed_form():
+    rng = random.Random(36)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        sides = [[rng.randint(1, 6) for _ in range(dim)] for _ in range(2)]
+        a, b = (_box(s, [rng.randint(-4, 4) for _ in range(dim)]) for s in sides)
+        assert _both_paths([(a, b)]) == (box_sum_count(*sides),) * 2
+
+
+def test_rule_2_6_boxes_take_the_run_path(monkeypatch):
+    def no_bitmap(*args):
+        raise AssertionError("marked a bitmap")
+
+    t = triple_for_rule("2.6", 3)
+    empty = LatticeSet([], 4)
+    expected = [_both_paths([(t.a1, t.a3), (t.a2, t.a2)])[0], _both_paths([(t.a2, t.a2)])[0]]
+    monkeypatch.setattr(lattice, "_count_bitmap", no_bitmap)
+    assert union_midpoint_count(t.a1, t.a3, t.a2) == expected[0]
+    assert union_midpoint_count(empty, t.a3, t.a2) == expected[1]
+
+
+def test_rule_2_4_sized_calls_never_look_for_runs(monkeypatch):
+    from autbounds.lemmas import generate_nested_sets, verify_lemma
+
+    def no_runs(*args):
+        raise AssertionError("looked for runs")
+
+    monkeypatch.setattr(lattice, "_runs", no_runs)
+    for dim in (3, 4):
+        for seed in range(20):
+            t = generate_nested_sets(dim, 44, seed)  # rule 2.4's largest size
+            verify_lemma("2.4", t)
+            union_midpoint_count(t.a1, t.a3, t.a2)
+
+
 # ---------------------------------------------------------------------------
 # dimension and chains
 # ---------------------------------------------------------------------------
@@ -208,6 +400,29 @@ def test_dimension_examples():
 def test_dimension_empty_rejected():
     with pytest.raises(InvariantViolation):
         dimension(LatticeSet([], dim=2))
+
+
+def test_dimension_matches_rational_elimination():
+    # points on a random affine subspace, so every rank from 0 to dim occurs
+    rng = random.Random(37)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        basis = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, dim))]
+        origin = [rng.randint(-5, 5) for _ in range(dim)]
+        rows = [[o + sum(rng.randint(-2, 2) * b[c] for b in basis) for c, o in enumerate(origin)]
+                for _ in range(rng.randint(1, 20))]
+        expected = naive_rank([[x - y for x, y in zip(r, rows[0])] for r in rows])
+        assert dimension(LatticeSet(map(tuple, rows), dim)) == expected
+        assert dimension(LatticeSet.from_array(np.array(rows, dtype=np.int64), dim)) == expected
+
+
+def test_dimension_is_computed_once_per_set(monkeypatch):
+    ranks = []
+    real = lattice.integer_rank
+    monkeypatch.setattr(lattice, "integer_rank", lambda rows: ranks.append(1) or real(rows))
+    t = triple_for_rule("2.6", 3)
+    calls = len(ranks)  # the draw's own check of dim a1
+    assert dimension(t.a1) == 4 and dimension(t.a1) == 4 and len(ranks) == calls
 
 
 def test_chain_examples():

@@ -1,8 +1,9 @@
 """Independent naive oracles for the acceptance suite.
 
 These re-derive each quantity straight from its definition with none of the
-production shortcuts: rational mid-points instead of doubled encodings, an
-all-pairs (start, step) walk for chains, a clause-by-clause membership
+production shortcuts: rational mid-points instead of doubled encodings, sets
+of tuple sums for pair sums and the closed form of two product boxes' sum
+box, an all-pairs (start, step) walk for chains, a clause-by-clause membership
 test for arrangement, the staircase predicate `naive_staircase` as a
 whole-box check (the box between the origin and each point lies in the
 set), a point-by-point gauge scan for the convex generator, automorphisms
@@ -16,6 +17,7 @@ universal level n*.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
+from math import prod
 
 from autbounds import bounds, lemmas
 from autbounds.covers import CoverDatum, FiniteAbelianGroup
@@ -31,6 +33,17 @@ def naive_midpoints(a, b):
 
 def naive_union_count(a1, a3, a2):
     return len(naive_midpoints(a1, a3) | naive_midpoints(a2, a2))
+
+
+def naive_sum_count(pairs):
+    """#{p + q : p in a, q in b, (a, b) in pairs}, one tuple sum at a time."""
+    return len({tuple(x + y for x, y in zip(p, q)) for a, b in pairs for p in a for q in b})
+
+
+def box_sum_count(sides_a, sides_b):
+    """#(A + B) of two product boxes with these sides: the sum of two boxes
+    is the box whose side along each axis is s + t - 1."""
+    return prod(s + t - 1 for s, t in zip(sides_a, sides_b))
 
 
 def naive_rank(rows):
