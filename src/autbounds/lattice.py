@@ -7,16 +7,21 @@ bijection with the set of actual mid-points. numpy appears only as int64
 point arrays, bulk integer codes, bitmaps and difference arrays for pair
 sums, chains and arrangements; there is no floating point in this module.
 
+Every coordinate of a lattice set must fit in int64: a set is counted as an
+int64 array, and an operation on a set with a coordinate past int64 raises
+InvariantViolation. Sums, codes and frames past int64 stay exact (python ints).
+
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim,
-                    stored as a lex-sorted int64 array while it fits in int64
+                    read as a lex-sorted int64 array
     ConvexTriple    nested sets a1 <= a2 <= a3 (convexity validated on demand)
 
 Main operations
     midpoint_count / union_midpoint_count
                            (int64 codes in one sum frame, counted by runs of
-                            consecutive codes, by a bitmap of every pair, or,
-                            past int64 or a 2**25-cell frame, in python ints)
+                            consecutive codes or a bitmap of every pair up to a
+                            2**25-cell frame, by np.unique up to an int64 frame,
+                            and in python ints past it)
     dimension, longest_chain, arrangement
     arranged_union_counts  (rule 2.4's dim+1 union counts on one int64 encoding
                             of the triple; a triple whose arranged frame does
@@ -32,6 +37,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd, prod
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -43,7 +49,7 @@ from .errors import InvariantViolation
 _DENSE_CELL_LIMIT = 1 << 25
 _OUTER_CHUNK = 1 << 22
 _INT64_MAX = (1 << 63) - 1
-# _count_dense marks run pairs (an int64 difference array, 32 MiB at the cell
+# _count_sums marks run pairs (an int64 difference array, 32 MiB at the cell
 # limit) in place of point pairs on calls of at least _RUN_MIN_PAIRS pairs
 # with fewer run pairs than pairs / _RUN_PAIR_COST. Measured on the suites'
 # calls (2-core Xeon, numpy 2.4): finding and marking runs costs 55-90 us at
@@ -53,8 +59,6 @@ _INT64_MAX = (1 << 63) - 1
 _RUN_MIN_PAIRS = 1 << 15
 _RUN_CELL_LIMIT = 1 << 22
 _RUN_PAIR_COST = 4
-# LatticeSet._array of a set with a coordinate past int64
-_PAST_INT64 = False
 # (start, step) pairs followed at once by longest_chain (2 MiB of int64 codes)
 _WALK_CHUNK = 1 << 18
 # longest_chain's pair walk costs about this many bitmap (start, step) moves
@@ -67,19 +71,22 @@ _PAIR_WALK_COST = 500
 class LatticeSet:
     """A deduplicated finite set of integer points with a fixed ambient dim.
 
-    Immutable; safe to share across workers. While its coordinates fit in
-    int64 the set is read as `array`, a lex-sorted, deduplicated, read-only
-    (n, dim) int64 array, which `from_array` stores directly; `points` (a
-    frozenset of int tuples) and `sorted_points()` are views filled on first
-    use. A set built from an iterable keeps its normalised tuples and fills
-    `array` on first use. A coordinate past int64 leaves `array` None, and
-    every operation then takes its exact tuple path.
+    Immutable; safe to share across workers, and pickled as its array. The
+    set is read as `array`, a lex-sorted, deduplicated, read-only (n, dim)
+    int64 array, which `from_array` stores directly; `points` (a frozenset of
+    int tuples) and `sorted_points()` are views filled on first use. A set
+    built from an iterable of integer points keeps its tuples and fills
+    `array` on first use, where a coordinate past int64 raises
+    InvariantViolation.
     """
 
     __slots__ = ("dim", "_points", "_array", "_sorted", "_rank")
 
     def __init__(self, points: Iterable[tuple[int, ...]], dim: Optional[int] = None):
-        pts = frozenset(tuple(map(int, p)) for p in points)
+        try:
+            pts = frozenset(tuple(map(index, p)) for p in points)
+        except TypeError as exc:
+            raise InvariantViolation(f"lattice points need integer coordinates: {exc}") from None
         if pts:
             dims = {len(p) for p in pts}
             if len(dims) != 1:
@@ -119,6 +126,9 @@ class LatticeSet:
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSet is immutable")
 
+    def __reduce__(self):
+        return LatticeSet.from_array, (self.array, self.dim)
+
     @property
     def points(self) -> frozenset:
         if self._points is None:
@@ -126,21 +136,15 @@ class LatticeSet:
         return self._points
 
     @property
-    def array(self) -> Optional[np.ndarray]:
-        """The points as a lex-sorted, read-only (n, dim) int64 array, None
-        when a coordinate does not fit in int64. It is column-major, so that
-        the per-axis reductions of the frames run along contiguous columns."""
-        arr = self._array
-        if arr is None:
-            try:
-                arr = np.array(self.sorted_points(), dtype=np.int64, order="F")
-                arr = arr.reshape(len(self), self.dim, order="F")
-            except OverflowError:
-                arr = _PAST_INT64
-            else:
-                arr.flags.writeable = False
+    def array(self) -> np.ndarray:
+        """The points as a lex-sorted, read-only (n, dim) int64 array. It is
+        column-major, so that the per-axis reductions of the frames run along
+        contiguous columns."""
+        if self._array is None:
+            arr = _int64_rows(self.sorted_points()).reshape(len(self), self.dim, order="F")
+            arr.flags.writeable = False
             object.__setattr__(self, "_array", arr)
-        return None if arr is _PAST_INT64 else arr
+        return self._array
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -182,8 +186,6 @@ class LatticeSet:
         if self._points is not None and other._points is not None:
             return self._points <= other._points
         mine, theirs = self.array, other.array
-        if mine is None or theirs is None:
-            return self.points <= other.points
         if not len(mine):
             return True
         if self.dim != other.dim or len(mine) > len(theirs):
@@ -206,6 +208,14 @@ class LatticeSet:
     @classmethod
     def from_json(cls, data, dim: Optional[int] = None) -> "LatticeSet":
         return cls((tuple(row) for row in data), dim)
+
+
+def _int64_rows(rows) -> np.ndarray:
+    """The rows of integer points as a column-major int64 array."""
+    try:
+        return np.array(rows, dtype=np.int64, order="F")
+    except OverflowError:
+        raise InvariantViolation("lattice coordinates must fit in int64") from None
 
 
 def _lex_increasing(arr: np.ndarray) -> bool:
@@ -247,6 +257,9 @@ class ConvexTriple:
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexTriple is immutable")
+
+    def __reduce__(self):
+        return ConvexTriple, (self.a1, self.a2, self.a3, self.witness_regions)
 
     @property
     def dim(self) -> int:
@@ -311,19 +324,13 @@ def _sum_frame(sets: list[LatticeSet]):
     """Common integer frame for encoding pair sums of points of the sets.
 
     Returns (mins, strides, cells) where index(p+q) = dot(p+q, strides) - base
-    is injective over the sum box, or None when every set is empty. Sets
-    past int64 are scanned as tuples, the rest as arrays.
+    is injective over the sum box, or None when every set is empty.
     """
     arrays = [s.array for s in sets if len(s)]
     if not arrays:
         return None
-    if any(arr is None for arr in arrays):
-        pts = [p for s in sets for p in s]
-        mins = [min(p[c] for p in pts) for c in range(sets[0].dim)]
-        maxs = [max(p[c] for p in pts) for c in range(sets[0].dim)]
-    else:
-        mins = np.min([arr.min(axis=0) for arr in arrays], axis=0).tolist()
-        maxs = np.max([arr.max(axis=0) for arr in arrays], axis=0).tolist()
+    mins = np.min([arr.min(axis=0) for arr in arrays], axis=0).tolist()
+    maxs = np.max([arr.max(axis=0) for arr in arrays], axis=0).tolist()
     return (mins, *_frame_strides(mins, maxs))
 
 
@@ -346,14 +353,18 @@ def _encode_array(s: LatticeSet, mins, strides) -> np.ndarray:
     return (s.array - np.array(mins, dtype=np.int64)) @ np.array(strides, dtype=np.int64)
 
 
-def _count_dense(code_pairs, cells: int) -> int:
-    """Distinct sums a+b over int64 code-array pairs whose sums lie in [0, cells).
+def _count_sums(code_pairs, cells: int) -> int:
+    """Distinct sums a+b over int64 code-array pairs whose sums lie in [0, cells),
+    for any cells up to `_INT64_MAX`.
 
-    Each point pair is marked in a bitmap, unless the codes fall into so
-    few runs of consecutive integers that marking each run pair's interval
-    of sums costs less. Calls of under `_RUN_MIN_PAIRS` point pairs never
-    look for runs.
+    In a frame of at most `_DENSE_CELL_LIMIT` cells each point pair is marked
+    in a bitmap, unless the codes fall into so few runs of consecutive
+    integers that marking each run pair's interval of sums costs less; calls
+    of under `_RUN_MIN_PAIRS` point pairs never look for runs. A wider frame
+    sorts all the sums with np.unique.
     """
+    if cells > _DENSE_CELL_LIMIT:
+        return len(np.unique(np.concatenate([np.add.outer(a, b).ravel() for a, b in code_pairs])))
     pairs = sum(len(a) * len(b) for a, b in code_pairs)
     if pairs >= _RUN_MIN_PAIRS and cells <= _RUN_CELL_LIMIT:
         run_pairs = [(_runs(a), _runs(b)) for a, b in code_pairs]
@@ -408,10 +419,10 @@ def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
     if frame is None:
         return 0
     mins, strides, cells = frame
-    if cells <= _DENSE_CELL_LIMIT and all(s.array is not None for pair in pairs for s in pair):
-        return _count_dense([(_encode_array(a, mins, strides), _encode_array(b, mins, strides))
-                             for a, b in pairs], cells)
-    # sparse fallback: exact python-int codes, any dimension
+    if cells <= _INT64_MAX:
+        return _count_sums([(_encode_array(a, mins, strides), _encode_array(b, mins, strides))
+                            for a, b in pairs], cells)
+    # a frame past int64: exact python-int codes
     seen: set[int] = set()
     for a, b in pairs:
         codes_a = [sum((p[c] - mins[c]) * strides[c] for c in range(len(mins))) for p in a]
@@ -471,11 +482,8 @@ def dimension(a: LatticeSet) -> int:
         raise InvariantViolation("dimension of an empty set is undefined")
     if a._rank is None:
         arr = a.array
-        if arr is None:
-            pts = a.sorted_points()
-        else:
-            extremes = np.concatenate((arr.argmin(axis=0), arr.argmax(axis=0)))
-            pts = arr[extremes].tolist() + arr.tolist()
+        extremes = np.concatenate((arr.argmin(axis=0), arr.argmax(axis=0)))
+        pts = arr[extremes].tolist() + arr.tolist()
         p0 = pts[0]
         object.__setattr__(a, "_rank", integer_rank(tuple(c - d for c, d in zip(p, p0))
                                                     for p in pts[1:]))
@@ -502,11 +510,10 @@ def longest_chain(a: LatticeSet) -> int:
     side by half a range (the longest step a level >= 3 scans), and the runs
     of a whole shell are followed at once: each (start, step) pair still
     alive moves one step and is kept if it lands on the set. Sets whose
-    padded box exceeds the dense limit, or whose coordinates do not fit in
-    int64, walk each maximal run once from its first pair of points
-    instead. So does a spread-out set whose n(n-1)/2 pairs cost less to walk
-    than the n starts of every direction in its level-3 cap box would cost
-    to scan. All of it is exact.
+    padded box exceeds the dense limit walk each maximal run once from its
+    first pair of points instead. So does a spread-out set whose n(n-1)/2
+    pairs cost less to walk than the n starts of every direction in its
+    level-3 cap box would cost to scan. All of it is exact.
     """
     n = len(a)
     if n == 0:
@@ -514,8 +521,6 @@ def longest_chain(a: LatticeSet) -> int:
     if n == 1:
         return 1
     pts = a.array
-    if pts is None:
-        return _sparse_longest_chain(a)
     lo = pts.min(axis=0)
     r = [int(hi) - int(low) for hi, low in zip(pts.max(axis=0), lo)]  # hi - lo may pass int64
     pads = [x // 2 for x in r]
@@ -652,10 +657,7 @@ def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> lis
     if not len(a3):
         return [0] * (dim + 1)
     pts = list(a3.points)
-    try:
-        arr = np.array(pts, dtype=np.int64)
-    except OverflowError:
-        return _arranged_union_counts_loop(a1, a2, a3)
+    arr = _int64_rows(pts)
     lo, hi = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
     mins = [min(x, 0) for x in lo]
     maxs = [max(y, y - x) for x, y in zip(lo, hi)]
@@ -684,10 +686,7 @@ def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> lis
 def _level_union_count(codes: np.ndarray, level: np.ndarray, cells: int) -> int:
     """#(a1.a3 u a2.a2) of the leveled codes of a3, all sums in [0, cells)."""
     low, mid = codes[level == 1], codes[level <= 2]
-    pairs = [(low, codes), (mid, mid)]
-    if cells <= _DENSE_CELL_LIMIT:
-        return _count_dense(pairs, cells)
-    return len(np.unique(np.concatenate([np.add.outer(a, b).ravel() for a, b in pairs])))
+    return _count_sums([(low, codes), (mid, mid)], cells)
 
 
 def _arranged_union_counts_loop(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:

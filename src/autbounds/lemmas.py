@@ -52,6 +52,14 @@ _MAX_GENERATOR_ATTEMPTS = 50
 # 170 MiB for 2.5 or 2.7 in dim 3 (349,525 points), on a 2-core Xeon: its
 # pair sums are counted run pair by run pair.
 MAX_COORDINATES = 1 << 20
+# Cap on a rule-2.4 suite's work per trial, size * (dim + 1) * (size + dim) at
+# its largest size: each of its dim+1 counts sums about size**2 point pairs,
+# and past an int64 frame each arranging step costs about size * dim. One
+# trial at the largest admitted size took, on a 2-core Xeon: dim 1 (4,095
+# points) 0.5 s at 66 MiB, dim 3 (2,894) 0.5 s at 56 MiB, dim 8 (1,926) 3.7 s
+# at 82 MiB, dim 24 (1,146) 8.0 s at 79 MiB, dim 500 (109) 29 s at 42 MiB and
+# dim 1000 (32) 37 s at 40 MiB; at 2**26 dim 500 (193 points) took 42 s.
+MAX_ARRANGED_WORK = 1 << 25
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -508,10 +516,18 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
 
     Each trial rejection-samples an admissible instance; rule 2.4 has no side
     hypotheses, so its first draw always is. A violated admissible instance
-    is recorded as a finding with a replayable witness.
+    is recorded as a finding with a replayable witness. A rule-2.4 size past
+    `MAX_ARRANGED_WORK` is refused before anything is drawn.
     """
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
+    if lemma_id == "2.4":
+        d = RULES["2.4"].dim if dim is None else dim
+        size = RULES["2.4"].sizes[1] if max_size is None else max_size
+        if size * (d + 1) * (size + d) > MAX_ARRANGED_WORK:
+            raise InvariantViolation(f"rule 2.4 size {size} in dim {d} is past the work cap: "
+                                     f"size * (dim + 1) * (size + dim) may be at most "
+                                     f"{MAX_ARRANGED_WORK}")
     result = SuiteResult(lemma_id, master_seed, trials)
     for trial in range(trials):
         triple, report, draws = admissible_triple(

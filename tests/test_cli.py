@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autbounds
-from autbounds import bounds, cli
+from autbounds import bounds, cli, lemmas
 from autbounds.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -169,6 +169,24 @@ def test_rule_2_4_size_past_the_cap_is_65(capsys):
                                  "--dim", dim, "--min-size", "20000000", "--max-size", "20000000")
         assert code == EXIT_DATA and out == ""
         assert len(err.strip().splitlines()) == 1 and f"rule {lemma} size 20000000" in err
+
+
+@pytest.mark.parametrize("dim, size", [
+    ("8", "131072"), ("6", "174762"), ("8", "16384"), ("3", "349525"), ("8", "4096"),
+    ("8", "5461"), ("24", "3277"), ("1000", None), ("2000", None),
+])
+def test_rule_2_4_size_past_the_work_cap_is_65(capsys, monkeypatch, dim, size):
+    # sizes the draw cap admits but whose counts ran out of memory or ran for
+    # minutes; dims 1000 and 2000 at the default sizes (12-44) are as slow
+    def no_draw(*args):
+        raise AssertionError("drew a triple")
+
+    monkeypatch.setattr(lemmas, "generate_nested_sets", no_draw)
+    sizes = [] if size is None else ["--min-size", size, "--max-size", size]
+    code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "2.4", "--trials", "1",
+                             "--dim", dim, *sizes)
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "work cap" in err and "Traceback" not in err
 
 
 def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):

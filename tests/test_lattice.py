@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from math import prod
 
@@ -192,15 +194,35 @@ def test_from_array_rejects_bad_input():
         LatticeSet([])  # an empty set still needs a dim
 
 
-def test_sets_past_int64_keep_the_tuple_path():
-    base = 2 ** 63 + 5
-    a = LatticeSet([(base, 0), (base + 1, 0), (base + 2, 0), (base + 3, 1), (base + 1, 2)])
-    assert a.array is None
-    assert midpoint_count(a, a) == len(naive_midpoints(a, a))
-    assert longest_chain(a) == naive_chain(a) == 3
-    assert dimension(a) == 2 and a.issubset(a) and a == LatticeSet(a.sorted_points())
-    origin = LatticeSet.from_array(np.zeros((1, 2), dtype=np.int64), 2)
-    assert not origin.issubset(a) and not a.issubset(origin) and a != origin
+def test_coordinates_past_int64_are_rejected():
+    for base in (2 ** 63, -2 ** 63 - 1):
+        for count in (lambda a: midpoint_count(a, a), longest_chain, dimension,
+                      lambda a: arranged_union_counts(a, a, a)):
+            with pytest.raises(InvariantViolation, match="must fit in int64"):
+                count(LatticeSet([(base, 0), (0, 0), (1, 0)]))
+
+
+def test_coordinates_must_be_integers():
+    good = {"dim": 2, "a1": [[0, 0]], "a2": [[0, 0], [1, 0]], "a3": [[0, 0], [1, 0], [0, 1]]}
+    assert ConvexTriple.from_json_dict(good).a3.sorted_points() == ((0, 0), (0, 1), (1, 0))
+    ints = LatticeSet([(np.int64(3), True)])  # anything with __index__ is an integer
+    assert ints.sorted_points() == ((3, 1),) and type(ints.sorted_points()[0][0]) is int
+    for bad in ([2.7, 0], [2.0, 0], ["3", 1], [None, 1], 5):
+        with pytest.raises(InvariantViolation):
+            ConvexTriple.from_json_dict({**good, "a3": good["a3"] + [bad]})
+
+
+def test_sets_and_triples_survive_pickle_and_deepcopy():
+    tup = LatticeSet([(3, -1), (0, 5), (-2, 7)])
+    arr = LatticeSet.from_array(np.array([[3, -1], [0, 5], [-2, 7], [0, 4]]), 2)
+    empty = LatticeSet([], 3)
+    triple = ConvexTriple(LatticeSet([(0, 0)]), LatticeSet([(0, 0), (1, 0)]),
+                          LatticeSet.from_array(np.array([[0, 0], [1, 0], [0, 1]]), 2), "regions")
+    for obj in (tup, arr, empty, triple):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(back) is type(obj) and back is not obj
+            assert back == obj and repr(back) == repr(obj)
+    assert copy.deepcopy(triple).witness_regions == "regions"
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +253,35 @@ def test_midpoint_counts_match_bruteforce():
         assert midpoint_count(a, b) == len(naive_midpoints(a, b))
 
 
-def test_sparse_counting_path_matches_dense():
-    # huge coordinate spread forces the big-integer fallback; a shifted copy
-    # of the same configuration goes through the dense bitmap
+def test_sparse_counting_path_matches_dense(monkeypatch):
+    # scaled by 1,000, a configuration has a frame of 1e16 cells, past the
+    # bitmap but inside int64, so np.unique sorts its sums; scaled by 10,000
+    # its frame of 1e20 cells passes int64 and is counted in python ints;
+    # the configuration itself goes through the dense bitmap
     rng = random.Random(17)
     base = [tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(18)]
-    near = LatticeSet(base)
-    far = LatticeSet([tuple(c * 10_000 for c in p) for p in base])
-    assert midpoint_count(far, far) == midpoint_count(near, near)
-    sub = LatticeSet(base[:7])
-    sub_far = LatticeSet([tuple(c * 10_000 for c in p) for p in base[:7]])
-    assert union_midpoint_count(sub_far, far, sub_far) == \
-        union_midpoint_count(sub, near, sub)
+    base += [(0,) * 4, (5,) * 4]  # the frame spans 2 * 5 * scale + 1 cells per axis
+    near, sub = LatticeSet(base), LatticeSet(base[:7])
+    expected = midpoint_count(near, near), union_midpoint_count(sub, near, sub)
+
+    def no_dense(*args):
+        raise AssertionError("counted in a dense frame")
+
+    monkeypatch.setattr(lattice, "_count_bitmap", no_dense)
+    monkeypatch.setattr(lattice, "_runs", no_dense)
+    for scale in (1_000, 10_000):
+        far = LatticeSet([tuple(c * scale for c in p) for p in base])
+        sub_far = LatticeSet([tuple(c * scale for c in p) for p in base[:7]])
+        cells = lattice._sum_frame([far])[2]
+        assert cells == (10 * scale + 1) ** 4 and _DENSE_CELL_LIMIT < cells
+        assert (cells <= lattice._INT64_MAX) == (scale == 1_000)
+        assert (midpoint_count(far, far), union_midpoint_count(sub_far, far, sub_far)) == expected
 
 
 def test_pair_sums_with_an_empty_set_are_none():
     a, empty = LatticeSet([(0, 0), (1, 0)]), LatticeSet([], 2)
     assert midpoint_count(empty, a) == midpoint_count(a, empty) == 0
     assert union_midpoint_count(empty, a, a) == 3
-
-
-def test_pair_sums_past_int64_are_exact():
-    base = 2 ** 63 + 5
-    a = LatticeSet([(base, 0), (base + 1, 0), (base + 3, 1)])
-    b = LatticeSet([(base, 0)])
-    assert midpoint_count(a, a) == len(naive_midpoints(a, a)) == 6
-    assert union_midpoint_count(b, a, a) == naive_union_count(b, a, a)
 
 
 def test_union_count_matches_bruteforce():
@@ -473,15 +498,13 @@ def test_chain_matches_oracle_in_dims_1_to_6():
 
 def test_chain_sparse_fallback_matches_oracle():
     # coordinates 10^8 apart put the padded bounding box past the dense
-    # limit, and coordinates past 2^63 do not fit in int64; the chain is
-    # unchanged by the scaling and the shift
+    # limit; the chain is unchanged by the scaling
     rng = random.Random(91)
     for _ in range(30):
         dim = rng.randint(1, 4)
         a = random_set(rng, dim, max_points=20, spread=3)
         far = LatticeSet([tuple(10**8 * c for c in p) for p in a], dim)
-        huge = LatticeSet([tuple(10**19 + c for c in p) for p in a], dim)
-        assert longest_chain(far) == longest_chain(huge) == longest_chain(a) == naive_chain(a)
+        assert longest_chain(far) == longest_chain(a) == naive_chain(a)
 
 
 def test_chain_of_wide_sparse_sets_walks_pairs(monkeypatch):
@@ -677,11 +700,10 @@ def test_arranged_union_counts_past_the_dense_limit(arrangement_calls):
     assert arrangement_calls == []
 
 
-@pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4, 2 ** 63 + 5],
-                         ids=["near-max", "near-min", "past-max"])
+@pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4], ids=["near-max", "near-min"])
 def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base):
     # near +-2**63 the points fit in int64 but the arranged frame, which also
-    # holds the new coordinates 0, 1, ..., does not; past 2**63 neither does
+    # holds the new coordinates 0, 1, ..., does not
     rng = random.Random(27)
     for _ in range(10):
         dim = rng.randint(1, 3)
