@@ -202,6 +202,19 @@ def test_coordinates_past_int64_are_rejected():
                 count(LatticeSet([(base, 0), (0, 0), (1, 0)]))
 
 
+def test_sets_past_int64_keep_the_tuple_path():
+    # a set with a coordinate past int64 still holds its points as python-int
+    # tuples; only its int64 array, and so every count, refuses it
+    base = 2 ** 63 + 5
+    pts = [(base, 0), (base + 1, 0), (base + 2, 0), (base + 3, 1), (base + 1, 2)]
+    a = LatticeSet(pts)
+    assert a.sorted_points() == tuple(sorted(pts)) and len(a) == 5 and (base + 1, 2) in a
+    assert a == LatticeSet(a.sorted_points()) and a.issubset(a) and hash(a) == hash(LatticeSet(pts))
+    assert a.to_json() == [list(p) for p in sorted(pts)]
+    with pytest.raises(InvariantViolation, match="must fit in int64"):
+        a.array
+
+
 def test_coordinates_must_be_integers():
     good = {"dim": 2, "a1": [[0, 0]], "a2": [[0, 0], [1, 0]], "a3": [[0, 0], [1, 0], [0, 1]]}
     assert ConvexTriple.from_json_dict(good).a3.sorted_points() == ((0, 0), (0, 1), (1, 0))
@@ -276,6 +289,20 @@ def test_sparse_counting_path_matches_dense(monkeypatch):
         assert cells == (10 * scale + 1) ** 4 and _DENSE_CELL_LIMIT < cells
         assert (cells <= lattice._INT64_MAX) == (scale == 1_000)
         assert (midpoint_count(far, far), union_midpoint_count(sub_far, far, sub_far)) == expected
+
+
+def test_pair_sums_past_int64_are_exact():
+    # points that fit in int64 but whose pair sums pass it are encoded from
+    # the frame's minimum, so their sums are exact; so are the python-int
+    # sums of a frame wider than int64
+    for base in (2 ** 63 - 4, -2 ** 63):
+        a = LatticeSet([(base, 0), (base + 1, 0), (base + 3, 1)])
+        b = LatticeSet([(base, 0)])
+        assert midpoint_count(a, a) == len(naive_midpoints(a, a)) == 6
+        assert union_midpoint_count(b, a, a) == naive_union_count(b, a, a)
+    wide = LatticeSet([(-2 ** 62, 0), (0, 1), (2 ** 62, 0), (2 ** 62, 1)])
+    assert lattice._sum_frame([wide])[2] > lattice._INT64_MAX
+    assert midpoint_count(wide, wide) == len(naive_midpoints(wide, wide))
 
 
 def test_pair_sums_with_an_empty_set_are_none():
@@ -700,14 +727,21 @@ def test_arranged_union_counts_past_the_dense_limit(arrangement_calls):
     assert arrangement_calls == []
 
 
-@pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4], ids=["near-max", "near-min"])
+@pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4, 2 ** 63 + 5],
+                         ids=["near-max", "near-min", "past-max"])
 def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base):
     # near +-2**63 the points fit in int64 but the arranged frame, which also
-    # holds the new coordinates 0, 1, ..., does not
+    # holds the new coordinates 0, 1, ..., does not; past 2**63 the points do
+    # not fit either, and are refused before the loop
     rng = random.Random(27)
     for _ in range(10):
         dim = rng.randint(1, 3)
         a1, a2, a3 = random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
+        if base > lattice._INT64_MAX:
+            with pytest.raises(InvariantViolation, match="must fit in int64"):
+                arranged_union_counts(a1, a2, a3)
+            assert arrangement_calls == []
+            continue
         expected = naive_arranged_counts(a1, a2, a3)
         calls = len(arrangement_calls)
         assert arranged_union_counts(a1, a2, a3) == expected
