@@ -20,13 +20,14 @@ Main operations
     midpoint_count / union_midpoint_count
                            (int64 codes in one sum frame, counted by runs of
                             consecutive codes or a bitmap of every pair up to a
-                            2**25-cell frame, by np.unique up to an int64 frame,
+                            2**25-cell frame, by sorting up to an int64 frame,
                             and in python ints past it)
     dimension, longest_chain, arrangement
-    arranged_union_counts  (rule 2.4's dim+1 union counts on one int64 encoding
-                            of the triple; a triple whose arranged frame does
-                            not fit in int64 takes the loop of arrangement and
-                            union_midpoint_count)
+    arranged_union_counts, arranged_block_counts
+                           (rule 2.4's dim+1 union counts, a block of trials at a
+                            time in one int64 code space; a trial whose arranged
+                            frame does not fit in int64 takes the loop of
+                            arrangement and union_midpoint_count)
     in_convex_hull (exact rational simplex), is_integrally_convex,
     is_relatively_convex, lattice_points_in_hull
 """
@@ -49,6 +50,10 @@ from .errors import InvariantViolation
 _DENSE_CELL_LIMIT = 1 << 25
 _OUTER_CHUNK = 1 << 22
 _INT64_MAX = (1 << 63) - 1
+# arranged_block_counts counts trials in chunks of at most this many ordered
+# point pairs of a3 (about 17 rule-2.4 trials of 12-44 points); at 2**15 the
+# suite ran 4% faster, but held about 0.5 MiB more at its peak
+_BLOCK_PAIRS = 1 << 14
 # _count_sums marks run pairs (an int64 difference array, 32 MiB at the cell
 # limit) in place of point pairs on calls of at least _RUN_MIN_PAIRS pairs
 # with fewer run pairs than pairs / _RUN_PAIR_COST. Measured on the suites'
@@ -361,16 +366,26 @@ def _count_sums(code_pairs, cells: int) -> int:
     in a bitmap, unless the codes fall into so few runs of consecutive
     integers that marking each run pair's interval of sums costs less; calls
     of under `_RUN_MIN_PAIRS` point pairs never look for runs. A wider frame
-    sorts all the sums with np.unique.
+    sorts all the sums.
     """
     if cells > _DENSE_CELL_LIMIT:
-        return len(np.unique(np.concatenate([np.add.outer(a, b).ravel() for a, b in code_pairs])))
+        return len(_distinct(np.concatenate([np.add.outer(a, b).ravel() for a, b in code_pairs])))
     pairs = sum(len(a) * len(b) for a, b in code_pairs)
     if pairs >= _RUN_MIN_PAIRS and cells <= _RUN_CELL_LIMIT:
         run_pairs = [(_runs(a), _runs(b)) for a, b in code_pairs]
         if _RUN_PAIR_COST * sum(len(ra[0]) * len(rb[0]) for ra, rb in run_pairs) < pairs:
             return _count_runs(run_pairs, cells)
     return _count_bitmap(code_pairs, cells)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, which it sorts in place, in
+    increasing order: np.sort is 50-60 times faster here than np.unique,
+    which hashes in numpy 2.4."""
+    values.sort()
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _count_bitmap(code_pairs, cells: int) -> int:
@@ -636,66 +651,105 @@ def arrangement(a: LatticeSet, axis: int) -> LatticeSet:
 
 def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
     """#(a1.a3 u a2.a2) of nested a1 <= a2 <= a3, then the same count after
-    arranging all three sets along axis 0, 1, ..., dim-1 in turn: dim+1 counts.
-
-    A3 is encoded once, as int64 codes in one sum frame that fits every step:
-    axis c spans [min(lo_c, 0), max(hi_c, hi_c - lo_c)], because a fiber holds
-    at most hi_c - lo_c + 1 points and the steps along other axes never change
-    coordinate c. Each point carries a level: 1 in a1, 2 in a2 - a1, 3 in the
-    rest. Arranged nested sets stay nested, so arranging a3 arranges all
-    three: sort the points by fiber (the code with the axis digit cleared),
-    then by level; the r-th point of a fiber moves to coordinate r and keeps
-    its level, which is 1 exactly when r < #(a1 in the fiber) and 2 exactly
-    when #(a1 in the fiber) <= r < #(a2 in the fiber).
-
-    A triple whose frame does not fit in int64 takes the loop of
-    `arrangement` and `union_midpoint_count` instead.
-    """
-    dim = _require_same_dim(a1, a2, a3)
+    arranging all three sets along axis 0, 1, ..., dim-1 in turn: dim+1 counts,
+    from `arranged_block_counts` on a block of this one triple."""
+    _require_same_dim(a1, a2, a3)
     if not a1.issubset(a2) or not a2.issubset(a3):
         raise InvariantViolation("arranged_union_counts requires a1 <= a2 <= a3")
-    if not len(a3):
-        return [0] * (dim + 1)
-    pts = list(a3.points)
-    arr = _int64_rows(pts)
-    lo, hi = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
-    mins = [min(x, 0) for x in lo]
-    maxs = [max(y, y - x) for x, y in zip(lo, hi)]
-    strides, cells = _frame_strides(mins, maxs)
-    if cells > _INT64_MAX:
-        return _arranged_union_counts_loop(a1, a2, a3)
-
     in1, in2 = a1.points, a2.points
-    level = np.array([1 if p in in1 else 2 if p in in2 else 3 for p in pts], dtype=np.int8)
-    codes = (arr - np.array(mins, dtype=np.int64)) @ np.array(strides, dtype=np.int64)
-    counts = [_level_union_count(codes, level, cells)]
-    index = np.arange(len(pts), dtype=np.int64)
+    level = np.array([3 - (p in in1) - (p in in2) for p in a3.sorted_points()], dtype=np.int8)
+    return arranged_block_counts([(a3.array, level)])[0]
+
+
+def arranged_block_counts(block) -> list[list[int]]:
+    """The dim+1 counts of `arranged_union_counts` for each trial (a3, level)
+    of a block: a3's points as an (n, dim) int64 array, and a level per point,
+    1 in a1, 2 in a2 - a1 and 3 in the rest.
+
+    A trial's sum frame fits every arranging step: axis c spans [min(lo_c, 0),
+    max(hi_c, hi_c - lo_c)], as a fiber holds at most hi_c - lo_c + 1 points.
+    Trials are counted in chunks of at most `_BLOCK_PAIRS` point pairs; a
+    larger trial is a chunk of its own, and one whose frame does not fit in
+    int64 takes the loop of `arrangement` and `union_midpoint_count`.
+    """
+    counts, chunk, chunk_pairs, chunk_cells = [], [], 0, 0
+    for arr, level in block:
+        dim = arr.shape[1]
+        lo, hi = (arr.min(axis=0).tolist(), arr.max(axis=0).tolist()) if len(arr) else ([0] * dim,) * 2
+        mins, maxs = [min(x, 0) for x in lo], [max(y, y - x) for x, y in zip(lo, hi)]
+        strides, cells = _frame_strides(mins, maxs)
+        if chunk and (cells > _INT64_MAX or chunk_pairs + len(arr) ** 2 > _BLOCK_PAIRS
+                      or 2 * chunk_cells + cells > _INT64_MAX):
+            counts += _arranged_chunk_counts(chunk)
+            chunk, chunk_pairs, chunk_cells = [], 0, 0
+        if cells <= _INT64_MAX:
+            chunk.append((arr, level, mins, maxs, strides, cells))
+            chunk_pairs, chunk_cells = chunk_pairs + len(arr) ** 2, chunk_cells + cells
+            continue
+        sets = [LatticeSet.from_array(arr[level <= top], dim) for top in (1, 3, 2)]  # a1, a3, a2
+        counts.append([union_midpoint_count(*sets)])
+        for axis in range(dim):
+            sets = [arrangement(s, axis) for s in sets]
+            counts[-1].append(union_midpoint_count(*sets))
+    return counts + (_arranged_chunk_counts(chunk) if chunk else [])
+
+
+def _arranged_chunk_counts(trials) -> list[list[int]]:
+    """The arranged counts of a chunk of trials (a3, level, mins, maxs,
+    strides, cells), in one code space where trial t is offset by the cells
+    of those before it, so that its sums lie in [2 O_t, 2 O_t + cells_t).
+    Arranged nested sets stay nested: a step sorts the points by (trial,
+    fiber, level), and the r-th point of a fiber moves to coordinate r and
+    keeps its level. So the union's pairs, inside a2 and in a1 x (a3 - a2),
+    are listed once, unless the chunk is one trial past `_BLOCK_PAIRS` point
+    pairs, which `_count_sums` counts at each step."""
+    arrs, levels, mins, maxs, strides, cells = zip(*trials)
+    sizes = np.array([len(arr) for arr in arrs])
+    n, dim = int(sizes.sum()), arrs[0].shape[1]
+    offsets = np.cumsum((0,) + cells[:-1]).astype(np.int64)
+
+    def per_point(values):
+        return np.repeat(np.array(values, dtype=np.int64), sizes, axis=0)
+
+    # each trial's points in level order: a1, then a2 - a1, then the rest
+    member = np.repeat(np.arange(len(trials)), sizes)
+    order = np.lexsort((np.concatenate(levels), member))
+    level, index = np.concatenate(levels)[order], np.arange(n)
+    offset, mins, strides = per_point(offsets), per_point(mins), per_point(strides)
+    radix = 2 * (per_point(maxs) - mins) + 1
+    codes = ((np.concatenate(arrs)[order] - mins) * strides).sum(axis=1) + offset
+    if n ** 2 <= _BLOCK_PAIRS or len(trials) > 1:
+        # the pairs (p, q >= p) inside a2, then a1 x (a3 - a2), as runs of q
+        first = per_point(np.cumsum(sizes) - sizes)
+        k1, k2 = (np.bincount(member[level <= top], minlength=len(trials))[member] for top in (1, 2))
+        lengths = np.r_[np.maximum(k2 - index + first, 0),
+                        np.where(index - first < k1, per_point(sizes) - k2, 0)]
+        left = np.repeat(np.r_[index, index], lengths)
+        right = np.repeat(np.r_[index, first + k2] - (np.cumsum(lengths) - lengths),
+                          lengths) + np.arange(len(left))
+
+        def union_counts():
+            sums = codes[left]
+            sums += codes[right]
+            distinct = _distinct(sums)
+            return np.diff(np.searchsorted(distinct, 2 * offsets[1:]),
+                           prepend=0, append=len(distinct)).tolist()
+    else:
+        def union_counts():
+            low, mid = codes[level == 1], codes[level <= 2]
+            return [_count_sums([(low, codes[level == 3]), (mid, mid)], cells[0])]
+
+    steps, rank = [union_counts()], np.empty(n, dtype=np.int64)
     for c in range(dim):
-        radix = 2 * (maxs[c] - mins[c]) + 1
-        key = codes - (codes // strides[c]) % radix * strides[c]
-        order = np.lexsort((level, key))
-        key, level = key[order], level[order]
-        start = np.zeros_like(index)
-        start[1:] = np.where(key[1:] != key[:-1], index[1:], 0)
-        rank = index - np.maximum.accumulate(start)
-        codes = key + (rank - mins[c]) * strides[c]
-        counts.append(_level_union_count(codes, level, cells))
-    return counts
-
-
-def _level_union_count(codes: np.ndarray, level: np.ndarray, cells: int) -> int:
-    """#(a1.a3 u a2.a2) of the leveled codes of a3, all sums in [0, cells)."""
-    low, mid = codes[level == 1], codes[level <= 2]
-    return _count_sums([(low, codes), (mid, mid)], cells)
-
-
-def _arranged_union_counts_loop(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
-    sets = (a1, a2, a3)
-    counts = [union_midpoint_count(a1, a3, a2)]
-    for axis in range(a3.dim):
-        sets = [arrangement(s, axis) for s in sets]
-        counts.append(union_midpoint_count(sets[0], sets[2], sets[1]))
-    return counts
+        key = codes - (codes - offset) // strides[:, c] % radix[:, c] * strides[:, c]
+        by_fiber = np.lexsort((level, key))
+        sorted_key = key[by_fiber]
+        start = np.zeros(n, dtype=np.int64)
+        start[1:] = np.where(sorted_key[1:] != sorted_key[:-1], index[1:], 0)
+        rank[by_fiber] = index - np.maximum.accumulate(start)
+        codes = key + (rank - mins[:, c]) * strides[:, c]
+        steps.append(union_counts())
+    return [list(trial_counts) for trial_counts in zip(*steps)]
 
 
 # ---------------------------------------------------------------------------

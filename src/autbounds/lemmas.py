@@ -31,6 +31,7 @@ from .errors import InvariantViolation
 from .lattice import (
     ConvexTriple,
     LatticeSet,
+    arranged_block_counts,
     arranged_union_counts,
     dimension,
     longest_chain,
@@ -56,10 +57,14 @@ MAX_COORDINATES = 1 << 20
 # its largest size: each of its dim+1 counts sums about size**2 point pairs,
 # and past an int64 frame each arranging step costs about size * dim. One
 # trial at the largest admitted size took, on a 2-core Xeon: dim 1 (4,095
-# points) 0.5 s at 66 MiB, dim 3 (2,894) 0.5 s at 56 MiB, dim 8 (1,926) 3.7 s
-# at 82 MiB, dim 24 (1,146) 8.0 s at 79 MiB, dim 500 (109) 29 s at 42 MiB and
-# dim 1000 (32) 37 s at 40 MiB; at 2**26 dim 500 (193 points) took 42 s.
+# points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s at 47 MiB, dim 8 (1,926) 0.7 s
+# at 48 MiB, dim 24 (1,146) 1.5 s at 77 MiB, dim 500 (109) 25 s at 41 MiB and
+# dim 1000 (32) 33 s at 36 MiB; at 2**26 dim 500 (193 points) took 42 s.
 MAX_ARRANGED_WORK = 1 << 25
+# Rule 2.4's suite draws this many trials per `arranged_block_counts` call,
+# fewer when their largest size holds more A3 coordinates than the second
+_BLOCK_TRIALS = 64
+_BLOCK_COORDINATES = 1 << 16
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -218,14 +223,17 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
     on an inadmissible triple the comparison makes no claim.
     """
     if lemma_id == "2.4":
-        counts = arranged_union_counts(triple.a1, triple.a2, triple.a3)
-        checks = tuple(Check(f"nonincreasing_axis_{axis}", after <= before, f"{before} -> {after}")
-                       for axis, (before, after) in enumerate(zip(counts, counts[1:])))
-        return VerificationOutcome(counts[0], Fraction(counts[-1]),
-                                   all(c.passed for c in checks), checks)
+        return _arranged_outcome(arranged_union_counts(triple.a1, triple.a2, triple.a3))
     lhs = union_count(triple)
     rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3))
     return VerificationOutcome(lhs, rhs, lhs >= rhs)
+
+
+def _arranged_outcome(counts: list[int]) -> VerificationOutcome:
+    """Rule 2.4's outcome from its dim+1 arranged counts; each axis step is a check."""
+    checks = tuple(Check(f"nonincreasing_axis_{axis}", after <= before, f"{before} -> {after}")
+                   for axis, (before, after) in enumerate(zip(counts, counts[1:])))
+    return VerificationOutcome(counts[0], Fraction(counts[-1]), all(c.passed for c in checks), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +332,13 @@ def _scan_sublevel(gauge, dim, center, size_target):
     for w in range(2, 24):
         if (2 * w + 1) ** dim > 400_000:
             raise _Degenerate
+        if (2 * w - 1) ** dim < size_target:
+            continue  # the inner box holds (2w - 1)**dim points: too few
         axes = np.meshgrid(*[np.arange(c - w, c + w + 1) for c in mid.tolist()], indexing="ij")
         grid = np.stack(axes, axis=-1).reshape(-1, dim)
         vals = gauge(2 * grid - np.array(center, dtype=np.int64))
         boundary = (np.abs(grid - mid) == w).any(axis=1)
         inner = vals[~boundary]
-        if len(inner) < size_target:
-            continue
         thr = np.partition(inner, size_target - 1)[size_target - 1]
         if vals[boundary].min() <= thr:
             continue  # sublevel not closed inside the box; widen
@@ -396,15 +404,24 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> np.ndarray:
 
 
 def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
-    """Arbitrary nested integral sets (no convexity), for the 2.4 rule.
+    """The triple of `_draw_nested_levels`: arbitrary nested integral sets (no
+    convexity), as rule 2.4 holds for any nested finite integral sets."""
+    a3, level = _draw_nested_levels(dim, size_target, seed)
+    return ConvexTriple(*(LatticeSet.from_array(a3[level <= top], dim) for top in (1, 2, 3)),
+                        witness_regions="random nested subsets")
 
-    Rule 2.4 holds for any nested finite integral sets, so its property
-    suite deliberately samples beyond the convex generator's range.
+
+def _draw_nested_levels(dim: int, size_target: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule 2.4's draw: A3 as a lex-sorted (n, dim) int64 array, and an int8
+    level per point, 1 in A1, 2 in A2 - A1 and 3 in the rest.
+
     The box coordinates come from `_randints`, which gives the values and
     the stream of a `rng.randint` call per coordinate: every triple is the
     one the per-coordinate loop draws (one 32-bit output per
     `getrandbits(k <= 32)`, the first output least significant in
-    `getrandbits(32*m)`).
+    `getrandbits(32*m)`). A2 and A1 are sampled as positions in the sorted A3
+    and in A2's sample, which reads the random numbers that sampling the point
+    lists read.
     """
     if dim < 1:
         raise InvariantViolation("generator needs dim >= 1")
@@ -417,14 +434,14 @@ def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
     a3_pts = list({p for p in box})[: max(size_target, 3)]
     if len(a3_pts) < 3:
         a3_pts = [tuple(0 for _ in range(dim)), tuple(1 for _ in range(dim))]
-    a3 = sorted(a3_pts)
-    n3 = len(a3)
+    n3 = len(a3_pts)
     k2 = max(2, int(round(rng.uniform(0.4, 0.9) * n3)))
-    a2 = rng.sample(a3, k2)
+    in2 = rng.sample(range(n3), k2)
     k1 = max(1, int(round(rng.uniform(0.3, 0.9) * k2)))
-    a1 = rng.sample(a2, k1)
-    return ConvexTriple(LatticeSet(a1, dim), LatticeSet(a2, dim), LatticeSet(a3, dim),
-                        witness_regions="random nested subsets")
+    level = np.full(n3, 3, dtype=np.int8)
+    level[in2] = 2
+    level[[in2[i] for i in rng.sample(range(k2), k1)]] = 1
+    return np.array(sorted(a3_pts), dtype=np.int64), level
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +453,17 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
                     max_size: Optional[int] = None) -> ConvexTriple:
     """One deterministic draw from the rule's tuned instance distribution."""
     rule = _rule(lemma_id)
+    dim, lo, hi = _size_range(lemma_id, dim, min_size, max_size)
+    size = random.Random(seed).randint(lo, hi)
+    if lemma_id == "2.4":
+        return generate_nested_sets(dim, size, seed)
+    return generate_nested_triple(dim, size, seed, ratios=rule.ratios,
+                                  inner_dim=rule.inner_dim)
+
+
+def _size_range(lemma_id: str, dim, min_size, max_size) -> tuple[int, int, int]:
+    """The rule's (dim, least size, largest size), checked against the draw cap."""
+    rule = _rule(lemma_id)
     dim = rule.dim if dim is None else dim
     lo = rule.sizes[0] if min_size is None else min_size
     hi = rule.sizes[1] if max_size is None else max_size
@@ -444,12 +472,7 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
     if hi * dim > MAX_COORDINATES:
         raise InvariantViolation(f"rule {lemma_id} size {hi} in dim {dim} is past the cap: "
                                  f"size * dim may be at most {MAX_COORDINATES}")
-    rng = random.Random(seed)
-    size = rng.randint(lo, hi)
-    if lemma_id == "2.4":
-        return generate_nested_sets(dim, size, seed)
-    return generate_nested_triple(dim, size, seed, ratios=rule.ratios,
-                                  inner_dim=rule.inner_dim)
+    return dim, lo, hi
 
 
 def admissible_triple(lemma_id: str, master_seed: int, trial: int,
@@ -476,6 +499,8 @@ def admissible_triple(lemma_id: str, master_seed: int, trial: int,
 
 @dataclass
 class SuiteResult:
+    COLUMNS = ("lemma", "trial", "seed", "admissible", "lhs", "rhs", "satisfied", "n3", "draws")
+
     lemma: str
     master_seed: int
     trials: int
@@ -501,10 +526,9 @@ class SuiteResult:
         }
 
     def csv_rows(self):
-        header = ["lemma", "trial", "seed", "admissible", "lhs", "rhs", "satisfied", "n3", "draws"]
-        yield header
+        yield list(self.COLUMNS)
         for r in self.rows:
-            yield [r[k] for k in header]
+            yield [r[k] for k in self.COLUMNS]
 
 
 def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
@@ -521,36 +545,52 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
     """
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
-    if lemma_id == "2.4":
-        d = RULES["2.4"].dim if dim is None else dim
-        size = RULES["2.4"].sizes[1] if max_size is None else max_size
-        if size * (d + 1) * (size + d) > MAX_ARRANGED_WORK:
-            raise InvariantViolation(f"rule 2.4 size {size} in dim {d} is past the work cap: "
-                                     f"size * (dim + 1) * (size + dim) may be at most "
-                                     f"{MAX_ARRANGED_WORK}")
     result = SuiteResult(lemma_id, master_seed, trials)
+    if lemma_id == "2.4":
+        _run_arranged_suite(result, *_size_range("2.4", dim, min_size, max_size))
+        return result
     for trial in range(trials):
         triple, report, draws = admissible_triple(
             lemma_id, master_seed, trial, dim, min_size, max_size,
             max_draws=max_draws)
         seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
-        outcome = verify_lemma(lemma_id, triple)
-        row = {
-            "lemma": lemma_id,
-            "trial": trial,
-            "seed": seed,
-            "admissible": report.admissible,
-            "lhs": outcome.lhs_count,
-            "rhs": str(outcome.rhs_bound),
-            "satisfied": outcome.satisfied,
-            "n3": len(triple.a3),
-            "draws": draws,
-        }
-        result.rows.append(row)
-        if report.admissible and not outcome.satisfied:
-            result.violations.append({
-                **{k: row[k] for k in ("lemma", "trial", "seed", "lhs", "rhs")},
-                "triple": triple.to_json_dict(),
-                "hypotheses": HypothesisReport(lemma_id, report.checks + outcome.checks).to_json_dict(),
-            })
+        _record(result, trial, seed, draws, report.admissible, len(triple.a3),
+                verify_lemma(lemma_id, triple), lambda: (triple, report.checks))
     return result
+
+
+def _run_arranged_suite(result: SuiteResult, dim: int, lo: int, hi: int) -> None:
+    """Rule 2.4's trials, drawn and counted by `arranged_block_counts` a block
+    at a time. Every draw is admissible, so only a violated trial is drawn
+    again as a triple and has its hypotheses checked."""
+    if hi * (dim + 1) * (hi + dim) > MAX_ARRANGED_WORK:
+        raise InvariantViolation(f"rule 2.4 size {hi} in dim {dim} is past the work cap: "
+                                 f"size * (dim + 1) * (size + dim) may be at most "
+                                 f"{MAX_ARRANGED_WORK}")
+    block = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDINATES // max(1, hi * dim)))
+    for first in range(0, result.trials, block):
+        seeds = [derive_seed(derive_seed(result.master_seed, trial), 0)
+                 for trial in range(first, min(first + block, result.trials))]
+        drawn = [_draw_nested_levels(dim, random.Random(seed).randint(lo, hi), seed)
+                 for seed in seeds]
+        for trial, (seed, (a3, _), counts) in enumerate(
+                zip(seeds, drawn, arranged_block_counts(drawn)), first):
+            _record(result, trial, seed, 1, True, len(a3), _arranged_outcome(counts),
+                    lambda: (t := triple_for_rule("2.4", seed, dim, lo, hi),
+                             hypothesis_report("2.4", t).checks))
+
+
+def _record(result: SuiteResult, trial: int, seed: int, draws: int, admissible: bool, n3: int,
+            outcome: VerificationOutcome, witness) -> None:
+    """Add a trial's row; a violated admissible trial also records the triple
+    and hypothesis checks that `witness()` gives, and the outcome's checks."""
+    row = dict(zip(SuiteResult.COLUMNS, (result.lemma, trial, seed, admissible, outcome.lhs_count,
+                                         str(outcome.rhs_bound), outcome.satisfied, n3, draws)))
+    result.rows.append(row)
+    if admissible and not outcome.satisfied:
+        triple, checks = witness()
+        result.violations.append({
+            **{k: row[k] for k in ("lemma", "trial", "seed", "lhs", "rhs")},
+            "triple": triple.to_json_dict(),
+            "hypotheses": HypothesisReport(result.lemma, checks + outcome.checks).to_json_dict(),
+        })

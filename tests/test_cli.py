@@ -182,6 +182,7 @@ def test_rule_2_4_size_past_the_work_cap_is_65(capsys, monkeypatch, dim, size):
         raise AssertionError("drew a triple")
 
     monkeypatch.setattr(lemmas, "generate_nested_sets", no_draw)
+    monkeypatch.setattr(lemmas, "_draw_nested_levels", no_draw)
     sizes = [] if size is None else ["--min-size", size, "--max-size", size]
     code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "2.4", "--trials", "1",
                              "--dim", dim, *sizes)

@@ -756,6 +756,87 @@ def test_arranged_union_counts_need_nested_sets_of_one_dim():
         arranged_union_counts(LatticeSet([(0,)]), a, a)
 
 
+def leveled(a1, a2, a3):
+    """A triple as a block trial: a3's array and a level per point."""
+    return a3.array, np.array([1 if p in a1 else 2 if p in a2 else 3
+                               for p in a3.sorted_points()], dtype=np.int8)
+
+
+@pytest.fixture
+def oversized_calls(monkeypatch):
+    """Count the `_count_sums` calls, which only a trial of more than
+    `_BLOCK_PAIRS` pairs makes in `arranged_block_counts`."""
+    real, calls = lattice._count_sums, []
+
+    def counted(code_pairs, cells):
+        calls.append(cells)
+        return real(code_pairs, cells)
+
+    monkeypatch.setattr(lattice, "_count_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [lattice._BLOCK_PAIRS, 40], ids=["one-chunk", "chunk-edges"])
+def test_arranged_block_counts_match_the_oracle(monkeypatch, oversized_calls, arrangement_calls,
+                                                budget):
+    # blocks of 1-12 trials of mixed sizes, dims 1-6, negative minimums; at a
+    # budget of 40 pairs the blocks cross chunk edges, and the larger trials
+    # are chunks of their own
+    monkeypatch.setattr(lattice, "_BLOCK_PAIRS", budget)
+    rng = random.Random(28)
+    for _ in range(40):
+        dim = rng.randint(1, 6)
+        triples = [random_nested(rng, dim, rng.randint(1, 14),
+                                 [rng.choice((0, 1, 2, 4)) for _ in range(dim)],
+                                 base=rng.randint(-5, 2))
+                   for _ in range(rng.randint(1, 12))]
+        got = lattice.arranged_block_counts([leveled(*t) for t in triples])
+        assert got == [naive_arranged_counts(*t) for t in triples]
+    assert arrangement_calls == []
+    assert (oversized_calls != []) == (budget == 40)
+
+
+def test_arranged_block_counts_at_the_nesting_extremes(monkeypatch):
+    # empty a1, empty a2, a1 = a2 = a3 and empty a3 in one block, one chunk
+    # and then one trial per chunk
+    rng = random.Random(29)
+    for budget in (lattice._BLOCK_PAIRS, 1):
+        monkeypatch.setattr(lattice, "_BLOCK_PAIRS", budget)
+        for dim in range(1, 5):
+            triples = []
+            for which in ("empty-a1", "empty-a2", "all-equal", "empty-a3", "random"):
+                a1, a2, a3 = random_nested(rng, dim, rng.randint(1, 12), [2] * dim, base=-1)
+                empty = LatticeSet([], dim)
+                triples.append({"empty-a1": (empty, a2, a3), "empty-a2": (empty, empty, a3),
+                                "all-equal": (a3, a3, a3), "empty-a3": (empty, empty, empty),
+                                "random": (a1, a2, a3)}[which])
+            got = lattice.arranged_block_counts([leveled(*t) for t in triples])
+            assert got == [naive_arranged_counts(*t) for t in triples]
+            assert got[3] == [0] * (dim + 1)
+
+
+def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
+        monkeypatch, arrangement_calls, oversized_calls):
+    # a block of small trials, trials whose arranged frame is past int64 (the
+    # loop), and trials past a 60-pair budget (counted alone by _count_sums)
+    monkeypatch.setattr(lattice, "_BLOCK_PAIRS", 60)
+    rng = random.Random(30)
+    for _ in range(6):
+        dim = rng.randint(1, 3)
+        kinds = [rng.choice(("small", "past-int64", "oversized")) for _ in range(8)]
+        kinds[:3] = ["small", "past-int64", "oversized"]
+        rng.shuffle(kinds)
+        triples = [random_nested(rng, dim, {"small": 6, "past-int64": 8, "oversized": 40}[kind],
+                                 [20 if kind == "oversized" else 3] * dim,
+                                 base=2 ** 63 - 30 if kind == "past-int64" else -3)
+                   for kind in kinds]
+        loops = len(arrangement_calls)
+        got = lattice.arranged_block_counts([leveled(*t) for t in triples])
+        assert got == [naive_arranged_counts(*t) for t in triples]
+        assert len(arrangement_calls) - loops == 3 * dim * kinds.count("past-int64")
+    assert oversized_calls != []
+
+
 # ---------------------------------------------------------------------------
 # convexity predicates
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from autbounds import lemmas
 from autbounds.errors import InvariantViolation
-from autbounds.lattice import LatticeSet, dimension, longest_chain
+from autbounds.lattice import ConvexTriple, LatticeSet, dimension, longest_chain
 from autbounds.lemmas import (
     CHAIN_RATIO_EPSILON,
     RULES,
@@ -286,18 +286,24 @@ def test_violation_machinery_records_witness(monkeypatch):
 
 def test_violation_of_2_4_records_the_axis_steps(monkeypatch):
     # each count is larger than the one before, so every axis step fails
-    real = lemmas.arranged_union_counts
+    real = lemmas.arranged_block_counts
 
-    def growing(a1, a2, a3):
-        return [count + 10 ** 6 * step for step, count in enumerate(real(a1, a2, a3))]
+    def growing(block):
+        return [[count + 10 ** 6 * step for step, count in enumerate(counts)]
+                for counts in real(block)]
 
-    monkeypatch.setattr(lemmas, "arranged_union_counts", growing)
+    monkeypatch.setattr(lemmas, "arranged_block_counts", growing)
     res = run_lemma_suite("2.4", 2, master_seed=5, dim=3)
     assert res.violation_count == 2
     checks = res.violations[0]["hypotheses"]["checks"]
     assert [c["name"] for c in checks] == ["nested", "integrally_convex", "nonincreasing_axis_0",
                                            "nonincreasing_axis_1", "nonincreasing_axis_2"]
     assert [c["passed"] for c in checks] == [True, True, False, False, False]
+    # each witness replays the trial's draw, whose first count is unpatched
+    for row, wit in zip(res.rows, res.violations):
+        replay = ConvexTriple.from_json_dict(wit["triple"])
+        assert replay == triple_for_rule("2.4", row["seed"], dim=3)
+        assert wit["lhs"] == verify_lemma("2.4", replay).lhs_count
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,11 @@ def test_suite_checks_hypotheses_once_per_draw(monkeypatch, lemma):
 
     monkeypatch.setattr(lemmas, "hypothesis_report", counted)
     res = run_lemma_suite(lemma, 4, master_seed=4, dim=3)
-    assert len(calls) == sum(row["draws"] for row in res.rows)
+    if lemma == "2.4":
+        # every 2.4 draw is admissible: only a violation's record checks it
+        assert calls == [] and res.violation_count == 0
+    else:
+        assert len(calls) == sum(row["draws"] for row in res.rows)
 
 
 # sha256 of each suite body's sorted compact JSON at seed 20260808: a refactor
@@ -345,6 +355,24 @@ def test_suite_body_digest_is_pinned(lemma, trials, dim, digest):
     body = run_lemma_suite(lemma, trials, 20260808, dim=dim).to_json_body()
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("trials, dim, sizes", [(70, 1, (None, None)), (70, 3, (None, None)),
+                                                 (40, 6, (200, 300))],
+                         ids=["dim1", "dim3", "dim6-large"])
+def test_suite_2_4_rows_are_per_trial_verify_rows(trials, dim, sizes):
+    # 70 trials cross the 64-trial block edge; in dim 6 at 300 points a block
+    # holds 36 trials, and the larger ones pass the block kernel's pair budget
+    res = run_lemma_suite("2.4", trials, 31, dim=dim, min_size=sizes[0], max_size=sizes[1])
+    rows = []
+    for trial in range(trials):
+        seed = derive_seed(derive_seed(31, trial), 0)
+        t = triple_for_rule("2.4", seed, dim, *sizes)
+        out = verify_lemma("2.4", t)
+        rows.append({"lemma": "2.4", "trial": trial, "seed": seed, "admissible": True,
+                     "lhs": out.lhs_count, "rhs": str(out.rhs_bound), "satisfied": out.satisfied,
+                     "n3": len(t.a3), "draws": 1})
+    assert res.rows == rows
 
 
 def test_suite_2_4_small():
