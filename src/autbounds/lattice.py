@@ -712,9 +712,9 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
         return np.repeat(np.array(values, dtype=np.int64), sizes, axis=0)
 
     # each trial's points in level order: a1, then a2 - a1, then the rest
-    member = np.repeat(np.arange(len(trials)), sizes)
-    order = np.lexsort((np.concatenate(levels), member))
-    level, index = np.concatenate(levels)[order], np.arange(n)
+    member, level = np.repeat(np.arange(len(trials)), sizes), np.concatenate(levels)
+    order = np.lexsort((level, member))
+    level, index = level[order], np.arange(n)
     offset, mins, strides = per_point(offsets), per_point(mins), per_point(strides)
     radix = 2 * (per_point(maxs) - mins) + 1
     codes = ((np.concatenate(arrs)[order] - mins) * strides).sum(axis=1) + offset

@@ -59,10 +59,10 @@ MAX_COORDINATES = 1 << 20
 # trial at the largest admitted size took, on a 2-core Xeon: dim 1 (4,095
 # points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s at 47 MiB, dim 8 (1,926) 0.7 s
 # at 48 MiB, dim 24 (1,146) 1.5 s at 77 MiB, dim 500 (109) 25 s at 41 MiB and
-# dim 1000 (32) 33 s at 36 MiB; at 2**26 dim 500 (193 points) took 42 s.
+# dim 1000 (32) 33 s at 36 MiB; at 2**26, dim 500 (193 points) had taken 42 s.
 MAX_ARRANGED_WORK = 1 << 25
-# Rule 2.4's suite draws this many trials per `arranged_block_counts` call,
-# fewer when their largest size holds more A3 coordinates than the second
+# Rule 2.4's suite draws up to this many trials per `arranged_block_counts`
+# call, and no more than the second over its largest size times dim
 _BLOCK_TRIALS = 64
 _BLOCK_COORDINATES = 1 << 16
 
@@ -216,9 +216,8 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
 
     For "2.4" the outcome compares the mid-point union count before and after
     arranging along every axis in order; each single-axis step is a check.
-    One `arranged_union_counts` call gives all dim+1 counts from one encoding
-    of A3; only a triple whose arranged frame does not fit in int64 is counted
-    by the loop of `arrangement` and `union_midpoint_count`.
+    `arranged_union_counts` gives the dim+1 counts as a block of one triple;
+    the 2.4 suite counts its draws a block at a time, without triples.
     For the other rules the count is compared against the closed-form bound;
     on an inadmissible triple the comparison makes no claim.
     """
@@ -452,11 +451,11 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
                     min_size: Optional[int] = None,
                     max_size: Optional[int] = None) -> ConvexTriple:
     """One deterministic draw from the rule's tuned instance distribution."""
-    rule = _rule(lemma_id)
     dim, lo, hi = _size_range(lemma_id, dim, min_size, max_size)
     size = random.Random(seed).randint(lo, hi)
     if lemma_id == "2.4":
         return generate_nested_sets(dim, size, seed)
+    rule = RULES[lemma_id]
     return generate_nested_triple(dim, size, seed, ratios=rule.ratios,
                                   inner_dim=rule.inner_dim)
 

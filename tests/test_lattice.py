@@ -837,6 +837,18 @@ def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
     assert oversized_calls != []
 
 
+def test_arranged_block_counts_split_chunks_at_the_int64_code_space(monkeypatch):
+    # trials whose frames each hold about 2**60 cells: their shared code space
+    # would pass int64 from the fifth trial of a chunk, so chunks split there
+    rng = random.Random(31)
+    for dim in (1, 2, 3):
+        triples = [random_nested(rng, dim, 6, [3] * dim, base=2 ** (59 // dim)) for _ in range(9)]
+        for _, _, a3 in triples:  # each axis spans [0, hi_c] at least
+            assert prod(2 * max(p[c] for p in a3) + 1 for c in range(dim)) > 2 ** 59
+        got = lattice.arranged_block_counts([leveled(*t) for t in triples])
+        assert got == [naive_arranged_counts(*t) for t in triples]
+
+
 # ---------------------------------------------------------------------------
 # convexity predicates
 # ---------------------------------------------------------------------------

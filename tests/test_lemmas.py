@@ -362,7 +362,7 @@ def test_suite_body_digest_is_pinned(lemma, trials, dim, digest):
                          ids=["dim1", "dim3", "dim6-large"])
 def test_suite_2_4_rows_are_per_trial_verify_rows(trials, dim, sizes):
     # 70 trials cross the 64-trial block edge; in dim 6 at 300 points a block
-    # holds 36 trials, and the larger ones pass the block kernel's pair budget
+    # holds 36 trials, each past the block kernel's pair budget
     res = run_lemma_suite("2.4", trials, 31, dim=dim, min_size=sizes[0], max_size=sizes[1])
     rows = []
     for trial in range(trials):
