@@ -309,14 +309,6 @@ class CoverDatum:
             "branch": [list(b) for b in self.branch],
         }
 
-    @classmethod
-    def from_json_dict(cls, data) -> "CoverDatum":
-        return cls(
-            FiniteAbelianGroup(tuple(data["invariant_factors"])),
-            data["gamma"],
-            tuple(tuple(b) for b in data["branch"]),
-        )
-
 
 def _branch_fault(factors: tuple[int, ...], gamma: int, branch) -> Optional[str]:
     """Why nonzero-ness, sum zero or generation fails for the branch indices, or None."""
@@ -720,17 +712,3 @@ def example_family_49(m: int) -> CoverDatum:
 def records_to_json(records) -> list:
     return [r.to_json_dict() for r in records]
 
-
-def records_from_json(data) -> list[EnumerationRecord]:
-    out = []
-    for d in data:
-        datum = CoverDatum.from_json_dict(d)
-        out.append(EnumerationRecord(
-            datum=datum,
-            genus=d["genus"],
-            bound_tested=d["bound_tested"],
-            exceeds=d["exceeds"],
-            witnesses=tuple(Order2Witness(tuple(w["subgroup_generator"]), w["quotient_genus"])
-                            for w in d["witnesses"]),
-        ))
-    return out

@@ -7,13 +7,13 @@ bijection with the set of actual mid-points. numpy appears only as int64
 point arrays, bulk integer codes, bitmaps and difference arrays for pair
 sums, chains and arrangements; there is no floating point in this module.
 
-Every coordinate of a lattice set must fit in int64: a set is counted as an
-int64 array, and an operation on a set with a coordinate past int64 raises
-InvariantViolation. Sums, codes and frames past int64 stay exact (python ints).
+Every coordinate of a lattice set must fit in int64: a set is its int64
+array, and a coordinate past int64 raises InvariantViolation where the set is
+built. Sums, codes and frames past int64 stay exact (python ints).
 
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim,
-                    read as a lex-sorted int64 array
+                    held as a lex-sorted int64 array
     ConvexTriple    nested sets a1 <= a2 <= a3 (convexity validated on demand)
 
 Main operations
@@ -25,9 +25,10 @@ Main operations
     dimension, longest_chain, arrangement
     arranged_union_counts, arranged_block_counts
                            (rule 2.4's dim+1 union counts, a block of trials at a
-                            time in one int64 code space; a trial whose arranged
-                            frame does not fit in int64 takes the loop of
-                            arrangement and union_midpoint_count)
+                            time in one int64 code space, each trial framed by
+                            its own box; a trial whose frame does not fit in
+                            int64 takes the loop of arrangement and
+                            union_midpoint_count)
     in_convex_hull (exact rational simplex), is_integrally_convex,
     is_relatively_convex, lattice_points_in_hull
 """
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from operator import index
@@ -77,15 +79,15 @@ class LatticeSet:
     """A deduplicated finite set of integer points with a fixed ambient dim.
 
     Immutable; safe to share across workers, and pickled as its array. The
-    set is read as `array`, a lex-sorted, deduplicated, read-only (n, dim)
-    int64 array, which `from_array` stores directly; `points` (a frozenset of
-    int tuples) and `sorted_points()` are views filled on first use. A set
-    built from an iterable of integer points keeps its tuples and fills
-    `array` on first use, where a coordinate past int64 raises
-    InvariantViolation.
+    set is its `array`, a lex-sorted, deduplicated, read-only (n, dim) int64
+    array, filled where the set is built: a coordinate that is not an
+    integer, or that does not fit in int64, raises InvariantViolation there.
+    The array is column-major, so that the per-axis reductions of the frames
+    run along contiguous columns. `points`, a frozenset of int tuples, is a
+    view kept from the tuples the set was built from, or filled on first use.
     """
 
-    __slots__ = ("dim", "_points", "_array", "_sorted", "_rank")
+    __slots__ = ("dim", "array", "_points", "_rank")
 
     def __init__(self, points: Iterable[tuple[int, ...]], dim: Optional[int] = None):
         try:
@@ -102,7 +104,12 @@ class LatticeSet:
             dim = inferred
         elif dim is None:
             raise InvariantViolation("an empty LatticeSet needs an explicit dim")
-        self._fill(int(dim), pts, None)
+        try:
+            arr = np.array(sorted(pts), dtype=np.int64, order="F").reshape(len(pts), dim, order="F")
+        except OverflowError:
+            raise InvariantViolation("lattice coordinates must fit in int64") from None
+        arr.flags.writeable = False
+        self._fill(int(dim), arr, pts)
 
     @classmethod
     def from_array(cls, arr, dim: int) -> "LatticeSet":
@@ -118,14 +125,13 @@ class LatticeSet:
             arr = np.asfortranarray(arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]])
         arr.flags.writeable = False
         self = cls.__new__(cls)
-        self._fill(int(dim), None, arr)
+        self._fill(int(dim), arr, None)
         return self
 
-    def _fill(self, dim: int, points: Optional[frozenset], arr) -> None:
+    def _fill(self, dim: int, arr: np.ndarray, points: Optional[frozenset]) -> None:
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "array", arr)
         object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
@@ -140,20 +146,9 @@ class LatticeSet:
             object.__setattr__(self, "_points", frozenset(self.sorted_points()))
         return self._points
 
-    @property
-    def array(self) -> np.ndarray:
-        """The points as a lex-sorted, read-only (n, dim) int64 array. It is
-        column-major, so that the per-axis reductions of the frames run along
-        contiguous columns."""
-        if self._array is None:
-            arr = _int64_rows(self.sorted_points()).reshape(len(self), self.dim, order="F")
-            arr.flags.writeable = False
-            object.__setattr__(self, "_array", arr)
-        return self._array
-
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._points) if self._points is not None else len(self._array)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.points)
@@ -165,8 +160,7 @@ class LatticeSet:
         return (
             isinstance(other, LatticeSet)
             and self.dim == other.dim
-            and len(self) == len(other)
-            and self.issubset(other)
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self) -> int:
@@ -176,20 +170,11 @@ class LatticeSet:
         return f"LatticeSet(dim={self.dim}, n={len(self)})"
 
     def sorted_points(self) -> tuple[tuple[int, ...], ...]:
-        if self._sorted is None:
-            if self._points is None:
-                ordered = tuple(map(tuple, self._array.tolist()))
-            else:
-                ordered = tuple(sorted(self._points))
-            object.__setattr__(self, "_sorted", ordered)
-        return self._sorted
+        return tuple(map(tuple, self.array.tolist()))
 
     def issubset(self, other: "LatticeSet") -> bool:
-        """Every point of self lies in other. Two sets that both hold their
-        tuples compare those; otherwise self's points, once inside other's
+        """Every point of self lies in other: self's points, once inside other's
         box, are encoded in its frame and looked up in other's sorted codes."""
-        if self._points is not None and other._points is not None:
-            return self._points <= other._points
         mine, theirs = self.array, other.array
         if not len(mine):
             return True
@@ -208,19 +193,11 @@ class LatticeSet:
 
     # -- serialization ------------------------------------------------------
     def to_json(self):
-        return [list(p) for p in self.sorted_points()]
+        return self.array.tolist()
 
     @classmethod
     def from_json(cls, data, dim: Optional[int] = None) -> "LatticeSet":
         return cls((tuple(row) for row in data), dim)
-
-
-def _int64_rows(rows) -> np.ndarray:
-    """The rows of integer points as a column-major int64 array."""
-    try:
-        return np.array(rows, dtype=np.int64, order="F")
-    except OverflowError:
-        raise InvariantViolation("lattice coordinates must fit in int64") from None
 
 
 def _lex_increasing(arr: np.ndarray) -> bool:
@@ -366,11 +343,20 @@ def _count_sums(code_pairs, cells: int) -> int:
     in a bitmap, unless the codes fall into so few runs of consecutive
     integers that marking each run pair's interval of sums costs less; calls
     of under `_RUN_MIN_PAIRS` point pairs never look for runs. A wider frame
-    sorts all the sums.
+    sorts the sums: at once in a call of at most `_OUTER_CHUNK` of them, as
+    a merge would sort most of them twice, and otherwise a chunk at a time,
+    merging each chunk's distinct sums into those of the chunks before it.
     """
-    if cells > _DENSE_CELL_LIMIT:
-        return len(_distinct(np.concatenate([np.add.outer(a, b).ravel() for a, b in code_pairs])))
     pairs = sum(len(a) * len(b) for a, b in code_pairs)
+    if cells > _DENSE_CELL_LIMIT and pairs <= _OUTER_CHUNK:
+        return len(_distinct(np.concatenate([np.add.outer(a, b).ravel() for a, b in code_pairs])))
+    if cells > _DENSE_CELL_LIMIT:
+        seen = np.empty(0, dtype=np.int64)
+        for sums in _pair_sum_chunks(code_pairs):
+            seen = np.concatenate((seen, _distinct(sums)))
+            del sums
+            seen = _distinct(seen)
+        return len(seen)
     if pairs >= _RUN_MIN_PAIRS and cells <= _RUN_CELL_LIMIT:
         run_pairs = [(_runs(a), _runs(b)) for a, b in code_pairs]
         if _RUN_PAIR_COST * sum(len(ra[0]) * len(rb[0]) for ra, rb in run_pairs) < pairs:
@@ -388,14 +374,21 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _pair_sum_chunks(code_pairs) -> Iterator[np.ndarray]:
+    """The sums a+b of each code-array pair, at most `_OUTER_CHUNK` (or one
+    row of a) at a time. A caller drops each chunk before it takes the next."""
+    for codes_a, codes_b in code_pairs:
+        if len(codes_b):
+            rows = max(1, _OUTER_CHUNK // len(codes_b))
+            for start in range(0, len(codes_a), rows):
+                yield np.add.outer(codes_a[start:start + rows], codes_b).ravel()
+
+
 def _count_bitmap(code_pairs, cells: int) -> int:
     bitmap = np.zeros(cells, dtype=bool)
-    for codes_a, codes_b in code_pairs:
-        if not len(codes_a) or not len(codes_b):
-            continue
-        rows = max(1, _OUTER_CHUNK // len(codes_b))
-        for start in range(0, len(codes_a), rows):
-            bitmap[np.add.outer(codes_a[start:start + rows], codes_b).ravel()] = True
+    for sums in _pair_sum_chunks(code_pairs):
+        bitmap[sums] = True
+        del sums
     return int(np.count_nonzero(bitmap))
 
 
@@ -415,16 +408,12 @@ def _count_runs(run_pairs, cells: int) -> int:
     `_OUTER_CHUNK` run pairs at a time, and a sum is reached exactly where
     the running total is positive."""
     diff = np.zeros(cells + 1, dtype=np.int64)
-    for (firsts_a, lasts_a), (firsts_b, lasts_b) in run_pairs:
-        if not len(firsts_a) or not len(firsts_b):
-            continue
-        rows = max(1, _OUTER_CHUNK // len(firsts_b))
-        for start in range(0, len(firsts_a), rows):
-            stop = start + rows
-            diff += np.bincount(np.add.outer(firsts_a[start:stop], firsts_b).ravel(),
-                                minlength=cells + 1)
-            diff -= np.bincount(np.add.outer(lasts_a[start:stop], lasts_b).ravel() + 1,
-                                minlength=cells + 1)
+    for firsts in _pair_sum_chunks([(fa, fb) for (fa, _), (fb, _) in run_pairs]):
+        diff += np.bincount(firsts, minlength=cells + 1)
+        del firsts
+    for lasts in _pair_sum_chunks([(la, lb) for (_, la), (_, lb) in run_pairs]):
+        diff[1:] -= np.bincount(lasts, minlength=cells)
+        del lasts
     return int(np.count_nonzero(np.cumsum(diff, out=diff)))
 
 
@@ -638,15 +627,9 @@ def arrangement(a: LatticeSet, axis: int) -> LatticeSet:
     """
     if not 0 <= axis < a.dim:
         raise InvariantViolation(f"axis {axis} out of range for dim {a.dim}")
-    fibers: dict[tuple[int, ...], int] = {}
-    for p in a:
-        key = p[:axis] + p[axis + 1:]
-        fibers[key] = fibers.get(key, 0) + 1
-    new_pts = []
-    for key, size in fibers.items():
-        for i in range(size):
-            new_pts.append(key[:axis] + (i,) + key[axis:])
-    return LatticeSet(new_pts, a.dim)
+    fibers = Counter(p[:axis] + p[axis + 1:] for p in a)
+    return LatticeSet([key[:axis] + (i,) + key[axis:] for key, size in fibers.items()
+                       for i in range(size)], a.dim)
 
 
 def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
@@ -666,24 +649,25 @@ def arranged_block_counts(block) -> list[list[int]]:
     of a block: a3's points as an (n, dim) int64 array, and a level per point,
     1 in a1, 2 in a2 - a1 and 3 in the rest.
 
-    A trial's sum frame fits every arranging step: axis c spans [min(lo_c, 0),
-    max(hi_c, hi_c - lo_c)], as a fiber holds at most hi_c - lo_c + 1 points.
-    Trials are counted in chunks of at most `_BLOCK_PAIRS` point pairs; a
-    larger trial is a chunk of its own, and one whose frame does not fit in
-    int64 takes the loop of `arrangement` and `union_midpoint_count`.
+    A trial's sum frame is that of its own box [lo, hi]. Arranging commutes
+    with translation, so a step may move the r-th point of a fiber to lo_c + r
+    in place of r; a fiber holds at most hi_c - lo_c + 1 points, so the frame
+    fits every step. Trials are counted in chunks of at most `_BLOCK_PAIRS`
+    point pairs; a larger trial is a chunk of its own, and one whose frame
+    does not fit in int64 takes the loop of `arrangement` and
+    `union_midpoint_count`.
     """
     counts, chunk, chunk_pairs, chunk_cells = [], [], 0, 0
     for arr, level in block:
         dim = arr.shape[1]
         lo, hi = (arr.min(axis=0).tolist(), arr.max(axis=0).tolist()) if len(arr) else ([0] * dim,) * 2
-        mins, maxs = [min(x, 0) for x in lo], [max(y, y - x) for x, y in zip(lo, hi)]
-        strides, cells = _frame_strides(mins, maxs)
+        strides, cells = _frame_strides(lo, hi)
         if chunk and (cells > _INT64_MAX or chunk_pairs + len(arr) ** 2 > _BLOCK_PAIRS
                       or 2 * chunk_cells + cells > _INT64_MAX):
             counts += _arranged_chunk_counts(chunk)
             chunk, chunk_pairs, chunk_cells = [], 0, 0
         if cells <= _INT64_MAX:
-            chunk.append((arr, level, mins, maxs, strides, cells))
+            chunk.append((arr, level, lo, hi, strides, cells))
             chunk_pairs, chunk_cells = chunk_pairs + len(arr) ** 2, chunk_cells + cells
             continue
         sets = [LatticeSet.from_array(arr[level <= top], dim) for top in (1, 3, 2)]  # a1, a3, a2
@@ -695,15 +679,15 @@ def arranged_block_counts(block) -> list[list[int]]:
 
 
 def _arranged_chunk_counts(trials) -> list[list[int]]:
-    """The arranged counts of a chunk of trials (a3, level, mins, maxs,
-    strides, cells), in one code space where trial t is offset by the cells
-    of those before it, so that its sums lie in [2 O_t, 2 O_t + cells_t).
-    Arranged nested sets stay nested: a step sorts the points by (trial,
-    fiber, level), and the r-th point of a fiber moves to coordinate r and
-    keeps its level. So the union's pairs, inside a2 and in a1 x (a3 - a2),
-    are listed once, unless the chunk is one trial past `_BLOCK_PAIRS` point
-    pairs, which `_count_sums` counts at each step."""
-    arrs, levels, mins, maxs, strides, cells = zip(*trials)
+    """The arranged counts of a chunk of trials (a3, level, lo, hi, strides,
+    cells), in one code space where trial t is offset by the cells of those
+    before it, so that its sums lie in [2 O_t, 2 O_t + cells_t). Arranged
+    nested sets stay nested: a step sorts the points by (trial, fiber,
+    level), and the r-th point of a fiber moves to digit r and keeps its
+    level. So the union's pairs, inside a2 and in a1 x (a3 - a2), are listed
+    once, unless the chunk is one trial past `_BLOCK_PAIRS` point pairs,
+    which `_count_sums` counts at each step."""
+    arrs, levels, lo, hi, strides, cells = zip(*trials)
     sizes = np.array([len(arr) for arr in arrs])
     n, dim = int(sizes.sum()), arrs[0].shape[1]
     offsets = np.cumsum((0,) + cells[:-1]).astype(np.int64)
@@ -715,9 +699,9 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
     member, level = np.repeat(np.arange(len(trials)), sizes), np.concatenate(levels)
     order = np.lexsort((level, member))
     level, index = level[order], np.arange(n)
-    offset, mins, strides = per_point(offsets), per_point(mins), per_point(strides)
-    radix = 2 * (per_point(maxs) - mins) + 1
-    codes = ((np.concatenate(arrs)[order] - mins) * strides).sum(axis=1) + offset
+    offset, lo, strides = per_point(offsets), per_point(lo), per_point(strides)
+    radix = 2 * (per_point(hi) - lo) + 1
+    codes = ((np.concatenate(arrs)[order] - lo) * strides).sum(axis=1) + offset
     if n ** 2 <= _BLOCK_PAIRS or len(trials) > 1:
         # the pairs (p, q >= p) inside a2, then a1 x (a3 - a2), as runs of q
         first = per_point(np.cumsum(sizes) - sizes)
@@ -747,7 +731,7 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
         start = np.zeros(n, dtype=np.int64)
         start[1:] = np.where(sorted_key[1:] != sorted_key[:-1], index[1:], 0)
         rank[by_fiber] = index - np.maximum.accumulate(start)
-        codes = key + (rank - mins[:, c]) * strides[:, c]
+        codes = key + rank * strides[:, c]
         steps.append(union_counts())
     return [list(trial_counts) for trial_counts in zip(*steps)]
 
@@ -827,8 +811,7 @@ def lattice_points_in_hull(a: LatticeSet, max_candidates: int = 200_000) -> Latt
     if not len(a):
         return a
     pts = a.sorted_points()
-    lo = [min(p[c] for p in pts) for c in range(a.dim)]
-    hi = [max(p[c] for p in pts) for c in range(a.dim)]
+    lo, hi = a.array.min(axis=0).tolist(), a.array.max(axis=0).tolist()
     count = prod(h - l + 1 for l, h in zip(lo, hi))
     if count > max_candidates:
         raise InvariantViolation(

@@ -21,7 +21,6 @@ from autbounds.covers import (
     lemma43_admissible,
     order2_witnesses,
     quotient_genus,
-    records_from_json,
     records_to_json,
     signature_table,
     _orbit,
@@ -408,15 +407,6 @@ def test_cyclic_run_is_empty():
     recs = enumerate_extremal(range(3, 9), LinearBound.parse("2g+2"),
                               gamma=0, k_min=4, assume_cyclic=True)
     assert recs == []
-
-
-def test_records_json_round_trip():
-    recs = enumerate_extremal(range(2, 9), LinearBound.parse("3g+6"),
-                              require_no_hyperelliptic_witness=True)
-    data = json.loads(json.dumps(records_to_json(recs)))
-    back = records_from_json(data)
-    assert [r.signature_tuple for r in back] == [r.signature_tuple for r in recs]
-    assert [r.datum for r in back] == [r.datum for r in recs]
 
 
 # ---------------------------------------------------------------------------

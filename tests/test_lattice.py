@@ -87,6 +87,7 @@ def random_set(rng, dim, max_points=50, spread=6):
 def test_lattice_set_dedup_and_dim():
     s = LatticeSet([(1, 2), (1, 2), (0, 0)])
     assert len(s) == 2 and s.dim == 2
+    assert s == LatticeSet([(0, 0), (1, 2)]) and s != LatticeSet([(0, 0), (1, 3)])
 
 
 def test_lattice_set_mixed_dims_rejected():
@@ -195,24 +196,18 @@ def test_from_array_rejects_bad_input():
 
 
 def test_coordinates_past_int64_are_rejected():
-    for base in (2 ** 63, -2 ** 63 - 1):
-        for count in (lambda a: midpoint_count(a, a), longest_chain, dimension,
-                      lambda a: arranged_union_counts(a, a, a)):
-            with pytest.raises(InvariantViolation, match="must fit in int64"):
-                count(LatticeSet([(base, 0), (0, 0), (1, 0)]))
-
-
-def test_sets_past_int64_keep_the_tuple_path():
-    # a set with a coordinate past int64 still holds its points as python-int
-    # tuples; only its int64 array, and so every count, refuses it
-    base = 2 ** 63 + 5
-    pts = [(base, 0), (base + 1, 0), (base + 2, 0), (base + 3, 1), (base + 1, 2)]
-    a = LatticeSet(pts)
-    assert a.sorted_points() == tuple(sorted(pts)) and len(a) == 5 and (base + 1, 2) in a
-    assert a == LatticeSet(a.sorted_points()) and a.issubset(a) and hash(a) == hash(LatticeSet(pts))
-    assert a.to_json() == [list(p) for p in sorted(pts)]
-    with pytest.raises(InvariantViolation, match="must fit in int64"):
-        a.array
+    # a coordinate past int64 is refused where the set is built, from tuples
+    # and from JSON, so no count ever sees one
+    good = {"dim": 2, "a1": [[0, 0]], "a2": [[0, 0], [1, 0]], "a3": [[0, 0], [1, 0], [0, 1]]}
+    for far in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(InvariantViolation, match="must fit in int64"):
+            LatticeSet([(far, 0), (0, 0), (1, 0)])
+        with pytest.raises(InvariantViolation, match="must fit in int64"):
+            LatticeSet.from_json([[0, far]], 2)
+        with pytest.raises(InvariantViolation, match="must fit in int64"):
+            ConvexTriple.from_json_dict({**good, "a3": good["a3"] + [[far, 0]]})
+    edge = LatticeSet([(2 ** 63 - 1, 0), (-2 ** 63, 0)])  # int64's own extremes fit
+    assert edge.sorted_points() == ((-2 ** 63, 0), (2 ** 63 - 1, 0))
 
 
 def test_coordinates_must_be_integers():
@@ -289,6 +284,29 @@ def test_sparse_counting_path_matches_dense(monkeypatch):
         assert cells == (10 * scale + 1) ** 4 and _DENSE_CELL_LIMIT < cells
         assert (cells <= lattice._INT64_MAX) == (scale == 1_000)
         assert (midpoint_count(far, far), union_midpoint_count(sub_far, far, sub_far)) == expected
+
+
+def test_sorted_sums_merge_across_chunks(monkeypatch):
+    # a frame past the bitmap sorts its sums a chunk at a time: chunks of 1-7
+    # sums end inside and at the end of rows, and sums repeat across chunks
+    # and across the two pairs of a union
+    def no_dense(*args):
+        raise AssertionError("counted in a dense frame")
+
+    monkeypatch.setattr(lattice, "_count_bitmap", no_dense)
+    monkeypatch.setattr(lattice, "_runs", no_dense)
+    rng = random.Random(41)
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(lattice, "_OUTER_CHUNK", chunk)
+        for _ in range(20):
+            dim = rng.randint(1, 3)
+            scale = {1: 10 ** 7, 2: 10 ** 4, 3: 10 ** 3}[dim]
+            a, b = (LatticeSet([tuple(c * scale for c in p) for p in random_set(rng, dim, 12)], dim)
+                    for _ in range(2))
+            both = LatticeSet(a.points | b.points, dim)
+            assert _DENSE_CELL_LIMIT < lattice._sum_frame([both])[2] <= lattice._INT64_MAX
+            assert midpoint_count(a, b) == len(naive_midpoints(a, b))
+            assert union_midpoint_count(a, b, a) == naive_union_count(a, b, a)
 
 
 def test_pair_sums_past_int64_are_exact():
@@ -727,25 +745,41 @@ def test_arranged_union_counts_past_the_dense_limit(arrangement_calls):
     assert arrangement_calls == []
 
 
+def far_apart(triple, start):
+    """The nested triple with two points 2**62 apart along axis 0 joined to
+    a3, whose own sum frame then passes int64."""
+    a1, a2, a3 = triple
+    p = (start,) * a3.dim
+    return a1, a2, LatticeSet(a3.points | {p, (start + 2 ** 62,) + p[1:]}, a3.dim)
+
+
+def frame_cells(a3):
+    """The cells of the sum frame `arranged_block_counts` gives a3's trial."""
+    return lattice._frame_strides(a3.array.min(axis=0).tolist(), a3.array.max(axis=0).tolist())[1]
+
+
 @pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4, 2 ** 63 + 5],
                          ids=["near-max", "near-min", "past-max"])
 def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base):
-    # near +-2**63 the points fit in int64 but the arranged frame, which also
-    # holds the new coordinates 0, 1, ..., does not; past 2**63 the points do
-    # not fit either, and are refused before the loop
+    # near +-2**63 the points and each trial's own frame fit in int64, so the
+    # kernel counts them; only a trial whose own span passes int64 takes the
+    # loop. Past 2**63 the points do not fit, and are refused where the sets
+    # are built.
     rng = random.Random(27)
     for _ in range(10):
         dim = rng.randint(1, 3)
-        a1, a2, a3 = random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
         if base > lattice._INT64_MAX:
             with pytest.raises(InvariantViolation, match="must fit in int64"):
-                arranged_union_counts(a1, a2, a3)
-            assert arrangement_calls == []
+                random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
             continue
-        expected = naive_arranged_counts(a1, a2, a3)
-        calls = len(arrangement_calls)
-        assert arranged_union_counts(a1, a2, a3) == expected
-        assert len(arrangement_calls) - calls == 3 * dim
+        triple = random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
+        assert arranged_union_counts(*triple) == naive_arranged_counts(*triple)
+        assert arrangement_calls == []
+        wide = far_apart(triple, base - 2 ** 62 if base > 0 else base)
+        assert frame_cells(wide[2]) > lattice._INT64_MAX
+        assert arranged_union_counts(*wide) == naive_arranged_counts(*wide)
+        assert len(arrangement_calls) == 3 * dim
+        arrangement_calls.clear()
 
 
 def test_arranged_union_counts_need_nested_sets_of_one_dim():
@@ -817,7 +851,7 @@ def test_arranged_block_counts_at_the_nesting_extremes(monkeypatch):
 
 def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
         monkeypatch, arrangement_calls, oversized_calls):
-    # a block of small trials, trials whose arranged frame is past int64 (the
+    # a block of small trials, trials whose own frame is past int64 (the
     # loop), and trials past a 60-pair budget (counted alone by _count_sums)
     monkeypatch.setattr(lattice, "_BLOCK_PAIRS", 60)
     rng = random.Random(30)
@@ -826,10 +860,11 @@ def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
         kinds = [rng.choice(("small", "past-int64", "oversized")) for _ in range(8)]
         kinds[:3] = ["small", "past-int64", "oversized"]
         rng.shuffle(kinds)
-        triples = [random_nested(rng, dim, {"small": 6, "past-int64": 8, "oversized": 40}[kind],
-                                 [20 if kind == "oversized" else 3] * dim,
-                                 base=2 ** 63 - 30 if kind == "past-int64" else -3)
+        triples = [random_nested(rng, dim, {"small": 6, "past-int64": 6, "oversized": 40}[kind],
+                                 [20 if kind == "oversized" else 3] * dim, base=-3)
                    for kind in kinds]
+        triples = [far_apart(t, -3) if kind == "past-int64" else t
+                   for t, kind in zip(triples, kinds)]
         loops = len(arrangement_calls)
         got = lattice.arranged_block_counts([leveled(*t) for t in triples])
         assert got == [naive_arranged_counts(*t) for t in triples]
@@ -838,15 +873,28 @@ def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
 
 
 def test_arranged_block_counts_split_chunks_at_the_int64_code_space(monkeypatch):
-    # trials whose frames each hold about 2**60 cells: their shared code space
-    # would pass int64 from the fifth trial of a chunk, so chunks split there
+    # trials whose own frames each hold about 2**60 cells: their shared code
+    # space would pass int64 from the fifth trial of a chunk, so chunks split
+    # there
+    real, chunks = lattice._arranged_chunk_counts, []
+
+    def counted(trials):
+        chunks.append(len(trials))
+        return real(trials)
+
+    monkeypatch.setattr(lattice, "_arranged_chunk_counts", counted)
     rng = random.Random(31)
     for dim in (1, 2, 3):
-        triples = [random_nested(rng, dim, 6, [3] * dim, base=2 ** (59 // dim)) for _ in range(9)]
-        for _, _, a3 in triples:  # each axis spans [0, hi_c] at least
-            assert prod(2 * max(p[c] for p in a3) + 1 for c in range(dim)) > 2 ** 59
+        side = 2 ** (60 // dim - 1)  # a frame of (2 * side + 1) ** dim cells
+        triples = []
+        for _ in range(9):
+            a1, a2, a3 = random_nested(rng, dim, 6, [side // 2] * dim, base=side // 2)
+            triples.append((a1, a2, LatticeSet(a3.points | {(0,) * dim, (side,) * dim}, dim)))
+            assert 2 ** 59 < frame_cells(triples[-1][2]) <= lattice._INT64_MAX
+        chunks.clear()
         got = lattice.arranged_block_counts([leveled(*t) for t in triples])
         assert got == [naive_arranged_counts(*t) for t in triples]
+        assert sum(chunks) == 9 and max(chunks) < 9
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,9 @@ _PINNED_SUITES = [
     ("2.5", 10, None, "fb7d2d374d4db770ed475269918ead42aa5d1a2d5eb692281febaf4eb2a23793"),
     ("2.7", 10, None, "ae05bd77fec918a0b7a26736b360f14faef00b862b75444738d4176f3517e5cc"),
     ("2.6", 1, None, "051dbbe2dce7cd8e28bc78a9f14066385f1c264dcb091b22543f5925001aa183"),
-    # dim 12's arranged frame passes the bitmap but fits int64 (np.unique);
-    # dim 24's passes int64 (the loop of arrangement and python-int sums)
+    # dim 12's frame passes the bitmap but fits int64 (the block kernel's
+    # sorted sums); dim 24's passes int64 (the loop of arrangement and
+    # python-int sums)
     ("2.4", 20, 12, "06b76d0fa55f3708d2be31771890aeae22752d5cf289f4a3d70dce19fb677d1b"),
     ("2.4", 20, 24, "d97ac89225a904134d35264062d56e89768b8fbb52ab9a0baf45e07c72434afc"),
 ]
