@@ -224,6 +224,29 @@ def _orbit(factors: tuple[int, ...], start, keep_positions: bool = False) -> set
     return orbit
 
 
+@lru_cache(maxsize=None)
+def _pool(factors: tuple[int, ...]) -> list[int]:
+    """The nonzero element indices by (order, index), as :func:`branch_data_for` picks them."""
+    multiples = _multiples(factors)
+    return sorted(range(1, len(multiples)), key=lambda i: (len(multiples[i]), i))
+
+
+@lru_cache(maxsize=None)
+def _root_positions(factors: tuple[int, ...]) -> list[int]:
+    """The pool positions that are least in their own Aut(G) orbit on elements,
+    ascending; each orbit is the closure of one element under :func:`_aut_generators`."""
+    gens, covered, roots = _aut_generators(factors), set(), []
+    for p, x in enumerate(_pool(factors)):
+        if x not in covered:
+            roots.append(p)
+            orbit = frontier = {x}
+            while frontier:
+                frontier = {g[y] for y in frontier for g in gens} - orbit
+                orbit = orbit | frontier
+            covered |= orbit
+    return roots
+
+
 def abelian_groups_of_order(n: int) -> tuple[FiniteAbelianGroup, ...]:
     """Every abelian group of order n, by invariant factors."""
     if n < 1:
@@ -550,22 +573,24 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
     leaves fall into whole orbits. The first leaf of an orbit that passes
     the generation test becomes the class's datum, and its :func:`_orbit`, a
     set of sorted index tuples, joins `seen`; later leaves in it are skipped.
+
+    Root rule: the first pick is one of :func:`_root_positions`, least in
+    its Aut(G) orbit. Picks ascend, so it is the leaf's least position; an
+    automorphism that lowers it maps the leaf to a lex-smaller leaf of the
+    same size, reached first, so the leaf cannot be its class's datum.
     """
     n = group.order
     target = (2 * genus - 2) - n * (2 * gamma - 2)
     if target < 0:
         return []
     factors, elements = group.invariant_factors, group.elements()
-    add = _addition_table(factors)
-    neg = [row.index(0) for row in add]
-    orders = [len(ms) for ms in _multiples(factors)]
-    pool = sorted(range(1, n), key=lambda i: (orders[i], i))
-    weights = [n - n // orders[i] for i in pool]
+    add, multiples, pool = _addition_table(factors), _multiples(factors), _pool(factors)
+    weights = [n - n // len(multiples[i]) for i in pool]
     position = {x: p for p, x in enumerate(pool)}
-    seen: set[tuple[int, ...]] = set()
-    found: list[CoverDatum] = []
+    closer = [position.get(row.index(0), -1) for row in add]  # where -x sits; -1 for x = 0
+    seen, found = set(), []  # sorted index tuples, CoverDatum
 
-    def leaf(chosen: list[int]):
+    def leaf(chosen: tuple[int, ...]):
         idx = tuple(sorted(chosen))
         if len(idx) < k_min or idx in seen:
             return
@@ -573,23 +598,23 @@ def branch_data_for(group: FiniteAbelianGroup, gamma: int, genus: int,
             found.append(CoverDatum(group, gamma, tuple(elements[i] for i in idx)))
             seen.update(_orbit(factors, idx))
 
-    def rec(start: int, remaining: int, total: int, chosen: list[int]):
-        for p in range(start, len(pool)):
-            if 2 * (remaining - weights[p]) < n:  # weights ascend
+    def rec(picks, remaining: int, total: int, chosen: tuple[int, ...]):
+        row = add[total]
+        for p in picks:
+            left = remaining - weights[p]
+            if 2 * left < n:  # weights ascend
                 break
-            chosen.append(pool[p])
-            rec(p, remaining - weights[p], add[total][pool[p]], chosen)
-            chosen.pop()
-        last = position.get(neg[total])  # None when the sum is already zero
-        if last is not None and last >= start and weights[last] == remaining:
-            chosen.append(pool[last])
-            leaf(chosen)
-            chosen.pop()
+            below = row[pool[p]]
+            if 2 * (left - weights[p]) >= n:  # else no further pick fits
+                rec(range(p, len(pool)), left, below, chosen + (pool[p],))
+            last = closer[below]  # -1 when the sum is already zero
+            if last >= p and weights[last] == left:
+                leaf(chosen + (pool[p], pool[last]))
 
     if target == 0:
-        leaf([])
+        leaf(())
     else:
-        rec(0, target, 0, [])
+        rec(_root_positions(factors), target, 0, ())  # the root rule above
     found.sort(key=lambda d: (d.signature(), d.branch))
     return found
 

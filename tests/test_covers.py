@@ -24,6 +24,8 @@ from autbounds.covers import (
     records_to_json,
     signature_table,
     _orbit,
+    _pool,
+    _root_positions,
 )
 from autbounds.errors import InvariantViolation
 from functools import lru_cache
@@ -34,6 +36,7 @@ from tests_oracles import (
     naive_branch_data_for,
     naive_canonical_branch,
     naive_cover_conditions,
+    naive_element_orbit_keys,
     naive_quotient_rank,
     naive_subgroup,
 )
@@ -298,7 +301,7 @@ def test_branch_data_signature_uniqueness_for_family_groups():
         assert {d.signature() for d in data} == {(3 * m, 3 * m, 3)}
 
 
-BRANCH_ORACLE_GROUPS = [g for g in ORACLE_GROUPS if g.order <= 16]
+BRANCH_ORACLE_GROUPS = [g for g in ORACLE_GROUPS if g.order <= 24]
 
 
 @pytest.mark.parametrize("group", BRANCH_ORACLE_GROUPS, ids=str)
@@ -310,6 +313,51 @@ def test_branch_data_match_naive_oracle(group):
             for k_min in (0, 4):
                 assert branch_data_for(group, gamma, genus, k_min) \
                     == naive_branch_data_for(group, gamma, genus, k_min), (gamma, genus, k_min)
+
+
+def _pool_by_tuples(group):
+    """branch_data_for's pool, the nonzero element indices by (order, element), from tuples."""
+    elements = group.elements()
+    return sorted(range(1, group.order), key=lambda i: (group.element_order(elements[i]), elements[i]))
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=str)
+def test_root_positions_are_the_orbit_minima_of_the_aut_rows(group):
+    # the orbit of the element of index x is column x of the Aut(G) rows
+    pool = _pool_by_tuples(group)
+    position = {x: p for p, x in enumerate(pool)}
+    columns = group.automorphisms().T.tolist()
+    assert _pool(group.invariant_factors) == pool
+    assert _root_positions(group.invariant_factors) == [
+        p for p, x in enumerate(pool) if min(position[y] for y in columns[x]) == p]
+    # the orbit keys of the oracle below split the elements as the rows do
+    keys = naive_element_orbit_keys(group)
+    elements = group.elements()
+    for x, column in enumerate(columns):
+        assert {i for i, y in enumerate(elements) if keys[y] == keys[elements[x]]} == set(column)
+
+
+@pytest.mark.parametrize("group", [g for n in range(1, 33) for g in abelian_groups_of_order(n)],
+                         ids=str)
+def test_first_pick_of_every_datum_is_an_orbit_minimum(group):
+    # the least pool position of a datum's branch is least in its Aut(G) orbit,
+    # with orbits told apart by naive_element_orbit_keys, so (Z/2)^5 needs no Aut(G)
+    pool, elements = _pool_by_tuples(group), group.elements()
+    keys = naive_element_orbit_keys(group)
+    least = {}
+    for p, x in enumerate(pool):
+        least.setdefault(keys[elements[x]], p)
+    position = {elements[x]: p for p, x in enumerate(pool)}
+    picks = 0
+    for gamma in range(3):
+        first = group.order * (gamma - 1) + 1  # the genus of target 0
+        for genus in range(first, first + group.order + 3):
+            for datum in branch_data_for(group, gamma, genus):
+                if datum.branch:
+                    p = min(position[b] for b in datum.branch)
+                    assert least[keys[elements[pool[p]]]] == p, (gamma, genus, datum.branch)
+                    picks += 1
+    assert picks or group.order == 1
 
 
 def test_unramified_double_cover_of_genus_2_is_found():
@@ -335,12 +383,17 @@ _PINNED_SEARCHES = [
      "dfe165e636ed227879dc33dd675baeeb4e1e196fbc8d7a19c191ee8c3c2ff2b8"),
     ("0g+0", 2, 7, dict(gamma=2),
      "53662cebe2ad069eb36b0bba89fb113540aaa6659c3e80fcae47ccbb9c1834d1"),
+    # computed before the search started only at orbit minima
+    ("2g", 2, 12, {},
+     "8bc853f2294502625bb451e8c716f8cc09d9f7f3780b63fd7d69373873574aac"),
+    ("0g+0", 11, 16, {},
+     "461fdebd099381b161b8bfd4893dac9a10c49d9fe3d8f80f011bf62ba9a95471"),
 ]
 
 
 @pytest.mark.parametrize("bound, gmin, gmax, filters, digest", _PINNED_SEARCHES,
                          ids=["fermat", "variable-moduli", "cyclic", "3g+6-to-12",
-                              "all-to-6", "all-gamma-2-to-7"])
+                              "all-to-6", "all-gamma-2-to-7", "2g-to-12", "all-11-to-16"])
 def test_search_records_digest_is_pinned(bound, gmin, gmax, filters, digest):
     records = enumerate_extremal(range(gmin, gmax + 1), LinearBound.parse(bound), **filters)
     text = json.dumps(records_to_json(records), sort_keys=True, separators=(",", ":"))

@@ -8,6 +8,7 @@ test for arrangement, the staircase predicate `naive_staircase` as a
 whole-box check (the box between the origin and each point lies in the
 set), a point-by-point gauge scan for the convex generator, automorphisms
 as element->element dicts filtered from every tuple of generator images,
+element orbits told apart by which multiples lie in which multiple subgroups,
 subgroups by breadth-first search on tuples, quotient ranks as the fewest
 extra generators, every weight-exact multiset for the cover classes, the
 closed-form count of Hillar & Rhea, and a level-by-level scan for the
@@ -195,6 +196,23 @@ def naive_automorphisms(factors):
         if len(set(table.values())) == len(elements):
             auts.append(table)
     return tuple(auts)
+
+
+def naive_element_orbit_keys(group):
+    """Element -> an Aut(G)-invariant that tells the element orbits apart:
+    the pairs (m, h) of divisors of exp(G) with m*x in h*G, by brute force.
+
+    On a p-group these pairs give the order of x and the heights of x, px,
+    p^2x, ..., and two elements of a finite abelian p-group with the same
+    heights are automorphic (Kaplansky, Infinite Abelian Groups, 1954). Both
+    sides split over the p-parts, as Aut(G) is the product of the Aut(G_p).
+    """
+    exp = group.exponent
+    divisors = [d for d in range(1, exp + 1) if exp % d == 0]
+    images = {h: {group.scale(h, y) for y in group.elements()} for h in divisors}
+    return {x: frozenset((m, h) for m in divisors for h in divisors
+                         if group.scale(m, x) in images[h])
+            for x in group.elements()}
 
 
 def naive_canonical_branch(group, branch):
