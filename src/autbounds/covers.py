@@ -20,7 +20,7 @@ degree sum, capping k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -306,6 +306,7 @@ class CoverDatum:
     group: FiniteAbelianGroup
     quotient_genus: int
     branch: tuple[Element, ...]
+    _signature: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.group
@@ -322,8 +323,12 @@ class CoverDatum:
         return len(self.branch)
 
     def signature(self) -> tuple[int, ...]:
-        """Ramification indices r_1 >= r_2 >= ... >= r_k."""
-        return tuple(sorted((self.group.element_order(b) for b in self.branch), reverse=True))
+        """Ramification indices r_1 >= r_2 >= ... >= r_k, computed once, on
+        first use: a cover search reads them five times per datum."""
+        if self._signature is None:
+            object.__setattr__(self, "_signature", tuple(sorted(
+                (self.group.element_order(b) for b in self.branch), reverse=True)))
+        return self._signature
 
     def to_json_dict(self):
         return {

@@ -9,7 +9,8 @@ sums, chains and arrangements; there is no floating point in this module.
 
 Every coordinate of a lattice set must fit in int64: a set is its int64
 array, and a coordinate past int64 raises InvariantViolation where the set is
-built. Sums, codes and frames past int64 stay exact (python ints).
+built. A frame past int64 encodes its points as python ints, from one
+object-array product, so its codes and sums stay exact.
 
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim,
@@ -21,7 +22,7 @@ Main operations
                            (int64 codes in one sum frame, counted by runs of
                             consecutive codes or a bitmap of every pair up to a
                             2**25-cell frame, by sorting up to an int64 frame,
-                            and in python ints past it)
+                            and past it in a set of python-int sums)
     dimension, longest_chain, arrangement
     arranged_union_counts, arranged_block_counts
                            (rule 2.4's dim+1 union counts, a block of trials at a
@@ -83,11 +84,12 @@ class LatticeSet:
     array, filled where the set is built: a coordinate that is not an
     integer, or that does not fit in int64, raises InvariantViolation there.
     The array is column-major, so that the per-axis reductions of the frames
-    run along contiguous columns. `points`, a frozenset of int tuples, is a
-    view kept from the tuples the set was built from, or filled on first use.
+    run along contiguous columns. Iteration, membership and the hash all read
+    the array; a function that needs int tuples (the hull predicates, the
+    sparse chain walk, `arrangement`) builds them itself.
     """
 
-    __slots__ = ("dim", "array", "_points", "_rank")
+    __slots__ = ("dim", "array", "_rank")
 
     def __init__(self, points: Iterable[tuple[int, ...]], dim: Optional[int] = None):
         try:
@@ -109,7 +111,7 @@ class LatticeSet:
         except OverflowError:
             raise InvariantViolation("lattice coordinates must fit in int64") from None
         arr.flags.writeable = False
-        self._fill(int(dim), arr, pts)
+        self._fill(int(dim), arr)
 
     @classmethod
     def from_array(cls, arr, dim: int) -> "LatticeSet":
@@ -125,13 +127,12 @@ class LatticeSet:
             arr = np.asfortranarray(arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]])
         arr.flags.writeable = False
         self = cls.__new__(cls)
-        self._fill(int(dim), arr, None)
+        self._fill(int(dim), arr)
         return self
 
-    def _fill(self, dim: int, arr: np.ndarray, points: Optional[frozenset]) -> None:
+    def _fill(self, dim: int, arr: np.ndarray) -> None:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
@@ -140,31 +141,26 @@ class LatticeSet:
     def __reduce__(self):
         return LatticeSet.from_array, (self.array, self.dim)
 
-    @property
-    def points(self) -> frozenset:
-        if self._points is None:
-            object.__setattr__(self, "_points", frozenset(self.sorted_points()))
-        return self._points
-
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
         return len(self.array)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.points)
+        return iter(self.sorted_points())
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self.points
+        """Whether p is a point of the set; anything but dim integers is not."""
+        try:
+            return LatticeSet([p], self.dim).issubset(self)
+        except InvariantViolation:
+            return False
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LatticeSet)
-            and self.dim == other.dim
-            and np.array_equal(self.array, other.array)
-        )
+        return (isinstance(other, LatticeSet) and self.dim == other.dim
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.points))
+        return hash((self.dim, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"LatticeSet(dim={self.dim}, n={len(self)})"
@@ -183,11 +179,8 @@ class LatticeSet:
         lo, hi = theirs.min(axis=0), theirs.max(axis=0)
         if ((mine < lo) | (mine > hi)).any():
             return False
-        strides, cells = _frame_strides(lo.tolist(), hi.tolist())
-        if cells > _INT64_MAX:
-            return self.points <= other.points
-        strides = np.array(strides, dtype=np.int64)
-        codes, within = (mine - lo) @ strides, (theirs - lo) @ strides
+        frame = (lo.tolist(), *_frame_strides(lo.tolist(), hi.tolist()))
+        codes, within = (_encode(arr, *frame) for arr in (mine, theirs))
         at = np.minimum(np.searchsorted(within, codes), len(within) - 1)
         return bool((within[at] == codes).all())
 
@@ -330,9 +323,12 @@ def _frame_strides(mins, maxs) -> tuple[list[int], int]:
     return strides, acc
 
 
-def _encode_array(s: LatticeSet, mins, strides) -> np.ndarray:
-    """The increasing int64 codes of the points of an int64 set in the frame."""
-    return (s.array - np.array(mins, dtype=np.int64)) @ np.array(strides, dtype=np.int64)
+def _encode(arr: np.ndarray, mins, strides, cells: int) -> np.ndarray:
+    """The codes of the rows of an int64 array in a frame of `cells` cells,
+    increasing on a lex-sorted array: int64 in a frame that fits int64, and
+    python ints in an object array past it."""
+    dtype = np.int64 if cells <= _INT64_MAX else object
+    return (arr - np.array(mins, dtype=dtype)) @ np.array(strides, dtype=dtype)
 
 
 def _count_sums(code_pairs, cells: int) -> int:
@@ -418,23 +414,16 @@ def _count_runs(run_pairs, cells: int) -> int:
 
 
 def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
-    """Count distinct sums p+q over the union of the given set pairs."""
+    """Count distinct sums p+q over the union of the given set pairs: by
+    `_count_sums` in an int64 frame, and as a set of python ints past it."""
     frame = _sum_frame([s for pair in pairs for s in pair])
     if frame is None:
         return 0
-    mins, strides, cells = frame
-    if cells <= _INT64_MAX:
-        return _count_sums([(_encode_array(a, mins, strides), _encode_array(b, mins, strides))
-                            for a, b in pairs], cells)
-    # a frame past int64: exact python-int codes
-    seen: set[int] = set()
-    for a, b in pairs:
-        codes_a = [sum((p[c] - mins[c]) * strides[c] for c in range(len(mins))) for p in a]
-        codes_b = [sum((q[c] - mins[c]) * strides[c] for c in range(len(mins))) for q in b]
-        for ca in codes_a:
-            for cb in codes_b:
-                seen.add(ca + cb)
-    return len(seen)
+    code_pairs = [tuple(_encode(s.array, *frame) for s in pair) for pair in pairs]
+    if frame[2] <= _INT64_MAX:
+        return _count_sums(code_pairs, frame[2])
+    rows = ((code + codes_b).tolist() for codes_a, codes_b in code_pairs for code in codes_a)
+    return len(set(itertools.chain.from_iterable(rows)))
 
 
 def midpoint_count(a: LatticeSet, b: LatticeSet) -> int:
@@ -596,8 +585,8 @@ def _sparse_longest_chain(a: LatticeSet) -> int:
     """longest_chain for sets too spread out for the bitmap: every maximal
     run is walked once, from the pair of its first two points, in exact
     python ints."""
-    pts = a.points
     ordered = a.sorted_points()
+    pts = set(ordered)
     best = 2
     for i, p in enumerate(ordered):
         for q in ordered[i + 1:]:
@@ -607,7 +596,7 @@ def _sparse_longest_chain(a: LatticeSet) -> int:
     return best
 
 
-def _run_length(points: frozenset, start: tuple[int, ...], v: tuple[int, ...]) -> int:
+def _run_length(points: set, start: tuple[int, ...], v: tuple[int, ...]) -> int:
     n = 1
     p = tuple(a + b for a, b in zip(start, v))
     while p in points:
@@ -639,7 +628,7 @@ def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> lis
     _require_same_dim(a1, a2, a3)
     if not a1.issubset(a2) or not a2.issubset(a3):
         raise InvariantViolation("arranged_union_counts requires a1 <= a2 <= a3")
-    in1, in2 = a1.points, a2.points
+    in1, in2 = set(a1), set(a2)
     level = np.array([3 - (p in in1) - (p in in2) for p in a3.sorted_points()], dtype=np.int8)
     return arranged_block_counts([(a3.array, level)])[0]
 
@@ -817,12 +806,9 @@ def lattice_points_in_hull(a: LatticeSet, max_candidates: int = 200_000) -> Latt
         raise InvariantViolation(
             f"bounding box has {count} lattice points; hull scan is desk-scale only"
         )
-    inside = []
-    members = a.points
-    for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if p in members or in_convex_hull(p, pts):
-            inside.append(p)
-    return LatticeSet(inside, a.dim)
+    members = set(pts)
+    return LatticeSet([p for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+                       if p in members or in_convex_hull(p, pts)], a.dim)
 
 
 def is_integrally_convex(a: LatticeSet) -> bool:
@@ -837,4 +823,4 @@ def is_relatively_convex(b: LatticeSet, a: LatticeSet) -> bool:
     if not b.issubset(a):
         raise InvariantViolation("is_relatively_convex requires b <= a")
     hull_pts = b.sorted_points()
-    return not any(in_convex_hull(p, hull_pts) for p in a.points - b.points)
+    return not any(in_convex_hull(p, hull_pts) for p in set(a) - set(hull_pts))

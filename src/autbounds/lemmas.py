@@ -58,8 +58,8 @@ MAX_COORDINATES = 1 << 20
 # and past an int64 frame each arranging step costs about size * dim. One
 # trial at the largest admitted size took, on a 2-core Xeon: dim 1 (4,095
 # points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s at 47 MiB, dim 8 (1,926) 0.7 s
-# at 48 MiB, dim 24 (1,146) 1.5 s at 77 MiB, dim 500 (109) 25 s at 41 MiB and
-# dim 1000 (32) 33 s at 36 MiB; at 2**26, dim 500 (193 points) had taken 42 s.
+# at 48 MiB, dim 24 (1,146) 1.2 s at 77 MiB, dim 500 (109) 18 s at 39 MiB and
+# dim 1000 (32) 20 s at 37 MiB; at 2**26, dim 500 (193 points) had taken 42 s.
 MAX_ARRANGED_WORK = 1 << 25
 # Rule 2.4's suite draws up to this many trials per `arranged_block_counts`
 # call, and no more than the second over its largest size times dim
@@ -146,10 +146,12 @@ def bound_formula(lemma_id: str, n2: int, n3: int,
 
 def hypothesis_report(lemma_id: str, triple: ConvexTriple,
                       verify_convexity: bool = False) -> HypothesisReport:
-    """Check the side hypotheses of one rule on a triple; `verify_lemma` only counts."""
+    """Check one rule's side hypotheses (rule 2.4 has none) on a triple; `verify_lemma` counts."""
     _rule(lemma_id)
     n1, n2, n3 = triple.sizes()
     checks: list[Check] = [Check("nested", True, "enforced by ConvexTriple")]
+    if lemma_id == "2.4":
+        return HypothesisReport("2.4", tuple(checks))
     if verify_convexity:
         try:
             triple.validate_convexity()
@@ -158,9 +160,6 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
             checks.append(Check("integrally_convex", False, str(exc)))
     else:
         checks.append(Check("integrally_convex", True, "by construction (generator)"))
-
-    if lemma_id == "2.4":
-        return HypothesisReport("2.4", tuple(checks))
 
     d1 = dimension(triple.a1) if n1 else -1
     if lemma_id == "2.5":

@@ -117,7 +117,7 @@ def test_round_trip_is_bit_exact():
 def _agree(x, y):
     """x and y hold the same points, by every view and comparison."""
     assert x == y and y == x and hash(x) == hash(y) and len(x) == len(y)
-    assert x.points == y.points and x.sorted_points() == y.sorted_points()
+    assert set(x) == set(y) and x.sorted_points() == y.sorted_points()
     assert x.to_json() == y.to_json() and x.issubset(y) and y.issubset(x)
 
 
@@ -139,17 +139,41 @@ def test_from_array_agrees_with_tuples():
         tup, arr = _twins(rng, dim, rng.randint(1, 30), spread)
         _agree(tup, arr)
         _agree(arr, LatticeSet.from_array(arr.array[::-1], dim))  # array vs array
-        assert arr.array.tolist() == [list(p) for p in sorted(tup.points)]
+        assert arr.array.tolist() == [list(p) for p in sorted(set(tup))]
         # subsets drawn from the set, and random sets that are mostly not subsets
         sub = rng.sample(tup.sorted_points(), rng.randint(0, len(tup)))
         for other in (sub, sub + [tuple(rng.randint(-spread, spread) for _ in range(dim))]):
             pair = LatticeSet(other, dim), LatticeSet.from_array(np.array(other, dtype=np.int64)
                                                                .reshape(-1, dim), dim)
-            expected = set(other) <= tup.points
+            expected = set(other) <= set(tup)
             for small in pair:
                 for big in (tup, arr):
                     assert small.issubset(big) == expected
-                    assert (small == big) == (set(other) == tup.points)
+                    assert (small == big) == (set(other) == set(tup))
+
+
+def test_set_contract_reads_the_array():
+    # equal sets hash equal, iterate as int tuples in lex order, and hold
+    # exactly the points they iterate; a point that is not dim integers, or
+    # that passes int64, is not a member, even when its values equal one
+    rng = random.Random(18)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        spread = rng.choice((3, 2 ** 40))  # 2**40 puts the frame past int64
+        for s in _twins(rng, dim, rng.randint(1, 20), spread):
+            points = list(s)
+            assert points == list(s.sorted_points()) == sorted(set(points))
+            assert all(type(p) is tuple and len(p) == dim and all(type(c) is int for c in p)
+                       for p in points)
+            assert hash(s) == hash(LatticeSet(points, dim)) == hash(LatticeSet.from_array(s.array, dim))
+            probes = [tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(20)]
+            for p in probes + points:
+                assert (p in s) == (p in set(points)) == (list(p) in s)
+            p = points[0]
+            assert s.array[0] in s and np.array(p) in s
+            for bad in (p + (0,), p[:-1], tuple(map(float, p)), tuple(map(str, p)),
+                        (None,) * dim, (2 ** 63,) * dim, p[0], None):
+                assert bad not in s
 
 
 def test_from_array_subset_test_outside_the_box():
@@ -303,7 +327,7 @@ def test_sorted_sums_merge_across_chunks(monkeypatch):
             scale = {1: 10 ** 7, 2: 10 ** 4, 3: 10 ** 3}[dim]
             a, b = (LatticeSet([tuple(c * scale for c in p) for p in random_set(rng, dim, 12)], dim)
                     for _ in range(2))
-            both = LatticeSet(a.points | b.points, dim)
+            both = LatticeSet(set(a) | set(b), dim)
             assert _DENSE_CELL_LIMIT < lattice._sum_frame([both])[2] <= lattice._INT64_MAX
             assert midpoint_count(a, b) == len(naive_midpoints(a, b))
             assert union_midpoint_count(a, b, a) == naive_union_count(a, b, a)
@@ -363,8 +387,8 @@ def test_selfsum_floor(points):
 def _both_paths(pairs):
     """(bitmap count, run count) of the distinct sums over the set pairs."""
     mins, strides, cells = lattice._sum_frame([s for pair in pairs for s in pair])
-    code_pairs = [(lattice._encode_array(a, mins, strides), lattice._encode_array(b, mins, strides))
-                  for a, b in pairs]
+    code_pairs = [(lattice._encode(a.array, mins, strides, cells),
+                   lattice._encode(b.array, mins, strides, cells)) for a, b in pairs]
     runs = [(lattice._runs(a), lattice._runs(b)) for a, b in code_pairs]
     return lattice._count_bitmap(code_pairs, cells), lattice._count_runs(runs, cells)
 
@@ -750,7 +774,7 @@ def far_apart(triple, start):
     a3, whose own sum frame then passes int64."""
     a1, a2, a3 = triple
     p = (start,) * a3.dim
-    return a1, a2, LatticeSet(a3.points | {p, (start + 2 ** 62,) + p[1:]}, a3.dim)
+    return a1, a2, LatticeSet(set(a3) | {p, (start + 2 ** 62,) + p[1:]}, a3.dim)
 
 
 def frame_cells(a3):
@@ -889,7 +913,7 @@ def test_arranged_block_counts_split_chunks_at_the_int64_code_space(monkeypatch)
         triples = []
         for _ in range(9):
             a1, a2, a3 = random_nested(rng, dim, 6, [side // 2] * dim, base=side // 2)
-            triples.append((a1, a2, LatticeSet(a3.points | {(0,) * dim, (side,) * dim}, dim)))
+            triples.append((a1, a2, LatticeSet(set(a3) | {(0,) * dim, (side,) * dim}, dim)))
             assert 2 ** 59 < frame_cells(triples[-1][2]) <= lattice._INT64_MAX
         chunks.clear()
         got = lattice.arranged_block_counts([leveled(*t) for t in triples])

@@ -178,6 +178,17 @@ def test_report_checks_exact_ratios():
     assert rep.check("chain_a3_lt_sixth").passed == (Fraction(c3) < Fraction(len(t.a3), 6))
 
 
+def test_report_2_4_checks_only_nesting():
+    # rule 2.4 has no convexity hypothesis, and its draws need not be convex:
+    # this one's a1 is not integrally convex, yet the draw is admissible
+    t = triple_for_rule("2.4", 11, dim=2, min_size=12, max_size=12)
+    with pytest.raises(InvariantViolation, match="a1 is not integrally convex"):
+        t.validate_convexity()
+    for verify in (False, True):
+        rep = hypothesis_report("2.4", t, verify_convexity=verify)
+        assert rep.admissible and [c.name for c in rep.checks] == ["nested"]
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -296,9 +307,9 @@ def test_violation_of_2_4_records_the_axis_steps(monkeypatch):
     res = run_lemma_suite("2.4", 2, master_seed=5, dim=3)
     assert res.violation_count == 2
     checks = res.violations[0]["hypotheses"]["checks"]
-    assert [c["name"] for c in checks] == ["nested", "integrally_convex", "nonincreasing_axis_0",
+    assert [c["name"] for c in checks] == ["nested", "nonincreasing_axis_0",
                                            "nonincreasing_axis_1", "nonincreasing_axis_2"]
-    assert [c["passed"] for c in checks] == [True, True, False, False, False]
+    assert [c["passed"] for c in checks] == [True, False, False, False]
     # each witness replays the trial's draw, whose first count is unpatched
     for row, wit in zip(res.rows, res.violations):
         replay = ConvexTriple.from_json_dict(wit["triple"])
