@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, isqrt, lcm
 from typing import Optional
 
@@ -56,6 +57,7 @@ def admissible_chi_range(k3: int) -> tuple[int, int]:
     return -(5 * k3) // 2 - 1, k3 // 6
 
 
+@lru_cache(maxsize=256)
 def _plurigenus_coefficients(m: int) -> tuple[Fraction, int]:
     """(a, b) with p_m = h^0(mK) = a*K^3 + b*chi: a = (2m-1)m(m-1)/12, b = 1-2m."""
     return Fraction((2 * m - 1) * m * (m - 1), 12), 1 - 2 * m
@@ -168,135 +170,114 @@ class BoundResult:
         }
 
 
-def _surface_rules(inv: SurfaceInvariants):
-    """(tag, checks, value) for every rule in the table."""
-    k2 = inv.k2
-    chi = inv.chi
-    # a genus-g pencil is controlled once K^2 >= 12(g-1)/(g+5) * chi
-    slopes = {g: Fraction(12 * (g - 1), g + 5) for g in (3, 4, 5)}
-    rules = []
+# a genus-g pencil is controlled once K^2 >= 12(g-1)/(g+5) * chi, tested in
+# integers by `_pencil_controlled`; the slopes' text goes into the trail
+_PENCIL_SLOPES = {g: str(Fraction(12 * (g - 1), g + 5)) for g in (3, 4, 5)}
 
-    rules.append((
-        "global_chi8",
-        [Check("chi_at_least_8", inv.chi_floor >= 8,
-               f"chi={chi} floor={inv.chi_floor} (floor uses chi>=1 and K^2<=9chi)")],
-        Fraction(36 * k2 + 24),
-    ))
+
+def _pencil_controlled(g: int, k2: int, chi: int) -> bool:
+    return k2 * (g + 5) >= 12 * (g - 1) * chi
+
+
+def _surface_rules(inv: SurfaceInvariants):
+    """(tag, checks, (numerator, denominator) of the value) for every rule in the table."""
+    k2, chi, floor = inv.k2, inv.chi, inv.chi_floor
+    known, absent = sorted(inv.known_pencils), sorted(inv.no_pencils)
+
+    yield ("global_chi8",
+           (Check("chi_at_least_8", floor >= 8,
+                  f"chi={chi} floor={floor} (floor uses chi>=1 and K^2<=9chi)"),),
+           (36 * k2 + 24, 1))
 
     checks = [Check("k2_at_least_181", k2 >= 181, k2)]
-    for g in (3, 4, 5):
-        slope = slopes[g]
+    for g, slope in _PENCIL_SLOPES.items():
+        name = f"pencil_genus_{g}_controlled"
         if g in inv.no_pencils:
-            checks.append(Check(f"pencil_genus_{g}_controlled", True, "no such pencil"))
+            checks.append(Check(name, True, "no such pencil"))
         elif g in inv.known_pencils and chi is not None:
-            ok = Fraction(k2) >= slope * chi
-            checks.append(Check(f"pencil_genus_{g}_controlled", ok,
-                                f"K^2 >= {slope}*chi needed: {k2} vs {slope * chi}"))
+            needed = Fraction(12 * (g - 1) * chi, g + 5)
+            checks.append(Check(name, _pencil_controlled(g, k2, chi),
+                                f"K^2 >= {slope}*chi needed: {k2} vs {needed}"))
         else:
-            checks.append(Check(f"pencil_genus_{g}_controlled", False,
-                                "pencil status unknown; hypothesis not certified"))
-    rules.append(("large_k2_small_pencils_controlled", checks, Fraction(24 * k2 + 256)))
+            checks.append(Check(name, False, "pencil status unknown; hypothesis not certified"))
+    yield "large_k2_small_pencils_controlled", tuple(checks), (24 * k2 + 256, 1)
 
-    base_canonical = [
+    base_canonical = (
         Check("canonical_image_is_surface", inv.canonical_image_dim == 2, inv.canonical_image_dim),
         Check("chi_at_least_14", chi is not None and chi >= 14, chi),
         Check("k2_at_least_82", k2 >= 82, k2),
-        Check("no_pencils_genus_2_to_5", inv.no_pencils_through(2, 5), sorted(inv.no_pencils)),
-    ]
-    rules.append(("canonical_image_surface", list(base_canonical), Fraction(24 * k2 + 16)))
-    rules.append((
-        "canonical_image_birational",
-        base_canonical + [Check("canonical_map_birational", inv.canonical_map_birational, None)],
-        Fraction(18 * k2 + 18),
-    ))
+        Check("no_pencils_genus_2_to_5", inv.no_pencils_through(2, 5), absent),
+    )
+    yield "canonical_image_surface", base_canonical, (24 * k2 + 16, 1)
+    yield ("canonical_image_birational",
+           base_canonical + (Check("canonical_map_birational", inv.canonical_map_birational, None),),
+           (18 * k2 + 18, 1))
 
     g = inv.two_pencils_genus
-    rules.append((
-        "double_pencil",
-        [Check("two_pencils_same_genus", g is not None, g),
-         Check("k2_exceeds_4(g-1)^2", g is not None and k2 > 4 * (g - 1) ** 2,
-               None if g is None else f"{k2} vs {4 * (g - 1) ** 2}")],
-        Fraction(16 * k2),
-    ))
+    yield ("double_pencil",
+           (Check("two_pencils_same_genus", g is not None, g),
+            Check("k2_exceeds_4(g-1)^2", g is not None and k2 > 4 * (g - 1) ** 2,
+                  None if g is None else f"{k2} vs {4 * (g - 1) ** 2}")),
+           (16 * k2, 1))
 
-    for genus, k2_floor, value in (
-        (3, 16, Fraction(24 * k2 + 64)),
-        (4, 36, Fraction(24 * k2 + 144)),
-        (5, 64, Fraction(24 * k2 + 256)),
-    ):
-        slope = slopes[genus]
-        rules.append((
-            f"genus{genus}_pencil",
-            [Check(f"has_genus{genus}_pencil", genus in inv.known_pencils, sorted(inv.known_pencils)),
-             Check(f"k2_exceeds_{k2_floor}", k2 > k2_floor, k2),
-             Check("k2_at_least_slope_times_chi", chi is not None and Fraction(k2) >= slope * (chi or 0),
-                   f"{k2} vs {slope}*{chi}")],
-            value,
-        ))
+    for genus, k2_floor, shift in ((3, 16, 64), (4, 36, 144), (5, 64, 256)):
+        yield (f"genus{genus}_pencil",
+               (Check(f"has_genus{genus}_pencil", genus in inv.known_pencils, known),
+                Check(f"k2_exceeds_{k2_floor}", k2 > k2_floor, k2),
+                Check("k2_at_least_slope_times_chi",
+                      chi is not None and _pencil_controlled(genus, k2, chi),
+                      f"{k2} vs {_PENCIL_SLOPES[genus]}*{chi}")),
+               (24 * k2 + shift, 1))
 
-    rules.append((
-        "canonical_pencil",
-        [Check("canonical_image_is_curve", inv.canonical_image_dim == 1, inv.canonical_image_dim),
-         Check("chi_at_least_21", chi is not None and chi >= 21, chi)],
-        Fraction(25, 2) * k2 + 469,
-    ))
+    yield ("canonical_pencil",
+           (Check("canonical_image_is_curve", inv.canonical_image_dim == 1, inv.canonical_image_dim),
+            Check("chi_at_least_21", chi is not None and chi >= 21, chi)),
+           (25 * k2 + 938, 2))
+    yield ("genus2_pencil",
+           (Check("has_genus2_pencil", 2 in inv.known_pencils, known),
+            Check("k2_at_least_9", k2 >= 9, k2)),
+           (25 * k2 + 200, 2))
 
-    rules.append((
-        "genus2_pencil",
-        [Check("has_genus2_pencil", 2 in inv.known_pencils, sorted(inv.known_pencils)),
-         Check("k2_at_least_9", k2 >= 9, k2)],
-        Fraction(25, 2) * k2 + 100,
-    ))
+    yield "mid_k2", (Check("k2_in_4_63", 4 <= k2 <= 63, k2),), (114 * k2 + 24, 1)
+    yield "low_k2", (Check("k2_in_2_3", 2 <= k2 <= 3, k2),), (200 * k2 + 22, 1)
+    yield "unit_k2", (Check("k2_is_1", k2 == 1, k2),), (270, 1)
 
-    rules.append(("mid_k2", [Check("k2_in_4_63", 4 <= k2 <= 63, k2)], Fraction(114 * k2 + 24)))
-    rules.append(("low_k2", [Check("k2_in_2_3", 2 <= k2 <= 3, k2)], Fraction(200 * k2 + 22)))
-    rules.append(("unit_k2", [Check("k2_is_1", k2 == 1, k2)], Fraction(270)))
-
-    rules.append((
-        "even_surface",
-        [Check("even_surface_conditions", inv.even_surface_conditions,
-               "K=2L, half-canonical map generically finite, 2L-map birational"),
-         Check("no_pencils_genus_3_to_8", inv.no_pencils_through(3, 8), sorted(inv.no_pencils)),
-         Check("k2_exceeds_196", k2 > 196, k2)],
-        Fraction(12 * k2 + 24),
-    ))
+    yield ("even_surface",
+           (Check("even_surface_conditions", inv.even_surface_conditions,
+                  "K=2L, half-canonical map generically finite, 2L-map birational"),
+            Check("no_pencils_genus_3_to_8", inv.no_pencils_through(3, 8), absent),
+            Check("k2_exceeds_196", k2 > 196, k2)),
+           (12 * k2 + 24, 1))
 
     if inv.ci_degrees is not None:
         total = sum(inv.ci_degrees)
         n_ambient = len(inv.ci_degrees) + 2
-        parity_ok = (total - n_ambient) % 2 == 1
-        rules.append((
-            "odd_complete_intersection",
-            [Check("degree_sum_minus_ambient_odd", parity_ok,
-                   f"sum={total} ambient={n_ambient}"),
-             Check("k2_exceeds_196", k2 > 196, k2)],
-            Fraction(12 * k2 + 24),
-        ))
+        yield ("odd_complete_intersection",
+               (Check("degree_sum_minus_ambient_odd", (total - n_ambient) % 2 == 1,
+                      f"sum={total} ambient={n_ambient}"),
+                Check("k2_exceeds_196", k2 > 196, k2)),
+               (12 * k2 + 24, 1))
 
     if inv.p3_degree is not None:
         d = inv.p3_degree
-        rules.append((
-            "hypersurface_in_p3",
-            [Check("degree_at_least_5", d >= 5, d)],
-            Fraction(3 * d * d * (d - 2) + 9),
-        ))
-
-    return rules
+        yield ("hypersurface_in_p3", (Check("degree_at_least_5", d >= 5, d),),
+               (3 * d * d * (d - 2) + 9, 1))
 
 
 def surface_bound(inv: SurfaceInvariants) -> BoundResult:
     """Evaluate every rule whose hypotheses hold; return the minimum.
 
     Overlapping rules are all reported; the sharpest applicable value wins
-    and `source` lists every rule attaining it.
+    and `source` lists every rule attaining it. A value becomes a Fraction
+    only once its rule applies.
     """
     applicable: dict[str, Fraction] = {}
     trail: dict[str, HypothesisReport] = {}
     for tag, checks, value in _surface_rules(inv):
-        report = HypothesisReport(tag, tuple(checks))
+        report = HypothesisReport(tag, checks)
         trail[tag] = report
         if report.admissible:
-            applicable[tag] = value
+            applicable[tag] = Fraction(*value)
     if not applicable:
         return BoundResult(None, (), applicable, trail)
     best = min(applicable.values())

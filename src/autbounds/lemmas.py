@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Optional
 
@@ -129,12 +130,18 @@ def _rule(lemma_id: str) -> Rule:
         raise InvariantViolation(f"unknown rule id {lemma_id!r}") from None
 
 
+@lru_cache(maxsize=64)
+def _forms_at(lemma_id: str, epsilon: Fraction) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """`Rule.forms_at`, built once per (rule, epsilon)."""
+    return _rule(lemma_id).forms_at(epsilon)
+
+
 def bound_formula(lemma_id: str, n2: int, n3: int,
                   epsilon: Fraction = CHAIN_RATIO_EPSILON) -> Fraction:
     """Exact lower-bound value the rule promises for #(A1.A3 u A2.A2)."""
     if n2 < 0 or n3 < 0:
         raise InvariantViolation("set sizes must be nonnegative")
-    forms = _rule(lemma_id).forms_at(Fraction(epsilon))
+    forms = _forms_at(lemma_id, Fraction(epsilon))
     if not forms:
         raise InvariantViolation(f"no closed-form bound for rule {lemma_id!r}")
     return min(c3 * n3 + c2 * n2 + c0 for c3, c2, c0 in forms)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 
 def jsonable(value: Any) -> Any:
@@ -29,8 +29,13 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
+    """One named hypothesis check and what it compared.
+
+    A NamedTuple, so it is immutable and cheap to build, and it compares
+    equal to the plain tuple (name, passed, detail).
+    """
+
     name: str
     passed: bool
     detail: Any = None

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +22,7 @@ from autbounds.bounds import (
 )
 from autbounds.errors import InvariantViolation
 from autbounds.lemmas import CHAIN_RATIO_EPSILON
+from autbounds.reports import Check
 
 from tests_oracles import naive_universal_n
 
@@ -370,8 +373,106 @@ def test_surface_bound_unconditional_coverage():
         assert res.value is not None
 
 
+def test_pencil_slope_test_matches_the_rational_oracle():
+    # K^2 >= 12(g-1)/(g+5) * chi in integers; g = 3 has slope 3, so K^2 = 3 chi
+    # is an equality case that must pass
+    for g in (3, 4, 5):
+        slope = Fraction(12 * (g - 1), g + 5)
+        assert bounds._PENCIL_SLOPES[g] == str(slope)
+        for chi in range(1, 81):
+            for k2 in range(1, 601):
+                oracle = Fraction(k2) >= slope * chi
+                assert bounds._pencil_controlled(g, k2, chi) == oracle, (g, k2, chi)
+
+
+def test_check_is_an_immutable_hashable_tuple():
+    check = Check("k2_at_least_9", True, 12)
+    with pytest.raises(AttributeError):
+        check.passed = False
+    assert check == ("k2_at_least_9", True, 12) and hash(check) == hash(("k2_at_least_9", True, 12))
+    assert check.to_json_dict() == {"name": "k2_at_least_9", "passed": True, "detail": 12}
+    assert Check("x", False).to_json_dict() == {"name": "x", "passed": False, "detail": None}
+    assert Check("x", True, Fraction(7, 2)).to_json_dict()["detail"] == "7/2"
+
+
 def test_bound_result_serialization():
     res = surface_bound(SurfaceInvariants(1))
     d = res.to_json_dict()
     assert d["value"] == 270
     assert "unit_k2" in d["trail"]
+
+
+# ---------------------------------------------------------------------------
+# pinned trails
+# ---------------------------------------------------------------------------
+
+# (known_pencils, no_pencils) and flag sets of the pinned surface grid; each
+# K^2 takes every pencil set, each with the flag set its K^2 and index select
+_PENCIL_SETS = [((), ()), ((2,), ()), ((3,), (4, 5)), ((3, 4, 5), ()),
+                ((), range(2, 9)), ((4,), (2, 3, 5))]
+_FLAG_SETS = [
+    {},
+    {"canonical_image_dim": 2},
+    {"canonical_image_dim": 2, "canonical_map_birational": True},
+    {"canonical_image_dim": 1},
+    {"even_surface_conditions": True},
+    {"ci_degrees": (3, 4)},
+    {"ci_degrees": (2, 2, 3)},
+    {"p3_degree": 5},
+    {"p3_degree": 4},
+    {"two_pencils_genus": 3},
+    {"two_pencils_genus": 6, "even_surface_conditions": True, "canonical_image_dim": 2},
+]
+
+
+def _surface_grid():
+    for k2 in range(1, 261):
+        floor = max(1, -(-k2 // 9))
+        for j, (known, absent) in enumerate(_PENCIL_SETS):
+            flags = _FLAG_SETS[(k2 + j) % len(_FLAG_SETS)]
+            for chi in (None, floor, floor + 1, floor + 2, floor + 3, 30):
+                yield SurfaceInvariants(k2, chi, frozenset(known), frozenset(absent), **flags)
+
+
+def _margin_inputs():
+    for k3 in range(2, 41, 2):
+        for chi in admissible_chi_range(k3):
+            for n in (2, 3, 7, 20, 60):
+                for epsilon in (CHAIN_RATIO_EPSILON, Fraction(1, 1000), Fraction(7, 5000)):
+                    yield "prop3.3", ThreefoldInvariants(k3, chi), {"n": n, "epsilon": epsilon}
+    for variant in bounds.MARGIN_VARIANTS[1:]:
+        for chi in range(1, 31):
+            for k2 in range(1, 9 * chi + 1, 5):
+                yield variant, SurfaceInvariants(k2, chi), {}
+
+
+def _trail_digest(items) -> str:
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(json.dumps(item, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _margin_trails():
+    for variant, inv, kwargs in _margin_inputs():
+        try:
+            margin, report = decomposability_margin(variant, inv, **kwargs)
+            yield str(margin), report.to_json_dict()
+        except InvariantViolation as exc:
+            yield "error", str(exc)
+
+
+# sha256 over the compact JSON of every surface_bound trail on the grid above
+# and of every (margin, report) on the margin inputs, one line each: the
+# golden table pins only value and source
+_PINNED_SURFACE_TRAILS = "df780609b25948dc851168bff970a888ecfc4a1d040ae260be1626c7b5fd718e"
+_PINNED_MARGIN_TRAILS = "e63a6f404e67066713843c34adf257a3e30f174672f724b496531914f36d3362"
+
+
+def test_surface_bound_trails_are_pinned():
+    assert _trail_digest(surface_bound(inv).to_json_dict() for inv in _surface_grid()) == \
+        _PINNED_SURFACE_TRAILS
+
+
+def test_margin_trails_are_pinned():
+    assert _trail_digest(_margin_trails()) == _PINNED_MARGIN_TRAILS

@@ -369,6 +369,15 @@ def test_bounds_table_csv(capsys):
     assert lines[1].startswith("1,,270,")
 
 
+def test_bounds_table_stdout_is_pinned(capsys):
+    # 572 rows over K^2 1-64 and chi 1-12: a change to the rule table's
+    # arithmetic must leave every value and source byte-identical
+    code, out, _ = run_cli(capsys, "bounds", "surface", "k2_range=1:64", "chi_range=1:12", "--table")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3b1bffd2c269597ff30d15a61b9c9b85dcb7f8c46c35cccb15bb5a5e216e528b"
+
+
 _BOUNDS_KEYS = sorted(cli._SURFACE_KEYS | {"k3", "chi", "n", "epsilon", "variant"})
 _bounds_values = st.one_of(
     st.integers(-12, 80).map(str),

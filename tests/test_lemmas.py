@@ -50,6 +50,21 @@ def test_bound_2_6_epsilon_form():
     assert val == (1 - eps) * 100 + Fraction(14, 3) * (1 - 4 * eps) * 30 - 57
 
 
+def test_bound_2_6_forms_are_cached_per_epsilon():
+    # the forms are built once per (rule, epsilon): each epsilon keeps its own
+    # exact value, and equal epsilons in any form share one entry
+    def exact(eps):
+        return (1 - eps) * 9000 + Fraction(14, 3) * (1 - 4 * eps) * 5000 - 57
+
+    wide, narrow = Fraction(1, 530), Fraction(1, 1000)
+    for eps in (wide, narrow, wide, 0, narrow):
+        assert bound_formula("2.6", 5000, 9000, eps) == exact(eps)
+    assert {bound_formula("2.6", 5000, 9000, eps)
+            for eps in (CHAIN_RATIO_EPSILON, Fraction(1, 530), Fraction(2, 1060))} == {exact(wide)}
+    assert isinstance(bound_formula("2.6", 5000, 9000, 0), Fraction)
+    assert lemmas._forms_at("2.6", Fraction(2, 1060)) is lemmas._forms_at("2.6", wide)
+
+
 def test_bound_unknown_rule_rejected():
     with pytest.raises(InvariantViolation):
         bound_formula("2.4", 1, 1)
