@@ -57,25 +57,19 @@ def admissible_chi_range(k3: int) -> tuple[int, int]:
     return -(5 * k3) // 2 - 1, k3 // 6
 
 
-@lru_cache(maxsize=256)
-def _plurigenus_coefficients(m: int) -> tuple[Fraction, int]:
-    """(a, b) with p_m = h^0(mK) = a*K^3 + b*chi: a = (2m-1)m(m-1)/12, b = 1-2m."""
-    return Fraction((2 * m - 1) * m * (m - 1), 12), 1 - 2 * m
-
-
 def plurigenus(inv: ThreefoldInvariants, n: int) -> int:
-    """h^0(nK), exact, for n >= 2 (see `_plurigenus_coefficients`).
+    """p_n = h^0(nK) = (2n-1)n(n-1)/12 K^3 + (1-2n) chi, exact, for n >= 2, as 12*p_n in integers.
 
     The value is asserted integral, and at least 5 for n >= 3; a failure of
     either marks the inputs as inadmissible rather than being silently kept.
     """
     if n < 2:
         raise InvariantViolation("the plurigenus formula needs n >= 2")
-    a, b = _plurigenus_coefficients(n)
-    value = a * inv.k3 + b * inv.chi
-    if value.denominator != 1:
-        raise InvariantViolation(f"plurigenus p_{n} = {value} is not an integer; inputs inadmissible")
-    value = int(value)
+    twelve_p = (2 * n - 1) * n * (n - 1) * inv.k3 + 12 * (1 - 2 * n) * inv.chi
+    if twelve_p % 12:
+        raise InvariantViolation(f"plurigenus p_{n} = {Fraction(twelve_p, 12)} is not an integer; "
+                                 "inputs inadmissible")
+    value = twelve_p // 12
     if n >= 3 and value < 5:
         raise InvariantViolation(f"p_{n} = {value} < 5; inputs inadmissible")
     return value
@@ -108,8 +102,9 @@ class SurfaceInvariants:
     two_pencils_genus: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "known_pencils", frozenset(self.known_pencils))
-        object.__setattr__(self, "no_pencils", frozenset(self.no_pencils))
+        for name in ("known_pencils", "no_pencils"):
+            if not isinstance(getattr(self, name), frozenset):
+                object.__setattr__(self, name, frozenset(getattr(self, name)))
         if self.k2 <= 0:
             raise InvariantViolation("K^2 must be positive")
         if self.chi is not None:
@@ -141,7 +136,7 @@ class SurfaceInvariants:
         return derived if self.chi is None else max(self.chi, derived)
 
     def no_pencils_through(self, lo: int, hi: int) -> bool:
-        return all(g in self.no_pencils for g in range(lo, hi + 1))
+        return self.no_pencils.issuperset(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +269,10 @@ def surface_bound(inv: SurfaceInvariants) -> BoundResult:
     applicable: dict[str, Fraction] = {}
     trail: dict[str, HypothesisReport] = {}
     for tag, checks, value in _surface_rules(inv):
-        report = HypothesisReport(tag, checks)
-        trail[tag] = report
+        report = trail[tag] = HypothesisReport(tag, checks)
         if report.admissible:
             applicable[tag] = Fraction(*value)
-    if not applicable:
-        return BoundResult(None, (), applicable, trail)
-    best = min(applicable.values())
+    best = min(applicable.values(), default=None)
     source = tuple(sorted(tag for tag, v in applicable.items() if v == best))
     return BoundResult(best, source, applicable, trail)
 
@@ -295,6 +287,14 @@ MARGIN_VARIANTS = ("prop3.3", "prop6.3", "lemma7.2", "lemma7.4", "lemma7.6-12", 
 def _chain_cap(n: int) -> Fraction:
     """12/((6n-1)(3n-2)), the level-n chain cap; the argument needs it <= eps."""
     return Fraction(12, (6 * n - 1) * (3 * n - 2))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _chain_check(n: int, epsilon: Fraction) -> Check:
+    """prop3.3's check that the level-n chain cap is <= eps, built once per (n, eps)."""
+    cap = _chain_cap(n)
+    return Check("chain_ratio_implies_eps", cap <= epsilon,
+                 f"12/((6n-1)(3n-2)) = {cap} vs eps = {epsilon}")
 
 
 # rule 2.5 margins: the levels i of #A2, #A3 and the target H^0(iK), and the
@@ -330,15 +330,12 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         n2, n3 = plurigenus(inv, 2 * n), plurigenus(inv, 3 * n)
         rhs = plurigenus(inv, 4 * n)
         margin = bound_formula("2.6", n2, n3, epsilon) - rhs
-        cap = _chain_cap(n)
-        checks = [
-            Check("chain_ratio_implies_eps", cap <= epsilon,
-                  f"12/((6n-1)(3n-2)) = {cap} vs eps = {epsilon}"),
+        return margin, HypothesisReport(variant, (
+            _chain_check(n, epsilon),
             Check("4a2_ge_a3", 4 * n2 >= n3, f"4*{n2} vs {n3}"),
             Check("dim_at_least_4_assumed", True,
                   "assumed: basic sets are >= 4-dimensional in the birational range"),
-        ]
-        return margin, HypothesisReport(variant, tuple(checks))
+        ))
 
     if not isinstance(inv, SurfaceInvariants):
         raise InvariantViolation(f"{variant} needs SurfaceInvariants")
@@ -350,38 +347,35 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         n2, n3 = _dim_h(2, k2, chi), _dim_h(3, k2, chi)
         rhs = _dim_h(4, k2, chi)
         margin = bound_formula("2.7", n2, n3) - rhs
-        checks = [
+        return margin, HypothesisReport(variant, (
             Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
             Check("dims_assumed", True,
                   "assumed: canonical image a surface (dim >= 2) and second basic set of dim >= 3"),
             Check("chains_assumed", True,
                   "assumed: chain ratios controlled (no pencil of genus <= 5, K^2 >= 82 regime)"),
-        ]
-        return margin, HypothesisReport(variant, tuple(checks))
+        ))
 
     if variant == "lemma7.2":
         lhs = 5 * Fraction(_dim_h(3, k2, chi)) - 10
         rhs = _dim_h(6, k2, chi)
         margin = lhs - rhs
-        checks = [
+        return margin, HypothesisReport(variant, (
             Check("reductio_dim_4_bound", True,
                   "(d+1)(#A - d/2) at d=4 applied to the triple-canonical basic set"),
             Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
-        ]
-        return margin, HypothesisReport(variant, tuple(checks))
+        ))
 
     if variant not in _RULE_2_5_LEVELS:
         raise InvariantViolation(f"unknown margin variant {variant!r}")
     levels, assumed = _RULE_2_5_LEVELS[variant]
     n2, n3, rhs = (_dim_h(i, k2, chi) for i in levels)
     margin = bound_formula("2.5", n2, n3) - rhs
-    checks = [
+    return margin, HypothesisReport(variant, (
         Check("a2_at_least_21", n2 >= 21, n2),
         Check("a3_at_most_2a2", n3 <= 2 * n2, f"{n3} vs {2 * n2}"),
         Check("chains_assumed", True, assumed),
         Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
-    ]
-    return margin, HypothesisReport(variant, tuple(checks))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,7 @@ def _plurigenus_polynomials(weights: dict) -> tuple[tuple, tuple]:
     """Coefficients (highest degree first) of A(n), B(n) in
     sum_k w_k p_{kn} = A(n)*K^3 + B(n)*chi, for weights {k: w_k}.
 
-    `_plurigenus_coefficients` at m = kn expand p_m to
+    `plurigenus` at m = kn expands p_m to
     (2k^3 n^3 - 3k^2 n^2 + k n)/12 * K^3 + (1 - 2kn) chi.
     """
     a = [Fraction(0)] * 4
@@ -704,7 +698,7 @@ def threefold_constant(n_star: Optional[int] = None,
     }
 
     m = b + 4
-    a_m, b_m = _plurigenus_coefficients(m)
+    a_m, b_m = Fraction((2 * m - 1) * m * (m - 1), 12), 1 - 2 * m  # p_m = a_m*K^3 + b_m*chi
     big_coeff = 335 * (a_m - Fraction(5, 2) * b_m)
     big_const = Fraction(-335 * b_m)
     absorbed = big_coeff + big_const / 2

@@ -189,12 +189,22 @@ def _quotient_rank(factors: tuple[int, ...], gens) -> int:
     return rank
 
 
+def _unit_generators(d: int) -> list[int]:
+    """Generators of the units mod d: each the least unit outside the group of those before it."""
+    gens, sub = [], {1}
+    for u in range(2, d):
+        if gcd(u, d) == 1 and u not in sub:
+            gens.append(u)
+            sub = {s * pow(u, k, d) % d for s in sub for k in range(d)}
+    return gens
+
+
 @lru_cache(maxsize=None)
 def _aut_generators(factors: tuple[int, ...]) -> list[list[int]]:
     """A generating set of Aut(G), each generator as the images of the element indices.
 
     For invariant factors d_1 | ... | d_m these are the unit scalings
-    e_i -> u*e_i (u a unit mod d_i other than 1) and the transvections
+    e_i -> u*e_i (u in `_unit_generators(d_i)`) and the transvections
     e_i -> e_i + c*e_j (i != j), where c = d_j / gcd(d_i, d_j) is the least c
     that keeps the order of e_i. The tests check that they generate a group
     of the order C. J. Hillar and D. L. Rhea (Amer. Math. Monthly, 2007) give.
@@ -205,7 +215,7 @@ def _aut_generators(factors: tuple[int, ...]) -> list[list[int]]:
         return index[x[:j] + (value % factors[j],) + x[j + 1:]]
 
     scalings = [[image(x, i, u * x[i]) for x in elements]
-                for i, d in enumerate(factors) for u in range(2, d) if gcd(u, d) == 1]
+                for i, d in enumerate(factors) for u in _unit_generators(d)]
     transvections = [[image(x, j, x[j] + dj // gcd(di, dj) * x[i]) for x in elements]
                      for i, di in enumerate(factors) for j, dj in enumerate(factors) if i != j]
     return scalings + transvections

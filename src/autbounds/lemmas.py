@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Optional
 
 import numpy as np
@@ -131,9 +131,12 @@ def _rule(lemma_id: str) -> Rule:
 
 
 @lru_cache(maxsize=64)
-def _forms_at(lemma_id: str, epsilon: Fraction) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    """`Rule.forms_at`, built once per (rule, epsilon)."""
-    return _rule(lemma_id).forms_at(epsilon)
+def _forms_at(lemma_id: str, epsilon: Fraction) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """`Rule.forms_at` over one common denominator, built once per (rule,
+    epsilon): (q, rows), each form's (c3, c2, c0) being its integer row / q."""
+    forms = _rule(lemma_id).forms_at(Fraction(epsilon))
+    q = lcm(*(c.denominator for form in forms for c in form))
+    return q, tuple(tuple(int(c * q) for c in form) for form in forms)
 
 
 def bound_formula(lemma_id: str, n2: int, n3: int,
@@ -141,10 +144,10 @@ def bound_formula(lemma_id: str, n2: int, n3: int,
     """Exact lower-bound value the rule promises for #(A1.A3 u A2.A2)."""
     if n2 < 0 or n3 < 0:
         raise InvariantViolation("set sizes must be nonnegative")
-    forms = _forms_at(lemma_id, Fraction(epsilon))
-    if not forms:
+    q, rows = _forms_at(lemma_id, epsilon)
+    if not rows:
         raise InvariantViolation(f"no closed-form bound for rule {lemma_id!r}")
-    return min(c3 * n3 + c2 * n2 + c0 for c3, c2, c0 in forms)
+    return Fraction(min(c3 * n3 + c2 * n2 + c0 for c3, c2, c0 in rows), q)
 
 
 # ---------------------------------------------------------------------------

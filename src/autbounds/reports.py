@@ -7,8 +7,8 @@ conjunction, and the full trail is preserved for serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 
@@ -44,16 +44,18 @@ class Check(NamedTuple):
         return {"name": self.name, "passed": self.passed, "detail": jsonable(self.detail)}
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Named checks for one rule application; admissible = all checks pass."""
+_passed = itemgetter(1)  # Check.passed
+
+
+class HypothesisReport(NamedTuple):
+    """Named checks for one rule application; admissible = all checks pass. A NamedTuple, as Check."""
 
     subject: str
-    checks: tuple[Check, ...] = field(default_factory=tuple)
+    checks: tuple[Check, ...] = ()
 
     @property
     def admissible(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(map(_passed, self.checks))
 
     def check(self, name: str) -> Check:
         for c in self.checks:

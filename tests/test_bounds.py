@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from autbounds.bounds import (
 )
 from autbounds.errors import InvariantViolation
 from autbounds.lemmas import CHAIN_RATIO_EPSILON
-from autbounds.reports import Check
+from autbounds.reports import Check, HypothesisReport
 
 from tests_oracles import naive_universal_n
 
@@ -81,6 +82,42 @@ def test_plurigenus_values():
     assert plurigenus(ThreefoldInvariants(2, 0), 3) == 5
     assert plurigenus(ThreefoldInvariants(12, 1), 2) == 3
     assert plurigenus(ThreefoldInvariants(2, 0), 2) == 1
+
+
+def _plurigenus_oracle(k3, chi, n):
+    """p_n from the Fraction formula, or the text of the error it must raise."""
+    value = Fraction((2 * n - 1) * n * (n - 1), 12) * k3 + (1 - 2 * n) * chi
+    if value.denominator != 1:
+        return f"plurigenus p_{n} = {value} is not an integer; inputs inadmissible"
+    if n >= 3 and value < 5:
+        return f"p_{n} = {value} < 5; inputs inadmissible"
+    return int(value)
+
+
+def _plurigenus_outcome(inv, n):
+    try:
+        return plurigenus(inv, n)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+def test_plurigenus_matches_the_fraction_formula():
+    # every admissible (K^3, chi) with K^3 <= 200, where p_n is integral and >= 5
+    for k3 in range(2, 201, 2):
+        lo, hi = admissible_chi_range(k3)
+        for chi in range(lo, hi + 1):
+            inv = ThreefoldInvariants(k3, chi)
+            for n in (2, 3, 4, 7, 27450):
+                assert plurigenus(inv, n) == _plurigenus_oracle(k3, chi, n), (k3, chi, n)
+    # inputs outside the admissible range reach both errors, with their exact text
+    for k3 in range(-6, 31):
+        for chi in range(-8, 9):
+            inv = SimpleNamespace(k3=k3, chi=chi)
+            for n in range(2, 8):
+                assert _plurigenus_outcome(inv, n) == _plurigenus_oracle(k3, chi, n), (k3, chi, n)
+    assert _plurigenus_outcome(SimpleNamespace(k3=1, chi=0), 2) == \
+        "plurigenus p_2 = 1/2 is not an integer; inputs inadmissible"
+    assert _plurigenus_outcome(SimpleNamespace(k3=2, chi=1), 3) == "p_3 = 0 < 5; inputs inadmissible"
 
 
 def test_plurigenus_needs_n_at_least_2():
@@ -165,6 +202,16 @@ def test_margin_chi_shape_supports_endpoint_reduction():
     lo, hi = 8, 13
     if vals[lo - 6] > 0 and vals[hi - 6] > 0:
         assert all(v > 0 for v in vals[lo - 6:hi - 5])
+
+
+def test_prop33_chain_check_follows_epsilon_at_one_level():
+    # the eps-only check is built once per (n, eps); at n = 30 the cap
+    # 12/(179*88) lies between 1/100000 and 1/1000
+    cap = Fraction(12, 179 * 88)
+    for eps in (Fraction(1, 1000), Fraction(1, 100000), CHAIN_RATIO_EPSILON, Fraction(1, 100000)):
+        _, rep = decomposability_margin("prop3.3", ThreefoldInvariants(6, 1), n=30, epsilon=eps)
+        assert rep.check("chain_ratio_implies_eps") == (
+            "chain_ratio_implies_eps", cap <= eps, f"12/((6n-1)(3n-2)) = {cap} vs eps = {eps}")
 
 
 def test_margin_prop33_requires_level():
@@ -395,6 +442,25 @@ def test_check_is_an_immutable_hashable_tuple():
     assert Check("x", True, Fraction(7, 2)).to_json_dict()["detail"] == "7/2"
 
 
+def test_hypothesis_report_is_a_tuple_admissible_exactly_when_every_check_passes():
+    for size in range(5):
+        for failing in [None, *range(size)]:
+            checks = tuple(Check(f"c{i}", i != failing, i) for i in range(size))
+            rep = HypothesisReport("subject", checks)
+            assert rep == ("subject", checks) and hash(rep) == hash(("subject", checks))
+            assert rep.admissible == (failing is None), (size, failing)
+            assert rep.failed() == ([] if failing is None else [f"c{failing}"])
+            assert rep.to_json_dict() == {"subject": "subject", "admissible": failing is None,
+                                          "checks": [c.to_json_dict() for c in checks]}
+    rep = HypothesisReport("x", (Check("a", True), Check("b", False, Fraction(1, 2))))
+    assert rep.check("b") is rep.checks[1]
+    with pytest.raises(KeyError):
+        rep.check("c")
+    with pytest.raises(AttributeError):
+        rep.subject = "y"
+    assert HypothesisReport("empty").checks == () and HypothesisReport("empty").admissible
+
+
 def test_bound_result_serialization():
     res = surface_bound(SurfaceInvariants(1))
     d = res.to_json_dict()
@@ -476,3 +542,22 @@ def test_surface_bound_trails_are_pinned():
 
 def test_margin_trails_are_pinned():
     assert _trail_digest(_margin_trails()) == _PINNED_MARGIN_TRAILS
+
+
+def _prop33_trails():
+    # the confirmation's margins at n* and n* - 1, with chi at both ends and
+    # the middle; at eps = 1e-6, n* - 1 fails the chain check
+    for epsilon in (CHAIN_RATIO_EPSILON, Fraction(1, 10 ** 6)):
+        n_star, _ = universal_n(epsilon)
+        for n in (n_star, n_star - 1):
+            for k3 in range(2, 201, 2):
+                lo, hi = admissible_chi_range(k3)
+                for chi in (lo, (lo + hi) // 2, hi):
+                    margin, report = decomposability_margin(
+                        "prop3.3", ThreefoldInvariants(k3, chi), n=n, epsilon=epsilon)
+                    yield str(margin), report.to_json_dict()
+
+
+def test_prop33_trails_at_the_universal_level_are_pinned():
+    assert _trail_digest(_prop33_trails()) == \
+        "c9e17d9636a8d081c8e0cdec6085687757a5088e5f5a8c1e9329d6658ebd6c0a"

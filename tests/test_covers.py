@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -26,6 +27,7 @@ from autbounds.covers import (
     _orbit,
     _pool,
     _root_positions,
+    _unit_generators,
 )
 from autbounds.errors import InvariantViolation
 from functools import lru_cache
@@ -97,6 +99,26 @@ def test_automorphism_counts_match_closed_form():
     assert hillar_rhea_aut_order((2, 2, 2, 2, 2)) == 9_999_360
     assert hillar_rhea_aut_order((2, 2, 2, 2)) == 20_160
     assert hillar_rhea_aut_order((2, 2, 2, 4)) == 21_504
+
+
+def test_unit_generators_generate_the_unit_group_least_first():
+    # Aut(G)'s scalings use one unit per generator of (Z/d)*: each pick is the
+    # least unit outside the subgroup the picks before it generate
+    def generated(gens, d):
+        sub = {1}
+        while True:
+            grown = sub | {s * u % d for s in sub for u in gens}
+            if grown == sub:
+                return sub
+            sub = grown
+
+    for d in range(2, 301):
+        units = {u for u in range(1, d) if gcd(u, d) == 1}
+        gens = _unit_generators(d)
+        assert generated(gens, d) == units, d
+        for i, u in enumerate(gens):
+            assert u == min(units - generated(gens[:i], d)), (d, gens)
+    assert _unit_generators(8) == [3, 5] and _unit_generators(116) == [3, 7]
 
 
 # (Z/2)^4 is left out: the naive build alone filters 50,625 dict tables

@@ -65,6 +65,23 @@ def test_bound_2_6_forms_are_cached_per_epsilon():
     assert lemmas._forms_at("2.6", Fraction(2, 1060)) is lemmas._forms_at("2.6", wide)
 
 
+@pytest.mark.parametrize("lemma_id", ["2.5", "2.6", "2.7"])
+def test_bound_formula_matches_the_fraction_forms(lemma_id):
+    # the integer rows over one common denominator against the least of the
+    # rule's Fraction forms, at a wide-denominator epsilon too
+    rng = random.Random(lemma_id)
+    wide = Fraction(10 ** 40 + 7, 530 * 10 ** 40 + 3)
+    for eps in (0, Fraction(1, 530), Fraction(2, 1060), wide):
+        forms = RULES[lemma_id].forms_at(Fraction(eps))
+        q, rows = lemmas._forms_at(lemma_id, eps)
+        assert tuple(tuple(Fraction(c, q) for c in row) for row in rows) == forms
+        for n2, n3 in [(0, 0), (1, 0), (0, 1)] + [
+                (rng.randint(0, 10 ** k), rng.randint(0, 10 ** k)) for k in (2, 4, 9) for _ in range(100)]:
+            value = bound_formula(lemma_id, n2, n3, eps)
+            assert isinstance(value, Fraction)
+            assert value == min(c3 * n3 + c2 * n2 + c0 for c3, c2, c0 in forms), (eps, n2, n3)
+
+
 def test_bound_unknown_rule_rejected():
     with pytest.raises(InvariantViolation):
         bound_formula("2.4", 1, 1)
