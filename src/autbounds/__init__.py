@@ -5,7 +5,7 @@ Four layers, each exact:
 - :mod:`autbounds.lattice` — integer point sets, mid-point counting,
   chains, arrangement, convexity predicates;
 - :mod:`autbounds.lemmas` — seeded generators and verifiers for the
-  mid-point counting rules, with replayable violation witnesses;
+  counting rules that :mod:`autbounds.rules` states, with replayable witnesses;
 - :mod:`autbounds.covers` — abelian covers of curves as pure group data:
   genus arithmetic, quotient witnesses, exhaustive extremal enumeration;
 - :mod:`autbounds.bounds` — plurigenus arithmetic, decomposability

@@ -24,8 +24,8 @@ from math import ceil, isqrt, lcm
 from typing import Optional
 
 from .errors import InvariantViolation
-from .lemmas import CHAIN_RATIO_EPSILON, RULES, bound_formula
 from .reports import Check, HypothesisReport, jsonable
+from .rules import CHAIN_RATIO_EPSILON, RULES, bound_formula
 
 
 # ---------------------------------------------------------------------------

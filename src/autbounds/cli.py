@@ -26,7 +26,7 @@ from .errors import InvariantViolation
 from .reports import jsonable
 from . import bounds as bounds_mod
 from . import covers as covers_mod
-from . import lemmas as lemmas_mod
+from .rules import CHAIN_RATIO_EPSILON, LEMMA_IDS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -60,6 +60,17 @@ def _stdout(text: str) -> None:
         os.close(devnull)
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path, making its missing directories; an unwritable path is a usage error."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+
+
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
@@ -86,9 +97,7 @@ def _emit(body, args, extra_header=None, started=None):
     out = getattr(args, "out", None)
     if out:
         path = out if os.path.isabs(out) else os.path.join(_output_dir(), out)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
         _stdout(path + "\n")
     else:
         _stdout(text)
@@ -111,9 +120,10 @@ def _golden_text(name_or_path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_lemmas(args) -> int:
+    from . import lemmas as lemmas_mod  # numpy is loaded only by the commands that count
     started = time.monotonic()
-    if args.lemma not in lemmas_mod.LEMMA_IDS:
-        print(f"unknown lemma id {args.lemma!r}; choose from {lemmas_mod.LEMMA_IDS}", file=sys.stderr)
+    if args.lemma not in LEMMA_IDS:
+        print(f"unknown lemma id {args.lemma!r}; choose from {LEMMA_IDS}", file=sys.stderr)
         return EXIT_USAGE
     result = lemmas_mod.run_lemma_suite(
         args.lemma, args.trials, args.seed,
@@ -127,8 +137,7 @@ def cmd_verify_lemmas(args) -> int:
         _emit(body, args, started=started)
     for violation in result.violations:
         path = os.path.join(_output_dir(), f"witness_{args.lemma}_{violation['seed']}.json")
-        with open(path, "w") as fh:
-            fh.write(_canonical_json(violation))
+        _write(path, _canonical_json(violation))
         print(f"witness written: {path}", file=sys.stderr)
     if result.violations:
         return EXIT_VIOLATION
@@ -269,7 +278,7 @@ def _only_keys(kv: dict, allowed, what: str) -> None:
 def _epsilon(kv: dict) -> Fraction:
     """kv['epsilon'] as a rational, or the chain-ratio epsilon 1/530 when absent."""
     if "epsilon" not in kv:
-        return lemmas_mod.CHAIN_RATIO_EPSILON
+        return CHAIN_RATIO_EPSILON
     try:
         return Fraction(kv["epsilon"])
     except (ValueError, ZeroDivisionError):
@@ -415,6 +424,7 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def cmd_reproduce_all(args) -> int:
+    from . import lemmas as lemmas_mod
     full = args.full
     ok = True
 
@@ -552,13 +562,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse and _write exit once they have printed why
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except InvariantViolation as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -27,8 +27,6 @@ from itertools import product as iproduct
 from math import gcd, lcm, prod
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .errors import InvariantViolation
 from .reports import Check, HypothesisReport
 
@@ -95,10 +93,11 @@ class FiniteAbelianGroup:
     def involutions(self) -> tuple[Element, ...]:
         return tuple(x for x in self.elements() if self.element_order(x) == 2)
 
-    def automorphisms(self) -> np.ndarray:
+    def automorphisms(self):
         """Aut(G) as int32 rows, sorted: row a sends the element of index j to
         the element of index a[j]. It is the closure of the identity row under
         :func:`_aut_generators`; the enumeration never builds it."""
+        import numpy as np  # here only, so that covers loads without numpy
         rows = _orbit(self.invariant_factors, range(self.order), keep_positions=True)
         return np.array(sorted(rows), dtype=np.int32)
 
@@ -137,16 +136,13 @@ def _index(factors: tuple[int, ...]) -> dict[Element, int]:
 @lru_cache(maxsize=None)
 def _addition_table(factors: tuple[int, ...]) -> list[list[int]]:
     """The index of x + y at [x][y], for element indices x and y, as row lists.
-
-    An element's index is its mixed-radix number in elements() order, so the
-    table is the coordinatewise sum reduced mod each factor, read back in
-    that radix; the trivial group () gives [[0]].
-    """
-    n, m = prod(factors, start=1), len(factors)
-    coords = np.array(_elements(factors), dtype=np.int64).reshape(n, m)
-    strides = np.array([prod(factors[i + 1:], start=1) for i in range(m)], dtype=np.int64)
-    table = ((coords[:, None, :] + coords[None, :, :]) % np.array(factors, dtype=np.int64)) @ strides
-    return table.tolist()
+    Indices are mixed-radix numbers in elements() order, so with one factor d
+    more, x*d + a and y*d + b add to table[x][y]*d + (a + b) % d; () gives [[0]]."""
+    table = [[0]]
+    for d in factors:
+        rotations = [[(a + b) % d for b in range(d)] for a in range(d)]
+        table = [[s * d + c for s in row for c in rot] for row in table for rot in rotations]
+    return table
 
 
 @lru_cache(maxsize=None)

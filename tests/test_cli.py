@@ -233,6 +233,72 @@ def test_closed_stdout_still_writes_the_witness_files(tmp_path):
     assert len(list(tmp_path.glob("witness_2.5_*.json"))) == 2
 
 
+def _child_env() -> dict:
+    src = str(Path(autbounds.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_bounds_and_covers_modules_do_not_import_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, autbounds.cli, autbounds.bounds, autbounds.covers, "
+         "autbounds.rules; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "constant"],
+    ["bounds", "surface", "k2_range=1:64", "--table"],
+    ["bounds", "margin", "variant=prop3.3", "k3=2", "chi=0", "n=27450"],
+    ["enumerate-covers", "--bound", "3g+6", "--gmin", "2", "--gmax", "8", "--no-hyperelliptic",
+     "--golden", "fermat"],
+], ids=["constant", "surface-table", "prop3.3-margin", "fermat-covers"])
+def test_bounds_and_covers_run_without_numpy(capsys, argv):
+    # numpy set to None in sys.modules makes any import of it fail
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['numpy'] = None; "
+         "from autbounds.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    if "--table" in argv:  # the CSV lines end in \r\n, so compare bytes
+        assert proc.stdout == out.encode()
+    else:
+        assert body_of(proc.stdout.decode()) == body_of(out)
+
+
+# an inflated bound makes every trial of a suite a violation
+_INFLATE = ("from autbounds import lemmas; real = lemmas.bound_formula; "
+            "lemmas.bound_formula = lambda *a, **k: real(*a, **k) + 10 ** 9; ")
+
+
+def test_out_under_a_regular_file_is_64(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = _run_with_closed_stdout(tmp_path, "bounds", "constant", "--out", str(tmp_path / "file" / "x.json"))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith(f"cannot write {tmp_path / 'file' / 'x.json'}: ")
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_witness_run_makes_a_missing_output_directory(tmp_path):
+    out_dir = tmp_path / "made" / "here"
+    proc = _run_with_closed_stdout(out_dir, "verify-lemmas", "--lemma", "2.5", "--trials", "2",
+                                   "--seed", "5", prelude=_INFLATE)
+    assert proc.returncode == EXIT_VIOLATION
+    assert "Traceback" not in proc.stderr
+    assert len(list(out_dir.glob("witness_2.5_*.json"))) == 2
+
+
+def test_witness_run_under_a_regular_file_is_64(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = _run_with_closed_stdout(tmp_path / "file" / "out", "verify-lemmas", "--lemma", "2.5",
+                                   "--trials", "2", "--seed", "5", prelude=_INFLATE)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith(f"cannot write {tmp_path / 'file' / 'out'}{os.sep}witness_2.5_")
+    assert "Traceback" not in proc.stderr
+
+
 def test_bounds_surface_value(capsys):
     code, out, _ = run_cli(capsys, "bounds", "surface", "k2=1")
     assert code == EXIT_OK

@@ -24,6 +24,7 @@ from autbounds.covers import (
     quotient_genus,
     records_to_json,
     signature_table,
+    _addition_table,
     _orbit,
     _pool,
     _root_positions,
@@ -119,6 +120,28 @@ def test_unit_generators_generate_the_unit_group_least_first():
         for i, u in enumerate(gens):
             assert u == min(units - generated(gens[:i], d)), (d, gens)
     assert _unit_generators(8) == [3, 5] and _unit_generators(116) == [3, 7]
+
+
+def test_addition_tables_are_pinned():
+    # one digest over the tables of all 260 groups of order <= 136, computed
+    # when the table was still built by numpy broadcasting
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 137):
+        for g in abelian_groups_of_order(n):
+            digest.update(repr((g.invariant_factors, _addition_table(g.invariant_factors))).encode())
+            count += 1
+    assert count == 260
+    assert digest.hexdigest() == "c779cb46a70cf3e678d579627da34e2339c7573c09bcd8515d7c09eecaf2f9af"
+
+
+def test_addition_table_matches_group_add():
+    for n in range(1, 65):
+        for g in abelian_groups_of_order(n):
+            table, elements = _addition_table(g.invariant_factors), g.elements()
+            index = {x: i for i, x in enumerate(elements)}
+            assert len(table) == n and all(len(row) == n for row in table), g
+            for i, x in enumerate(elements):
+                assert table[i] == [index[g.add(x, y)] for y in elements], (g, x)
 
 
 # (Z/2)^4 is left out: the naive build alone filters 50,625 dict tables
