@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, isqrt, lcm
 from typing import Optional
 
 from .errors import InvariantViolation
 from .reports import Check, HypothesisReport, jsonable
-from .rules import CHAIN_RATIO_EPSILON, RULES, bound_formula
+from .rules import CHAIN_RATIO_EPSILON, RULES, bound_margin
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +148,22 @@ class BoundResult:
     """Minimum applicable bound with the full hypothesis trail.
 
     value is None when no rule applies; applicable maps rule tags to their
-    values, trail keeps every rule's checks whether it fired or not.
+    values, and source lists every tag attaining the minimum. These are
+    decided on the rules' pass booleans alone. `trail` keeps every rule's
+    checks whether it fired or not; it is built from `_surface_rules(inv)`
+    the first time it is read, and then kept.
     """
 
     value: Optional[Fraction]
     source: tuple[str, ...]
     applicable: dict
-    trail: dict
+    inv: SurfaceInvariants
+
+    @cached_property
+    def trail(self) -> dict:
+        return {tag: HypothesisReport(tag, tuple(Check(*c) for c in zip(names, passes, details(),
+                                                                         strict=True)))
+                for tag, _, names, passes, details in _surface_rules(self.inv)}
 
     def to_json_dict(self):
         return {
@@ -168,6 +177,17 @@ class BoundResult:
 # a genus-g pencil is controlled once K^2 >= 12(g-1)/(g+5) * chi, tested in
 # integers by `_pencil_controlled`; the slopes' text goes into the trail
 _PENCIL_SLOPES = {g: str(Fraction(12 * (g - 1), g + 5)) for g in (3, 4, 5)}
+_SMALL_PENCIL_CHECKS = ("k2_at_least_181",
+                        *(f"pencil_genus_{g}_controlled" for g in _PENCIL_SLOPES))
+_PENCIL_STATUS_TEXT = {"absent": "no such pencil",
+                       "unknown": "pencil status unknown; hypothesis not certified"}
+# (genus, tag, check names, K^2 floor, value shift) of the genus-3/4/5 pencil rules
+_GENUS_PENCIL_RULES = tuple(
+    (g, f"genus{g}_pencil", (f"has_genus{g}_pencil", f"k2_exceeds_{k2_floor}",
+                             "k2_at_least_slope_times_chi"), k2_floor, shift)
+    for g, k2_floor, shift in ((3, 16, 64), (4, 36, 144), (5, 64, 256)))
+_CANONICAL_CHECKS = ("canonical_image_is_surface", "chi_at_least_14", "k2_at_least_82",
+                     "no_pencils_genus_2_to_5")
 
 
 def _pencil_controlled(g: int, k2: int, chi: int) -> bool:
@@ -175,88 +195,81 @@ def _pencil_controlled(g: int, k2: int, chi: int) -> bool:
 
 
 def _surface_rules(inv: SurfaceInvariants):
-    """(tag, checks, (numerator, denominator) of the value) for every rule in the table."""
+    """Every rule in the table as (tag, (numerator, denominator) of its value,
+    check names, check pass booleans, details), where details() formats the
+    checks' details. A rule applies when all its booleans hold; no check is
+    built and no text formatted until details() is called."""
     k2, chi, floor = inv.k2, inv.chi, inv.chi_floor
-    known, absent = sorted(inv.known_pencils), sorted(inv.no_pencils)
+    known, absent = inv.known_pencils, inv.no_pencils
 
-    yield ("global_chi8",
-           (Check("chi_at_least_8", floor >= 8,
-                  f"chi={chi} floor={floor} (floor uses chi>=1 and K^2<=9chi)"),),
-           (36 * k2 + 24, 1))
+    yield ("global_chi8", (36 * k2 + 24, 1), ("chi_at_least_8",), (floor >= 8,),
+           lambda: (f"chi={chi} floor={floor} (floor uses chi>=1 and K^2<=9chi)",))
 
-    checks = [Check("k2_at_least_181", k2 >= 181, k2)]
-    for g, slope in _PENCIL_SLOPES.items():
-        name = f"pencil_genus_{g}_controlled"
-        if g in inv.no_pencils:
-            checks.append(Check(name, True, "no such pencil"))
-        elif g in inv.known_pencils and chi is not None:
-            needed = Fraction(12 * (g - 1) * chi, g + 5)
-            checks.append(Check(name, _pencil_controlled(g, k2, chi),
-                                f"K^2 >= {slope}*chi needed: {k2} vs {needed}"))
-        else:
-            checks.append(Check(name, False, "pencil status unknown; hypothesis not certified"))
-    yield "large_k2_small_pencils_controlled", tuple(checks), (24 * k2 + 256, 1)
+    # a small pencil genus is certified absent, present with chi known (so its
+    # slope can be tested), or unknown
+    status = ["absent" if g in absent else "present" if g in known and chi is not None
+              else "unknown" for g in _PENCIL_SLOPES]
+    yield ("large_k2_small_pencils_controlled", (24 * k2 + 256, 1), _SMALL_PENCIL_CHECKS,
+           (k2 >= 181, *(s == "absent" or s == "present" and _pencil_controlled(g, k2, chi)
+                         for g, s in zip(_PENCIL_SLOPES, status))),
+           lambda: (k2, *(_PENCIL_STATUS_TEXT[s] if s != "present" else
+                          f"K^2 >= {slope}*chi needed: {k2} vs {Fraction(12 * (g - 1) * chi, g + 5)}"
+                          for (g, slope), s in zip(_PENCIL_SLOPES.items(), status))))
 
-    base_canonical = (
-        Check("canonical_image_is_surface", inv.canonical_image_dim == 2, inv.canonical_image_dim),
-        Check("chi_at_least_14", chi is not None and chi >= 14, chi),
-        Check("k2_at_least_82", k2 >= 82, k2),
-        Check("no_pencils_genus_2_to_5", inv.no_pencils_through(2, 5), absent),
-    )
-    yield "canonical_image_surface", base_canonical, (24 * k2 + 16, 1)
-    yield ("canonical_image_birational",
-           base_canonical + (Check("canonical_map_birational", inv.canonical_map_birational, None),),
-           (18 * k2 + 18, 1))
+    canonical = (inv.canonical_image_dim == 2, chi is not None and chi >= 14, k2 >= 82,
+                 inv.no_pencils_through(2, 5))
+
+    def canonical_details():
+        return inv.canonical_image_dim, chi, k2, sorted(absent)
+
+    yield ("canonical_image_surface", (24 * k2 + 16, 1), _CANONICAL_CHECKS, canonical,
+           canonical_details)
+    yield ("canonical_image_birational", (18 * k2 + 18, 1),
+           (*_CANONICAL_CHECKS, "canonical_map_birational"),
+           (*canonical, inv.canonical_map_birational), lambda: (*canonical_details(), None))
 
     g = inv.two_pencils_genus
-    yield ("double_pencil",
-           (Check("two_pencils_same_genus", g is not None, g),
-            Check("k2_exceeds_4(g-1)^2", g is not None and k2 > 4 * (g - 1) ** 2,
-                  None if g is None else f"{k2} vs {4 * (g - 1) ** 2}")),
-           (16 * k2, 1))
+    yield ("double_pencil", (16 * k2, 1), ("two_pencils_same_genus", "k2_exceeds_4(g-1)^2"),
+           (g is not None, g is not None and k2 > 4 * (g - 1) ** 2),
+           lambda: (g, None if g is None else f"{k2} vs {4 * (g - 1) ** 2}"))
 
-    for genus, k2_floor, shift in ((3, 16, 64), (4, 36, 144), (5, 64, 256)):
-        yield (f"genus{genus}_pencil",
-               (Check(f"has_genus{genus}_pencil", genus in inv.known_pencils, known),
-                Check(f"k2_exceeds_{k2_floor}", k2 > k2_floor, k2),
-                Check("k2_at_least_slope_times_chi",
-                      chi is not None and _pencil_controlled(genus, k2, chi),
-                      f"{k2} vs {_PENCIL_SLOPES[genus]}*{chi}")),
-               (24 * k2 + shift, 1))
+    for genus, tag, names, k2_floor, shift in _GENUS_PENCIL_RULES:
+        # the default binds this rule's genus: details() runs after the loop has moved on
+        yield (tag, (24 * k2 + shift, 1), names,
+               (genus in known, k2 > k2_floor, chi is not None and _pencil_controlled(genus, k2, chi)),
+               lambda genus=genus: (sorted(known), k2, f"{k2} vs {_PENCIL_SLOPES[genus]}*{chi}"))
 
-    yield ("canonical_pencil",
-           (Check("canonical_image_is_curve", inv.canonical_image_dim == 1, inv.canonical_image_dim),
-            Check("chi_at_least_21", chi is not None and chi >= 21, chi)),
-           (25 * k2 + 938, 2))
-    yield ("genus2_pencil",
-           (Check("has_genus2_pencil", 2 in inv.known_pencils, known),
-            Check("k2_at_least_9", k2 >= 9, k2)),
-           (25 * k2 + 200, 2))
+    yield ("canonical_pencil", (25 * k2 + 938, 2), ("canonical_image_is_curve", "chi_at_least_21"),
+           (inv.canonical_image_dim == 1, chi is not None and chi >= 21),
+           lambda: (inv.canonical_image_dim, chi))
+    yield ("genus2_pencil", (25 * k2 + 200, 2), ("has_genus2_pencil", "k2_at_least_9"),
+           (2 in known, k2 >= 9), lambda: (sorted(known), k2))
 
-    yield "mid_k2", (Check("k2_in_4_63", 4 <= k2 <= 63, k2),), (114 * k2 + 24, 1)
-    yield "low_k2", (Check("k2_in_2_3", 2 <= k2 <= 3, k2),), (200 * k2 + 22, 1)
-    yield "unit_k2", (Check("k2_is_1", k2 == 1, k2),), (270, 1)
+    def k2_only():
+        return (k2,)
 
-    yield ("even_surface",
-           (Check("even_surface_conditions", inv.even_surface_conditions,
-                  "K=2L, half-canonical map generically finite, 2L-map birational"),
-            Check("no_pencils_genus_3_to_8", inv.no_pencils_through(3, 8), absent),
-            Check("k2_exceeds_196", k2 > 196, k2)),
-           (12 * k2 + 24, 1))
+    yield "mid_k2", (114 * k2 + 24, 1), ("k2_in_4_63",), (4 <= k2 <= 63,), k2_only
+    yield "low_k2", (200 * k2 + 22, 1), ("k2_in_2_3",), (2 <= k2 <= 3,), k2_only
+    yield "unit_k2", (270, 1), ("k2_is_1",), (k2 == 1,), k2_only
+
+    yield ("even_surface", (12 * k2 + 24, 1),
+           ("even_surface_conditions", "no_pencils_genus_3_to_8", "k2_exceeds_196"),
+           (inv.even_surface_conditions, inv.no_pencils_through(3, 8), k2 > 196),
+           lambda: ("K=2L, half-canonical map generically finite, 2L-map birational",
+                    sorted(absent), k2))
 
     if inv.ci_degrees is not None:
         total = sum(inv.ci_degrees)
         n_ambient = len(inv.ci_degrees) + 2
-        yield ("odd_complete_intersection",
-               (Check("degree_sum_minus_ambient_odd", (total - n_ambient) % 2 == 1,
-                      f"sum={total} ambient={n_ambient}"),
-                Check("k2_exceeds_196", k2 > 196, k2)),
-               (12 * k2 + 24, 1))
+        yield ("odd_complete_intersection", (12 * k2 + 24, 1),
+               ("degree_sum_minus_ambient_odd", "k2_exceeds_196"),
+               ((total - n_ambient) % 2 == 1, k2 > 196),
+               lambda: (f"sum={total} ambient={n_ambient}", k2))
 
     if inv.p3_degree is not None:
         d = inv.p3_degree
-        yield ("hypersurface_in_p3", (Check("degree_at_least_5", d >= 5, d),),
-               (3 * d * d * (d - 2) + 9, 1))
+        yield ("hypersurface_in_p3", (3 * d * d * (d - 2) + 9, 1), ("degree_at_least_5",),
+               (d >= 5,), lambda: (d,))
 
 
 def surface_bound(inv: SurfaceInvariants) -> BoundResult:
@@ -266,15 +279,11 @@ def surface_bound(inv: SurfaceInvariants) -> BoundResult:
     and `source` lists every rule attaining it. A value becomes a Fraction
     only once its rule applies.
     """
-    applicable: dict[str, Fraction] = {}
-    trail: dict[str, HypothesisReport] = {}
-    for tag, checks, value in _surface_rules(inv):
-        report = trail[tag] = HypothesisReport(tag, checks)
-        if report.admissible:
-            applicable[tag] = Fraction(*value)
+    applicable = {tag: Fraction(*value) for tag, value, _, passes, _ in _surface_rules(inv)
+                  if all(passes)}
     best = min(applicable.values(), default=None)
     source = tuple(sorted(tag for tag, v in applicable.items() if v == best))
-    return BoundResult(best, source, applicable, trail)
+    return BoundResult(best, source, applicable, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +298,11 @@ def _chain_cap(n: int) -> Fraction:
     return Fraction(12, (6 * n - 1) * (3 * n - 2))
 
 
-@lru_cache(maxsize=64, typed=True)
-def _chain_check(n: int, epsilon: Fraction) -> Check:
-    """prop3.3's check that the level-n chain cap is <= eps, built once per (n, eps)."""
-    cap = _chain_cap(n)
+@lru_cache(maxsize=64)
+def _chain_check(n: int, eps_num: int, eps_den: int) -> Check:
+    """prop3.3's check that the level-n chain cap is <= eps = eps_num/eps_den,
+    built once per (n, eps); keyed on integers, as a Fraction's hash is slow."""
+    cap, epsilon = _chain_cap(n), Fraction(eps_num, eps_den)
     return Check("chain_ratio_implies_eps", cap <= epsilon,
                  f"12/((6n-1)(3n-2)) = {cap} vs eps = {epsilon}")
 
@@ -329,9 +339,9 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
             raise InvariantViolation("prop3.3 needs the level n >= 2")
         n2, n3 = plurigenus(inv, 2 * n), plurigenus(inv, 3 * n)
         rhs = plurigenus(inv, 4 * n)
-        margin = bound_formula("2.6", n2, n3, epsilon) - rhs
+        margin = bound_margin("2.6", n2, n3, rhs, epsilon)
         return margin, HypothesisReport(variant, (
-            _chain_check(n, epsilon),
+            _chain_check(n, epsilon.numerator, epsilon.denominator),
             Check("4a2_ge_a3", 4 * n2 >= n3, f"4*{n2} vs {n3}"),
             Check("dim_at_least_4_assumed", True,
                   "assumed: basic sets are >= 4-dimensional in the birational range"),
@@ -346,7 +356,7 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
     if variant == "prop6.3":
         n2, n3 = _dim_h(2, k2, chi), _dim_h(3, k2, chi)
         rhs = _dim_h(4, k2, chi)
-        margin = bound_formula("2.7", n2, n3) - rhs
+        margin = bound_margin("2.7", n2, n3, rhs)
         return margin, HypothesisReport(variant, (
             Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
             Check("dims_assumed", True,
@@ -369,7 +379,7 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         raise InvariantViolation(f"unknown margin variant {variant!r}")
     levels, assumed = _RULE_2_5_LEVELS[variant]
     n2, n3, rhs = (_dim_h(i, k2, chi) for i in levels)
-    margin = bound_formula("2.5", n2, n3) - rhs
+    margin = bound_margin("2.5", n2, n3, rhs)
     return margin, HypothesisReport(variant, (
         Check("a2_at_least_21", n2 >= 21, n2),
         Check("a3_at_most_2a2", n3 <= 2 * n2, f"{n3} vs {2 * n2}"),

@@ -152,17 +152,30 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
     on an inadmissible triple the comparison makes no claim.
     """
     if lemma_id == "2.4":
-        return _arranged_outcome(arranged_union_counts(triple.a1, triple.a2, triple.a3))
+        counts = arranged_union_counts(triple.a1, triple.a2, triple.a3)
+        return _arranged_outcome(counts, _axis_checks(counts))
     lhs = union_count(triple)
     rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3))
     return VerificationOutcome(lhs, rhs, lhs >= rhs)
 
 
-def _arranged_outcome(counts: list[int]) -> VerificationOutcome:
-    """Rule 2.4's outcome from its dim+1 arranged counts; each axis step is a check."""
-    checks = tuple(Check(f"nonincreasing_axis_{axis}", after <= before, f"{before} -> {after}")
-                   for axis, (before, after) in enumerate(zip(counts, counts[1:])))
-    return VerificationOutcome(counts[0], Fraction(counts[-1]), all(c.passed for c in checks), checks)
+def _arranged_outcome(counts: list[int], checks: tuple[Check, ...] = ()) -> VerificationOutcome:
+    """Rule 2.4's outcome from its dim+1 arranged counts: satisfied when no
+    axis step raises the count. `checks` are the steps' `_axis_checks`, for
+    an outcome that a report reads."""
+    return VerificationOutcome(counts[0], Fraction(counts[-1]), all(_axis_steps(counts)), checks)
+
+
+def _axis_steps(counts: list[int]) -> list[bool]:
+    """Per axis, whether arranging along it kept the union count from rising."""
+    return [after <= before for before, after in zip(counts, counts[1:])]
+
+
+def _axis_checks(counts: list[int]) -> tuple[Check, ...]:
+    """`_axis_steps` as checks, each with the count before and after its axis."""
+    return tuple(Check(f"nonincreasing_axis_{axis}", held, f"{before} -> {after}")
+                 for axis, (held, before, after) in enumerate(zip(_axis_steps(counts), counts,
+                                                                  counts[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +504,8 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
 def _run_arranged_suite(result: SuiteResult, dim: int, lo: int, hi: int) -> None:
     """Rule 2.4's trials, drawn and counted by `arranged_block_counts` a block
     at a time. Every draw is admissible, so only a violated trial is drawn
-    again as a triple and has its hypotheses checked."""
+    again as a triple, has its hypotheses checked and its axis steps built
+    as checks."""
     if hi * (dim + 1) * (hi + dim) > MAX_ARRANGED_WORK:
         raise InvariantViolation(f"rule 2.4 size {hi} in dim {dim} is past the work cap: "
                                  f"size * (dim + 1) * (size + dim) may be at most "
@@ -506,7 +520,7 @@ def _run_arranged_suite(result: SuiteResult, dim: int, lo: int, hi: int) -> None
                 zip(seeds, drawn, arranged_block_counts(drawn)), first):
             _record(result, trial, seed, 1, True, len(a3), _arranged_outcome(counts),
                     lambda: (t := triple_for_rule("2.4", seed, dim, lo, hi),
-                             hypothesis_report("2.4", t).checks))
+                             hypothesis_report("2.4", t).checks + _axis_checks(counts)))
 
 
 def _record(result: SuiteResult, trial: int, seed: int, draws: int, admissible: bool, n3: int,

@@ -1,7 +1,9 @@
 import hashlib
 import json
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -21,9 +23,10 @@ from autbounds.bounds import (
     threefold_constant,
     universal_n,
 )
+from autbounds.cli import surface_invariants_from_kv
 from autbounds.errors import InvariantViolation
 from autbounds.lemmas import CHAIN_RATIO_EPSILON
-from autbounds.reports import Check, HypothesisReport
+from autbounds.reports import Check, HypothesisReport, jsonable
 
 from tests_oracles import naive_universal_n
 
@@ -561,3 +564,44 @@ def _prop33_trails():
 def test_prop33_trails_at_the_universal_level_are_pinned():
     assert _trail_digest(_prop33_trails()) == \
         "c9e17d9636a8d081c8e0cdec6085687757a5088e5f5a8c1e9329d6658ebd6c0a"
+
+
+# ---------------------------------------------------------------------------
+# the surface bound decided on booleans, its trail built when read
+# ---------------------------------------------------------------------------
+
+def _golden_surface_entries():
+    return json.loads(resources.files("autbounds.data").joinpath("golden_surface_bounds.json")
+                      .read_text())["body"]["entries"]
+
+
+def test_surface_bound_value_and_source_agree_with_the_trail():
+    golden = [surface_invariants_from_kv(e["inputs"]) for e in _golden_surface_entries()]
+    for inv in [*_surface_grid(), *golden]:
+        res = surface_bound(inv)
+        assert set(res.applicable) == {tag for tag, rep in res.trail.items() if rep.admissible}, inv
+        assert res.value == min(res.applicable.values(), default=None), inv
+        assert res.source == tuple(sorted(tag for tag, v in res.applicable.items()
+                                          if v == res.value)), inv
+
+
+def test_surface_trail_is_built_only_when_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check was built before the trail was read")
+
+    monkeypatch.setattr(bounds, "Check", refuse)
+    monkeypatch.setattr(bounds, "HypothesisReport", refuse)
+    golden = _golden_surface_entries()
+    results = [surface_bound(surface_invariants_from_kv(e["inputs"])) for e in golden]
+    assert [(jsonable(r.value), list(r.source)) for r in results] == \
+        [(e["value"], e["source"]) for e in golden]
+    grid = deque(surface_bound(inv) for inv in _surface_grid())
+    monkeypatch.undo()
+
+    def read(results):
+        while results:  # drop each result once read, so the trails are not all held at once
+            res = results.popleft()
+            assert res.trail is res.trail
+            yield res.to_json_dict()
+
+    assert _trail_digest(read(grid)) == _PINNED_SURFACE_TRAILS
