@@ -352,13 +352,14 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
     if inv.chi is None:
         raise InvariantViolation(f"{variant} needs a known chi")
     k2, chi = inv.k2, inv.chi
+    bmy = Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}")
 
     if variant == "prop6.3":
         n2, n3 = _dim_h(2, k2, chi), _dim_h(3, k2, chi)
         rhs = _dim_h(4, k2, chi)
         margin = bound_margin("2.7", n2, n3, rhs)
         return margin, HypothesisReport(variant, (
-            Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
+            bmy,
             Check("dims_assumed", True,
                   "assumed: canonical image a surface (dim >= 2) and second basic set of dim >= 3"),
             Check("chains_assumed", True,
@@ -372,7 +373,7 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         return margin, HypothesisReport(variant, (
             Check("reductio_dim_4_bound", True,
                   "(d+1)(#A - d/2) at d=4 applied to the triple-canonical basic set"),
-            Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
+            bmy,
         ))
 
     if variant not in _RULE_2_5_LEVELS:
@@ -384,7 +385,7 @@ def decomposability_margin(variant: str, inv, n: Optional[int] = None,
         Check("a2_at_least_21", n2 >= 21, n2),
         Check("a3_at_most_2a2", n3 <= 2 * n2, f"{n3} vs {2 * n2}"),
         Check("chains_assumed", True, assumed),
-        Check("bmy", k2 <= 9 * chi, f"{k2} vs {9 * chi}"),
+        bmy,
     ))
 
 
@@ -590,12 +591,14 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
 
     # the endpoint reduction relies on B < 0 and B_sz < 0
     negated_b = (cubic((-1, b)), cubic((-1, bsz)))
+    # each closed form's (K^3, chi), in the order the minimality witness tries them
+    points = {"margin_k3_6_chi_1": (6, 1), "margin_k3_2_chi_0": (2, 0),
+              "size_k3_6_chi_1": (6, 1), "size_k3_2_chi_0": (2, 0),
+              "margin_k3_2_chi_min": (2, -6)}
     closed_forms = {
-        "margin_k3_2_chi_0": cubic((2, a), (1, c)),
-        "margin_k3_6_chi_1": cubic((6, a), (1, b), (1, c)),
-        "margin_k3_2_chi_min": cubic((2, a), (-6, b), (1, c)),
-        "size_k3_2_chi_0": cubic((2, asz)),
-        "size_k3_6_chi_1": cubic((6, asz), (1, bsz)),
+        name: cubic((k3, a), (chi, b), (1, c)) if name.startswith("margin")
+        else cubic((k3, asz), (chi, bsz))
+        for name, (k3, chi) in points.items()
     }
 
     def holds(name, value):
@@ -624,15 +627,9 @@ def universal_n(epsilon: Fraction = CHAIN_RATIO_EPSILON):
         witness["detail"] = f"(6n-1)(3n-2) = {12 / _chain_cap(n - 1)} < {12 / eps}"
     else:
         _, prev = conditions(n - 1)
-        for name, point in (
-            ("margin_k3_6_chi_1", {"k3": 6, "chi": 1}),
-            ("margin_k3_2_chi_0", {"k3": 2, "chi": 0}),
-            ("size_k3_6_chi_1", {"k3": 6, "chi": 1}),
-            ("size_k3_2_chi_0", {"k3": 2, "chi": 0}),
-            ("margin_k3_2_chi_min", {"k3": 2, "chi": -6}),
-        ):
+        for name, (k3, chi) in points.items():
             if prev and not holds(name, prev[name]):
-                witness.update({"failed": name, "value": prev[name], **point})
+                witness.update({"failed": name, "value": prev[name], "k3": k3, "chi": chi})
                 break
         else:
             witness["failed"] = "endpoint-sign precondition"

@@ -81,17 +81,14 @@ def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(body, args, extra_header=None, started=None):
+def _emit(body, args, started: float):
     header = {
         "tool": "autbounds",
         "version": __version__,
         "schema": SCHEMA_VERSION,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "timing_ms": int(1000 * (time.monotonic() - started)),
     }
-    if started is not None:
-        header["timing_ms"] = int(1000 * (time.monotonic() - started))
-    if extra_header:
-        header.update(extra_header)
     report = {"header": header, "body": body}
     text = _canonical_json(report)
     out = getattr(args, "out", None)
@@ -258,14 +255,16 @@ def _int_list(kv: dict, key: str) -> list[int]:
     return out
 
 
-def _int_range(kv: dict, key: str, default: str) -> tuple[int, int]:
-    """kv[key] (or `default`) as an inclusive integer range lo:hi."""
+def _int_range(kv: dict, key: str, default: str) -> range:
+    """kv[key] (or `default`) as the integers of an inclusive range lo:hi, lo <= hi."""
     text = kv.get(key) or default
     try:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError:
         raise InvariantViolation(f"{key}={text!r} is not an integer range lo:hi") from None
-    return lo, hi
+    if lo > hi:
+        raise InvariantViolation(f"{key}={text!r} is empty: lo must be at most hi")
+    return range(lo, hi + 1)
 
 
 def _only_keys(kv: dict, allowed, what: str) -> None:
@@ -395,14 +394,11 @@ def cmd_bounds(args) -> int:
 
 def _surface_table(args, kv) -> int:
     _only_keys(kv, _TABLE_KEYS, "surface --table")
-    k2_lo, k2_hi = _int_range(kv, "k2_range", "1:64")
+    k2s = _int_range(kv, "k2_range", "1:64")
+    chis = _int_range(kv, "chi_range", "") if "chi_range" in kv else None
     rows = [["k2", "chi", "value", "source"]]
-    for k2 in range(k2_lo, k2_hi + 1):
-        chi_vals = [None]
-        if "chi_range" in kv:
-            lo, hi = _int_range(kv, "chi_range", "")
-            chi_vals = [c for c in range(lo, hi + 1) if 9 * c >= k2]
-        for chi in chi_vals:
+    for k2 in k2s:
+        for chi in [None] if chis is None else [c for c in chis if 9 * c >= k2]:
             inv = bounds_mod.SurfaceInvariants(k2=k2, chi=chi)
             res = bounds_mod.surface_bound(inv)
             rows.append([

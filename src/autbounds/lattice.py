@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 from operator import index
@@ -65,7 +66,7 @@ _BLOCK_PAIRS = 1 << 14
 # pairs); at 2.6 scale a run pair costs 9.4-12.7 ns, a point pair 2.8-3.5 ns.
 # Rule 2.4's calls, under 4,000 pairs, never look for runs.
 _RUN_MIN_PAIRS = 1 << 15
-_RUN_CELL_LIMIT = 1 << 22
+_RUN_CELL_LIMIT = _DENSE_CELL_LIMIT // 8
 _RUN_PAIR_COST = 4
 # (start, step) pairs followed at once by longest_chain (2 MiB of int64 codes)
 _WALK_CHUNK = 1 << 18
@@ -210,31 +211,25 @@ def _require_same_dim(*sets: LatticeSet) -> int:
     return dims.pop()
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ConvexTriple:
     """Nested sets a1 <= a2 <= a3 in one ambient dimension.
 
     Nesting is enforced at construction. Integral convexity and relative
     convexity are *properties of the generated instances*, checked by
     :meth:`validate_convexity` (exact hull tests) where a test needs them.
+    Equality and the hash read the three sets, not `witness_regions`.
     """
 
-    __slots__ = ("a1", "a2", "a3", "witness_regions")
+    a1: LatticeSet
+    a2: LatticeSet
+    a3: LatticeSet
+    witness_regions: Optional[str] = field(default=None, compare=False)
 
-    def __init__(self, a1: LatticeSet, a2: LatticeSet, a3: LatticeSet,
-                 witness_regions: Optional[str] = None):
-        _require_same_dim(a1, a2, a3)
-        if not a1.issubset(a2) or not a2.issubset(a3):
+    def __post_init__(self):
+        _require_same_dim(self.a1, self.a2, self.a3)
+        if not self.a1.issubset(self.a2) or not self.a2.issubset(self.a3):
             raise InvariantViolation("ConvexTriple requires a1 <= a2 <= a3")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "witness_regions", witness_regions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexTriple is immutable")
-
-    def __reduce__(self):
-        return ConvexTriple, (self.a1, self.a2, self.a3, self.witness_regions)
 
     @property
     def dim(self) -> int:
@@ -242,15 +237,6 @@ class ConvexTriple:
 
     def sizes(self) -> tuple[int, int, int]:
         return (len(self.a1), len(self.a2), len(self.a3))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConvexTriple)
-            and (self.a1, self.a2, self.a3) == (other.a1, other.a2, other.a3)
-        )
-
-    def __hash__(self):
-        return hash((self.a1, self.a2, self.a3))
 
     def __repr__(self) -> str:
         return f"ConvexTriple(dim={self.dim}, sizes={self.sizes()})"

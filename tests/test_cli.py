@@ -81,7 +81,11 @@ def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     (["plurigenus", "k3=x", "chi=0", "n=3"], "k3"),
     (["surface", "k2=10", "pencils=a"], "pencils"),
     (["plurigenus", "k3=2", "n=3"], "chi"),
-], ids=["non-integer", "non-integer-list", "missing-key"])
+    (["surface", "k2_range=5:1", "chi_range=x:y", "--table"], "k2_range"),
+    (["surface", "k2_range=5:1", "--table"], "k2_range"),
+    (["surface", "k2_range=1:2", "chi_range=5:1", "--table"], "chi_range"),
+], ids=["non-integer", "non-integer-list", "missing-key", "inverted-k2-bad-chi", "inverted-k2",
+        "inverted-chi"])
 def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, "bounds", *argv)
     assert code == EXIT_DATA

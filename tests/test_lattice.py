@@ -257,6 +257,26 @@ def test_sets_and_triples_survive_pickle_and_deepcopy():
     assert copy.deepcopy(triple).witness_regions == "regions"
 
 
+def test_triples_compare_by_their_sets_and_are_immutable():
+    a1, a2, a3 = LatticeSet([(0, 0)]), LatticeSet([(0, 0), (1, 0)]), LatticeSet([(0, 0), (1, 0), (0, 1)])
+    drawn, described = ConvexTriple(a1, a2, a3), ConvexTriple(a1, a2, a3, "regions")
+    assert drawn == described and hash(drawn) == hash(described)
+    assert drawn != ConvexTriple(a1, a1, a3)
+    for name in ("a1", "witness_regions"):
+        with pytest.raises(AttributeError):
+            setattr(drawn, name, a3)
+    # a name that is no field has no slot; CPython 3.10-3.13's frozen slots
+    # dataclass raises TypeError for it
+    with pytest.raises((AttributeError, TypeError)):
+        drawn.extra = a3
+    assert drawn.a1 == a1 and drawn.witness_regions is None and not hasattr(drawn, "extra")
+    for sets in ((a2, a1, a3), (a1, a3, a2)):
+        with pytest.raises(InvariantViolation, match="a1 <= a2 <= a3"):
+            ConvexTriple(*sets)
+    with pytest.raises(InvariantViolation, match="dimension mismatch"):
+        ConvexTriple(LatticeSet([], 3), a2, a3)
+
+
 # ---------------------------------------------------------------------------
 # mid-point counts
 # ---------------------------------------------------------------------------

@@ -405,8 +405,8 @@ def test_suite_body_digest_is_pinned(lemma, trials, dim, digest):
                                                  (40, 6, (200, 300))],
                          ids=["dim1", "dim3", "dim6-large"])
 def test_suite_2_4_rows_are_per_trial_verify_rows(trials, dim, sizes):
-    # 70 trials cross the 64-trial block edge; in dim 6 at 300 points a block
-    # holds 36 trials, each past the block kernel's pair budget
+    # in dim 6 at 300 points a block holds 36 trials, so 40 cross a block
+    # edge, and each is past the block kernel's pair budget
     res = run_lemma_suite("2.4", trials, 31, dim=dim, min_size=sizes[0], max_size=sizes[1])
     rows = []
     for trial in range(trials):
@@ -417,6 +417,24 @@ def test_suite_2_4_rows_are_per_trial_verify_rows(trials, dim, sizes):
                      "lhs": out.lhs_count, "rhs": str(out.rhs_bound), "satisfied": out.satisfied,
                      "n3": len(t.a3), "draws": 1})
     assert res.rows == rows
+
+
+def test_suite_2_4_body_does_not_depend_on_the_block_bound(monkeypatch):
+    # at the default bound 150 trials of at most 44 points in dim 3 share one
+    # block; at 1 each trial is a block of its own
+    blocks = []
+    real = lemmas.arranged_block_counts
+
+    def counted(block):
+        blocks.append(len(block))
+        return real(block)
+
+    monkeypatch.setattr(lemmas, "arranged_block_counts", counted)
+    whole = run_lemma_suite("2.4", 150, 20260808, dim=3).to_json_body()
+    monkeypatch.setattr(lemmas, "_BLOCK_COORDINATES", 1)
+    alone = run_lemma_suite("2.4", 150, 20260808, dim=3).to_json_body()
+    assert blocks == [150] + [1] * 150
+    assert alone == whole and len(whole["rows"]) == 150
 
 
 def test_suite_2_4_small():
