@@ -257,7 +257,7 @@ def _int_list(kv: dict, key: str) -> list[int]:
 
 def _int_range(kv: dict, key: str, default: str) -> range:
     """kv[key] (or `default`) as the integers of an inclusive range lo:hi, lo <= hi."""
-    text = kv.get(key) or default
+    text = kv.get(key, default)
     try:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError:

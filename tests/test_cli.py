@@ -84,8 +84,9 @@ def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     (["surface", "k2_range=5:1", "chi_range=x:y", "--table"], "k2_range"),
     (["surface", "k2_range=5:1", "--table"], "k2_range"),
     (["surface", "k2_range=1:2", "chi_range=5:1", "--table"], "chi_range"),
+    (["surface", "k2_range=", "--table"], "k2_range"),
 ], ids=["non-integer", "non-integer-list", "missing-key", "inverted-k2-bad-chi", "inverted-k2",
-        "inverted-chi"])
+        "inverted-chi", "empty-k2"])
 def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, "bounds", *argv)
     assert code == EXIT_DATA
