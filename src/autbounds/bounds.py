@@ -705,7 +705,7 @@ def threefold_constant(n_star: Optional[int] = None,
     }
 
     m = b + 4
-    a_m, b_m = Fraction((2 * m - 1) * m * (m - 1), 12), 1 - 2 * m  # p_m = a_m*K^3 + b_m*chi
+    a_m, b_m = (_poly(p, m) for p in _plurigenus_polynomials({1: 1}))  # p_m = a_m*K^3 + b_m*chi
     big_coeff = 335 * (a_m - Fraction(5, 2) * b_m)
     big_const = Fraction(-335 * b_m)
     absorbed = big_coeff + big_const / 2

@@ -240,18 +240,23 @@ def _int(kv: dict, key: str, default=_REQUIRED):
 
 
 def _int_list(kv: dict, key: str) -> list[int]:
-    """kv[key] as comma-separated integers and lo-hi ranges, e.g. '3,5-7'."""
+    """kv[key] as comma-separated integers and lo-hi ranges, lo <= hi, e.g. '3,5-7'."""
     out = []
-    try:
-        for part in kv[key].split(","):
-            part = part.strip()
+    for part in kv[key].split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
             if "-" in part[1:]:
                 lo, _, hi = part.partition("-")
-                out.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                out.append(int(part))
-    except ValueError:
-        raise InvariantViolation(f"{key}={kv[key]!r} is not a list of integers and lo-hi ranges") from None
+                lo, hi = int(lo), int(hi)
+            else:
+                lo = hi = int(part)
+        except ValueError:
+            raise InvariantViolation(f"{key}={kv[key]!r} is not a list of integers and lo-hi ranges") from None
+        if lo > hi:
+            raise InvariantViolation(f"{key}={kv[key]!r} has the empty range {part!r}: lo must be at most hi")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -265,6 +270,14 @@ def _int_range(kv: dict, key: str, default: str) -> range:
     if lo > hi:
         raise InvariantViolation(f"{key}={text!r} is empty: lo must be at most hi")
     return range(lo, hi + 1)
+
+
+def _flag(kv: dict, key: str) -> bool:
+    """kv[key] as a yes/no flag (1, true, yes or 0, false, no in any case); absent is no."""
+    value = kv.get(key, "0").lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise InvariantViolation(f"{key}={kv[key]!r} is not a flag: use 1, true, yes, 0, false or no")
+    return value in ("1", "true", "yes")
 
 
 def _only_keys(kv: dict, allowed, what: str) -> None:
@@ -330,8 +343,8 @@ def surface_invariants_from_kv(kv: dict) -> bounds_mod.SurfaceInvariants:
         known_pencils=known,
         no_pencils=absent,
         canonical_image_dim=_int(kv, "canonical_image_dim", None),
-        canonical_map_birational=kv.get("birational", "0") in ("1", "true", "yes"),
-        even_surface_conditions=kv.get("even", "0") in ("1", "true", "yes"),
+        canonical_map_birational=_flag(kv, "birational"),
+        even_surface_conditions=_flag(kv, "even"),
         ci_degrees=tuple(_int_list(kv, "ci")) if "ci" in kv else None,
         p3_degree=d,
         two_pencils_genus=_int(kv, "two_pencils_genus", None),
@@ -386,8 +399,6 @@ def cmd_bounds(args) -> int:
     elif sub == "constant":
         c, trail = bounds_mod.threefold_constant()
         body = {"format": "threefold-constant", "c": c, "trail": jsonable(trail)}
-    else:
-        raise InvariantViolation(f"unknown bounds subcommand {sub!r}")
     _emit(body, args, started=started)
     return EXIT_OK
 

@@ -470,18 +470,10 @@ def lemma43_signature_checks(order: int, signature, assume_cyclic: bool = False)
     sig = tuple(sorted((int(r) for r in signature), reverse=True))
     if n < 1 or any(r < 2 for r in sig):
         raise InvariantViolation("order must be >= 1 and all indices >= 2")
-    k = len(sig)
-    checks = []
-    all_products_ok = True
-    detail = []
-    for j in range(k):
-        m_j = prod((sig[i] for i in range(k) if i != j), start=1)
-        ok = m_j % n == 0
-        all_products_ok = all_products_ok and ok
-        if not ok:
-            detail.append(f"m_{j + 1}={m_j}")
-    checks.append(Check("complementary_products_divisible", all_products_ok,
-                        "; ".join(detail) or f"all m_j divisible by {n}"))
+    products = [prod(sig[:j] + sig[j + 1:]) for j in range(len(sig))]
+    detail = [f"m_{j + 1}={m_j}" for j, m_j in enumerate(products) if m_j % n]
+    checks = [Check("complementary_products_divisible", not detail,
+                    "; ".join(detail) or f"all m_j divisible by {n}")]
     primes = [p for p, _ in _factor(n)]
     cond2 = all(sum(1 for r in sig if r % p == 0) >= 2 for p in primes)
     checks.append(Check("each_prime_in_two_indices", cond2, primes))

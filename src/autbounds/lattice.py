@@ -75,6 +75,8 @@ _WALK_CHUNK = 1 << 18
 # (ratios 480-600) on random sets of 20-40 points in 2-4 dims, spread so
 # widely that the whole level-3 box is scanned
 _PAIR_WALK_COST = 500
+# lattice_points_in_hull scans a bounding box of at most this many points
+_HULL_SCAN_LIMIT = 200_000
 
 
 class LatticeSet:
@@ -718,7 +720,12 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
 def in_convex_hull(point: tuple[int, ...], pts: Iterable[tuple[int, ...]]) -> bool:
     """Exact test: is `point` a convex combination of `pts`?
 
-    Phase-1 simplex over Fractions with Bland's rule; no floating point.
+    Phase 1 of the simplex over Fractions with Bland's rule. The rows are
+    the coordinate equations and sum(l) = 1, negated where the right side is
+    negative, each with an artificial basic variable (numbered m, m+1, ...).
+    Only the m original columns enter, so no artificial column is kept and
+    the objective row starts as their column sums. Phase 1 is bounded below
+    by 0, so an entering column (reduced cost > 0) has a positive entry.
     """
     pts = list(pts)
     if not pts:
@@ -727,68 +734,41 @@ def in_convex_hull(point: tuple[int, ...], pts: Iterable[tuple[int, ...]]) -> bo
     point = tuple(point)
     if point in set(pts):
         return True
-    for c in range(d):
-        lo = min(p[c] for p in pts)
-        hi = max(p[c] for p in pts)
-        if not lo <= point[c] <= hi:
-            return False
+    if any(not min(p[c] for p in pts) <= point[c] <= max(p[c] for p in pts) for c in range(d)):
+        return False  # outside the bounding box
     m = len(pts)
-    # rows: d coordinate constraints plus the affine constraint sum(l)=1
-    nrows = d + 1
-    tab = []
-    for i in range(d):
-        row = [Fraction(p[i]) for p in pts] + [Fraction(point[i])]
-        tab.append(row)
-    tab.append([Fraction(1)] * m + [Fraction(1)])
-    for row in tab:
-        if row[-1] < 0:
-            for j in range(m + 1):
-                row[j] = -row[j]
-    # artificial columns form the starting identity basis
+    tab = [[Fraction(p[i]) for p in pts] + [Fraction(point[i])] for i in range(d)]
+    tab.append([Fraction(1)] * (m + 1))
     for i, row in enumerate(tab):
-        row[-1:-1] = [Fraction(1) if k == i else Fraction(0) for k in range(nrows)]
-    ncols = m + nrows
-    basis = list(range(m, m + nrows))
-    # phase-1 objective: minimize the sum of artificials
-    obj = [Fraction(0)] * (ncols + 1)
-    for row in tab:
-        for j in range(ncols + 1):
-            obj[j] += row[j]
-    for j in range(m, m + nrows):
-        obj[j] -= 1  # reduced costs of basic artificials are zero
-
+        if row[-1] < 0:
+            tab[i] = [-x for x in row]
+    basis = list(range(m, m + d + 1))
+    obj = [sum(column) for column in zip(*tab)]
     while True:
         enter = next((j for j in range(m) if obj[j] > 0), None)
         if enter is None:
             return obj[-1] == 0
-        ratios = [
-            (tab[i][-1] / tab[i][enter], basis[i], i)
-            for i in range(nrows)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
-            return False  # cannot happen for a bounded phase-1; defensive
+        ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(tab) if row[enter] > 0]
         _, _, leave = min(ratios)
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(nrows):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        for i, row in enumerate(tab):
+            if i != leave and row[enter] != 0:
+                f = row[enter]
+                tab[i] = [x - f * y for x, y in zip(row, tab[leave])]
+        f = obj[enter]
+        obj = [x - f * y for x, y in zip(obj, tab[leave])]
         basis[leave] = enter
 
 
-def lattice_points_in_hull(a: LatticeSet, max_candidates: int = 200_000) -> LatticeSet:
+def lattice_points_in_hull(a: LatticeSet) -> LatticeSet:
     """All integer points of conv(a). Desk scale: scans the bounding box."""
     if not len(a):
         return a
     pts = a.sorted_points()
     lo, hi = a.array.min(axis=0).tolist(), a.array.max(axis=0).tolist()
     count = prod(h - l + 1 for l, h in zip(lo, hi))
-    if count > max_candidates:
+    if count > _HULL_SCAN_LIMIT:
         raise InvariantViolation(
             f"bounding box has {count} lattice points; hull scan is desk-scale only"
         )
@@ -799,8 +779,6 @@ def lattice_points_in_hull(a: LatticeSet, max_candidates: int = 200_000) -> Latt
 
 def is_integrally_convex(a: LatticeSet) -> bool:
     """True iff a equals the set of lattice points of its own convex hull."""
-    if not len(a):
-        return True
     return lattice_points_in_hull(a) == a
 
 

@@ -96,8 +96,8 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
         c3, c2 = longest_chain(triple.a3), longest_chain(triple.a2)
         checks += [
             Check("dim_a1_eq_3", d1 == 3, d1),
-            Check("chain_a3_lt_sixth", Fraction(c3) < Fraction(n3, 6), f"{c3} vs {n3}/6"),
-            Check("chain_a2_lt_quarter", Fraction(c2) < Fraction(n2, 4), f"{c2} vs {n2}/4"),
+            Check("chain_a3_lt_sixth", 6 * c3 < n3, f"{c3} vs {n3}/6"),
+            Check("chain_a2_lt_quarter", 4 * c2 < n2, f"{c2} vs {n2}/4"),
             Check("a2_at_least_21", n2 >= 21, n2),
             Check("a3_at_most_2a2", n3 <= 2 * n2, f"{n3} vs 2*{n2}"),
         ]
@@ -115,8 +115,8 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
         checks += [
             Check("dim_a1_ge_2", d1 >= 2, d1),
             Check("dim_a2_ge_3", d2 >= 3, d2),
-            Check("chain_a3_lt_tenth", Fraction(c3) < Fraction(n3, 10), f"{c3} vs {n3}/10"),
-            Check("chain_a2_lt_fifth", Fraction(c2) < Fraction(n2, 5), f"{c2} vs {n2}/5"),
+            Check("chain_a3_lt_tenth", 10 * c3 < n3, f"{c3} vs {n3}/10"),
+            Check("chain_a2_lt_fifth", 5 * c2 < n2, f"{c2} vs {n2}/5"),
         ]
     return HypothesisReport(lemma_id, tuple(checks))
 

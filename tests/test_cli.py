@@ -85,8 +85,13 @@ def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     (["surface", "k2_range=5:1", "--table"], "k2_range"),
     (["surface", "k2_range=1:2", "chi_range=5:1", "--table"], "chi_range"),
     (["surface", "k2_range=", "--table"], "k2_range"),
+    (["surface", "k2=200", "chi=30", "no_pencils=5-3"], "no_pencils"),
+    (["surface", "k2=200", "chi=30", "pencils=4-3"], "pencils"),
+    (["surface", "k2=200", "chi=30", "no_pencils=3-8", "even=maybe"], "even"),
+    (["surface", "k2=100", "chi=14", "canonical_image_dim=2", "no_pencils=2-5", "birational="], "birational"),
 ], ids=["non-integer", "non-integer-list", "missing-key", "inverted-k2-bad-chi", "inverted-k2",
-        "inverted-chi", "empty-k2"])
+        "inverted-chi", "empty-k2", "inverted-list-range", "inverted-pencil-range", "bad-flag",
+        "empty-flag"])
 def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, "bounds", *argv)
     assert code == EXIT_DATA
@@ -324,6 +329,19 @@ def test_kv_parsing_flags():
     assert inv.no_pencils == frozenset({3, 4, 5})
     assert inv.canonical_image_dim == 2
     assert inv.canonical_map_birational
+
+
+@pytest.mark.parametrize("argv", [
+    ["k2=200", "chi=30", "no_pencils=3-8", "even=1"],
+    ["k2=100", "chi=14", "canonical_image_dim=2", "no_pencils=2-5", "birational=1"],
+], ids=["even", "birational"])
+def test_flag_spellings_read_alike(capsys, argv):
+    key, _, _ = argv[-1].partition("=")
+    bodies = [body_of(run_cli(capsys, "bounds", "surface", *argv[:-1], f"{key}={value}")[1])
+              for value in ("1", "True", "Yes", "yes")]
+    assert len({(b["value"], tuple(b["source"])) for b in bodies}) == 1
+    off = body_of(run_cli(capsys, "bounds", "surface", *argv[:-1], f"{key}=No")[1])
+    assert (off["value"], off["source"]) != (bodies[0]["value"], bodies[0]["source"])
 
 
 def test_kv_derives_k2_from_degree():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 from math import prod
 
 import numpy as np
@@ -32,6 +33,7 @@ from tests_oracles import (
     box_sum_count,
     naive_arrangement_by_definition,
     naive_chain,
+    naive_in_hull,
     naive_midpoints,
     naive_rank,
     naive_staircase,
@@ -965,6 +967,54 @@ def test_hull_membership_matches_random_rational_combinations():
         if all(x % total == 0 for x in comb):
             inner = tuple(x // total for x in comb)
             assert in_convex_hull(inner, pts)
+
+
+def _hull_points(rng):
+    """Up to 7 points in dims 1-4, collinear 30% of the time."""
+    dim, n = rng.randint(1, 4), rng.randint(1, 7)
+    if rng.random() < 0.3:
+        base = [rng.randint(-3, 3) for _ in range(dim)]
+        step = [rng.randint(-2, 2) for _ in range(dim)]
+        return [tuple(b + t * s for b, s in zip(base, step)) for t in (rng.randint(-2, 2) for _ in range(n))]
+    return [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
+
+
+def _box_point(rng, pts):
+    """A point of the bounding box of pts (widened by 1 for 15% of the
+    draws), one of pts only when five draws give no other."""
+    widen = rng.random() < 0.15
+    for _ in range(5):
+        point = tuple(rng.randint(min(p[c] for p in pts) - widen, max(p[c] for p in pts) + widen)
+                      for c in range(len(pts[0])))
+        if point not in pts:
+            break
+    return point
+
+
+def test_hull_membership_matches_the_caratheodory_oracle():
+    rng = random.Random(25)
+    outcomes = Counter()
+    for _ in range(150):
+        pts = _hull_points(rng)
+        point = _box_point(rng, pts)
+        inside = naive_in_hull(point, pts)
+        assert in_convex_hull(point, pts) == inside, (point, pts)
+        outcomes[inside, point in pts] += 1
+    # members that are no vertex, and non-members, are most of the draws
+    assert outcomes[True, False] >= 20 and outcomes[False, False] >= 80
+
+
+def test_relative_convexity_matches_the_caratheodory_oracle():
+    rng = random.Random(26)
+    outcomes = Counter()
+    for _ in range(60):
+        pts = _hull_points(rng)
+        b = LatticeSet(pts)
+        a = LatticeSet(pts + [_box_point(rng, pts) for _ in range(rng.randint(1, 3))])
+        want = not any(naive_in_hull(p, pts) for p in set(a) - set(b))
+        assert is_relatively_convex(b, a) == want, (b, a)
+        outcomes[want, a == b] += 1
+    assert outcomes[True, False] >= 10 and outcomes[False, False] >= 10
 
 
 def test_lattice_points_in_hull_triangle():

@@ -6,7 +6,9 @@ of tuple sums for pair sums and the closed form of two product boxes' sum
 box, an all-pairs (start, step) walk for chains, a clause-by-clause membership
 test for arrangement, the staircase predicate `naive_staircase` as a
 whole-box check (the box between the origin and each point lies in the
-set), a point-by-point gauge scan for the convex generator, automorphisms
+set), barycentric weights of every affinely independent subset of at most
+d+1 points (Caratheodory) for hull membership, a point-by-point gauge scan
+for the convex generator, automorphisms
 as element->element dicts filtered from every tuple of generator images,
 element orbits told apart by which multiples lie in which multiple subgroups,
 subgroups by breadth-first search on tuples, quotient ranks as the fewest
@@ -62,6 +64,40 @@ def naive_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def naive_in_hull(point, pts):
+    """Caratheodory: `point` lies in conv(pts) iff it is a convex combination
+    of some affinely independent subset of at most d+1 of the points."""
+    pts = sorted(set(map(tuple, pts)))
+    for k in range(1, min(len(pts), len(point) + 1) + 1):
+        for subset in combinations(pts, k):
+            weights = naive_barycentric(point, subset)
+            if weights is not None and min(weights) >= 0:
+                return True
+    return False
+
+
+def naive_barycentric(point, subset):
+    """The weights w with sum w_i s_i = point and sum w_i = 1, by Gauss-Jordan
+    elimination on Fractions; None when the subset is affinely dependent or
+    no such weights exist. Independence makes the weights unique."""
+    k = len(subset)
+    m = [[Fraction(s[c]) for s in subset] + [Fraction(point[c])] for c in range(len(point))]
+    m.append([Fraction(1)] * (k + 1))
+    for col in range(k):
+        pivot = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(len(m)):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    if any(row[-1] != 0 for row in m[k:]):
+        return None
+    return [m[i][-1] for i in range(k)]
 
 
 def naive_chain(a):
