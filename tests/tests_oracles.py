@@ -90,7 +90,8 @@ def naive_barycentric(point, subset):
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        m[col] = [x / m[col][col] for x in m[col]]
+        piv = m[col][col]
+        m[col] = [x / piv for x in m[col]]
         for i in range(len(m)):
             if i != col and m[i][col] != 0:
                 f = m[i][col]
