@@ -240,12 +240,11 @@ def _int(kv: dict, key: str, default=_REQUIRED):
 
 
 def _int_list(kv: dict, key: str) -> list[int]:
-    """kv[key] as comma-separated integers and lo-hi ranges, lo <= hi, e.g. '3,5-7'."""
+    """kv[key] as comma-separated integers and lo-hi ranges, lo <= hi, e.g. '3,5-7';
+    an empty value or item is refused."""
     out = []
     for part in kv[key].split(","):
         part = part.strip()
-        if not part:
-            continue
         try:
             if "-" in part[1:]:
                 lo, _, hi = part.partition("-")

@@ -661,9 +661,11 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
     before it, so that its sums lie in [2 O_t, 2 O_t + cells_t). Arranged
     nested sets stay nested: a step sorts the points by (trial, fiber,
     level), and the r-th point of a fiber moves to digit r and keeps its
-    level. So the union's pairs, inside a2 and in a1 x (a3 - a2), are listed
-    once, unless the chunk is one trial past `_BLOCK_PAIRS` point pairs,
-    which `_count_sums` counts at each step."""
+    level. The points lie in (trial, level) order and a fiber's key holds
+    its trial's offset, so a stable sort on the key alone gives that order.
+    So the union's pairs, inside a2 and in a1 x (a3 - a2), are listed once,
+    unless the chunk is one trial past `_BLOCK_PAIRS` point pairs, which
+    `_count_sums` counts at each step."""
     arrs, levels, lo, hi, strides, cells = zip(*trials)
     sizes = np.array([len(arr) for arr in arrs])
     n, dim = int(sizes.sum()), arrs[0].shape[1]
@@ -703,7 +705,7 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
     steps, rank = [union_counts()], np.empty(n, dtype=np.int64)
     for c in range(dim):
         key = codes - (codes - offset) // strides[:, c] % radix[:, c] * strides[:, c]
-        by_fiber = np.lexsort((level, key))
+        by_fiber = np.argsort(key, kind="stable")
         sorted_key = key[by_fiber]
         start = np.zeros(n, dtype=np.int64)
         start[1:] = np.where(sorted_key[1:] != sorted_key[:-1], index[1:], 0)

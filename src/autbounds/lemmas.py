@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from math import prod
 from typing import Optional
 
@@ -44,9 +45,10 @@ from .rules import CHAIN_RATIO_EPSILON, RULES, _forms_at, _rule, bound_formula  
 # rejection loops in the drivers are bounded; both limits are plain caps.
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
-# Cap on every rule's largest size times its dim. A rule-2.4 draw holds 0.8-0.9
-# KB per coordinate in dim 1, less in higher dims (0.13 KB in dim 40), so at the
-# cap it peaks under 0.9 GB and its getrandbits(128 * size * dim) fits a C int.
+# Cap on every rule's largest size times its dim. A rule-2.4 draw holds 0.34 KB
+# per coordinate in dim 1, less in higher dims (0.14 KB in dim 3, 0.09 KB in dim
+# 40), so at the cap it peaks under 400 MiB (4.4 s in dim 1, on a 2-core Xeon)
+# and its getrandbits(128 * size * dim) fits a C int.
 # A box-draw rule (2.5-2.7) at the cap is drawn and checked, one trial, in
 # 2.6-3.0 s at 156 MiB peak for 2.6 in dim 4 (262,144 points) and in 1.8 s at
 # 170 MiB for 2.5 or 2.7 in dim 3 (349,525 points), on a 2-core Xeon: its
@@ -63,6 +65,10 @@ MAX_ARRANGED_WORK = 1 << 25
 # Rule 2.4's suite draws as many trials per `arranged_block_counts` call as
 # fit this many coordinates at its largest size: 496 in dim 3 at 12-44 points
 _BLOCK_COORDINATES = 1 << 16
+# `_randints` reads its last this many values one 32-bit output at a time: a
+# numpy round costs a few microseconds, about as much as that many scalar
+# reads, and the rule-2.4 suite's draw time is flat from 8 to 32
+_SCALAR_TAIL = 16
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -315,74 +321,124 @@ def _box_triple(rng: random.Random, dim: int, size_target: int) -> ConvexTriple:
     )
 
 
-def _randints(rng: random.Random, lo: int, hi: int, count: int) -> np.ndarray:
-    """`[rng.randint(lo, hi) for _ in range(count)]` as an int64 array, drawn in bulk.
+def _randints(rng: random.Random, lo: int, hi: int, count: int, head=()) -> np.ndarray:
+    """`[rng.randint(lo, hi) for _ in range(count)]` as an int64 array, drawn in bulk
+    from the 32-bit outputs `head` and then those of `rng`.
 
     The values and the state `rng` is left in are those of the loop, for a
     width n = hi - lo + 1 below 2**32. This rests on two facts of CPython's
     Mersenne Twister: `randint` draws `getrandbits(k)` with k = n.bit_length()
     until the value is below n, and each `getrandbits(k <= 32)` is one 32-bit
     output shifted right by 32 - k; and `getrandbits(32*m)` is the next m
-    outputs, the first one least significant. Each round reads as many
-    outputs as values are still missing, and an output gives at most one
-    value, so no round reads an output the loop would not have read.
+    outputs, the first one least significant. An output gives at most one
+    value. So the head words are read first, one at a time; then each round
+    reads as many outputs as values are still missing, and no round reads
+    an output the loop would not have read. Once at most `_SCALAR_TAIL`
+    values are missing, they are read one output at a time. Head words past
+    the `count`-th value are dropped, so a head of at most `count` words is
+    always read whole.
     """
+    shift, limit = _randint_limit(lo, hi)
+    out = np.empty(count, dtype=np.int64)
+    kept = [word for word in head if word < limit][:count]
+    out[:len(kept)] = kept
+    filled = len(kept)
+    while count - filled > _SCALAR_TAIL:
+        m = count - filled
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        kept = words[words < limit]
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    while filled < count:
+        word = rng.getrandbits(32)
+        if word < limit:
+            out[filled] = word
+            filled += 1
+    out >>= shift
+    out += lo
+    return out
+
+
+def _randint_words(rng: random.Random, lo: int, hi: int) -> tuple[int, list[int]]:
+    """`rng.randint(lo, hi)` and the 32-bit outputs it reads, one per
+    `getrandbits(k)` of its rejection loop (see `_randints`)."""
+    shift, limit = _randint_limit(lo, hi)
+    words = [rng.getrandbits(32)]
+    while words[-1] >= limit:
+        words.append(rng.getrandbits(32))
+    return lo + (words[-1] >> shift), words
+
+
+def _randint_limit(lo: int, hi: int) -> tuple[int, int]:
+    """`randint(lo, hi)` on 32-bit outputs, for a width n = hi - lo + 1 in
+    [1, 2**32): (32 - k, n << (32 - k)) with k = n.bit_length(). An output
+    below the limit gives lo plus itself shifted right by 32 - k, and a
+    larger one is rejected."""
     width = hi - lo + 1
     if not 1 <= width < 1 << 32:
         raise InvariantViolation(f"randint range [{lo}, {hi}] needs a width in [1, 2**32)")
     shift = 32 - width.bit_length()
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        m = count - filled
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
-        values = words >> shift
-        kept = values[values < width]
-        out[filled:filled + len(kept)] = kept
-        filled += len(kept)
-    out += lo
-    return out
+    return shift, width << shift
 
 
 def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
     """The triple of `_draw_nested_levels`: arbitrary nested integral sets (no
     convexity), as rule 2.4 holds for any nested finite integral sets."""
-    a3, level = _draw_nested_levels(dim, size_target, seed)
-    return ConvexTriple(*(LatticeSet.from_array(a3[level <= top], dim) for top in (1, 2, 3)),
+    return _nested_sets(*_draw_nested_levels(random.Random(seed), dim, size_target))
+
+
+def _nested_sets(a3: np.ndarray, level: np.ndarray) -> ConvexTriple:
+    """The triple A1 <= A2 <= A3 of a draw's A3 and levels."""
+    return ConvexTriple(*(LatticeSet.from_array(a3[level <= top], a3.shape[1]) for top in (1, 2, 3)),
                         witness_regions="random nested subsets")
 
 
-def _draw_nested_levels(dim: int, size_target: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule 2.4's draw: A3 as a lex-sorted (n, dim) int64 array, and an int8
-    level per point, 1 in A1, 2 in A2 - A1 and 3 in the rest.
+def _draw_trial(dim: int, lo: int, hi: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule 2.4's draw at a size `random.Random(seed).randint(lo, hi)`, from
+    one generator: the size's outputs are the first outputs of the stream
+    that `_draw_nested_levels` reads from `random.Random(seed)`, so they are
+    its head words. A size that read more outputs than its draw's
+    4 * size * dim coordinates may read (possible only at a few points) is
+    drawn from a fresh generator."""
+    rng = random.Random(seed)
+    size, head = _randint_words(rng, lo, hi)
+    if len(head) > 4 * size * dim:
+        rng, head = random.Random(seed), ()
+    return _draw_nested_levels(rng, dim, size, head)
+
+
+def _draw_nested_levels(rng: random.Random, dim: int, size_target: int,
+                        head=()) -> tuple[np.ndarray, np.ndarray]:
+    """Rule 2.4's draw from `rng` after the outputs `head`: A3 as a
+    lex-sorted (n, dim) int64 array, and an int8 level per point, 1 in A1,
+    2 in A2 - A1 and 3 in the rest.
 
     The box coordinates come from `_randints`, which gives the values and
-    the stream of a `rng.randint` call per coordinate: every triple is the
-    one the per-coordinate loop draws (one 32-bit output per
-    `getrandbits(k <= 32)`, the first output least significant in
-    `getrandbits(32*m)`). A2 and A1 are sampled as positions in the sorted A3
-    and in A2's sample, which reads the random numbers that sampling the point
-    lists read.
+    the stream of a `rng.randint` call per coordinate. A3 is the first
+    max(size_target, 3) distinct points in the order of a set built from
+    the points in the order drawn, as `list({p for p in box})` gives them;
+    a set built in the same insertion order iterates in the same order. A2
+    and A1 are sampled as positions in the sorted A3 and in A2's sample,
+    which reads the random numbers that sampling the point lists read.
     """
     if dim < 1:
         raise InvariantViolation("generator needs dim >= 1")
     if size_target < 0:
         raise InvariantViolation("set sizes must be nonnegative")
-    rng = random.Random(seed)
     side = max(3, round((2.5 * size_target) ** (1.0 / dim)) + 1)
-    coords = _randints(rng, -2, side - 2, 4 * size_target * dim)
-    box = list(map(tuple, coords.reshape(-1, dim).tolist()))
-    a3_pts = list({p for p in box})[: max(size_target, 3)]
-    if len(a3_pts) < 3:
-        a3_pts = [tuple(0 for _ in range(dim)), tuple(1 for _ in range(dim))]
-    n3 = len(a3_pts)
+    columns = _randints(rng, -2, side - 2, 4 * size_target * dim, head).reshape(-1, dim).T.tolist()
+    distinct = islice(set(zip(*columns)), max(size_target, 3))
+    a3 = np.fromiter(chain.from_iterable(distinct), dtype=np.int64).reshape(-1, dim)
+    if len(a3) < 3:
+        a3 = np.array([[0] * dim, [1] * dim], dtype=np.int64)
+    n3 = len(a3)
     k2 = max(2, int(round(rng.uniform(0.4, 0.9) * n3)))
     in2 = rng.sample(range(n3), k2)
     k1 = max(1, int(round(rng.uniform(0.3, 0.9) * k2)))
     level = np.full(n3, 3, dtype=np.int8)
     level[in2] = 2
     level[[in2[i] for i in rng.sample(range(k2), k1)]] = 1
-    return np.array(sorted(a3_pts), dtype=np.int64), level
+    return a3[np.lexsort(a3.T[::-1])], level
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +450,9 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
                     max_size: Optional[int] = None) -> ConvexTriple:
     """One deterministic draw from the rule's tuned instance distribution."""
     dim, lo, hi = _size_range(lemma_id, dim, min_size, max_size)
-    size = random.Random(seed).randint(lo, hi)
     if lemma_id == "2.4":
-        return generate_nested_sets(dim, size, seed)
+        return _nested_sets(*_draw_trial(dim, lo, hi, seed))
+    size = random.Random(seed).randint(lo, hi)
     rule = RULES[lemma_id]
     return generate_nested_triple(dim, size, seed, ratios=rule.ratios,
                                   inner_dim=rule.inner_dim)
@@ -513,8 +569,7 @@ def _run_arranged_suite(result: SuiteResult, dim: int, lo: int, hi: int) -> None
     for first in range(0, result.trials, block):
         seeds = [derive_seed(derive_seed(result.master_seed, trial), 0)
                  for trial in range(first, min(first + block, result.trials))]
-        drawn = [_draw_nested_levels(dim, random.Random(seed).randint(lo, hi), seed)
-                 for seed in seeds]
+        drawn = [_draw_trial(dim, lo, hi, seed) for seed in seeds]
         for trial, (seed, (a3, _), counts) in enumerate(
                 zip(seeds, drawn, arranged_block_counts(drawn)), first):
             _record(result, trial, seed, 1, True, len(a3), _arranged_outcome(counts),

@@ -89,9 +89,11 @@ def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     (["surface", "k2=200", "chi=30", "pencils=4-3"], "pencils"),
     (["surface", "k2=200", "chi=30", "no_pencils=3-8", "even=maybe"], "even"),
     (["surface", "k2=100", "chi=14", "canonical_image_dim=2", "no_pencils=2-5", "birational="], "birational"),
+    (["surface", "k2=200", "chi=30", "no_pencils="], "no_pencils"),
+    (["surface", "k2=200", "chi=30", "pencils=3,,5"], "pencils"),
 ], ids=["non-integer", "non-integer-list", "missing-key", "inverted-k2-bad-chi", "inverted-k2",
         "inverted-chi", "empty-k2", "inverted-list-range", "inverted-pencil-range", "bad-flag",
-        "empty-flag"])
+        "empty-flag", "empty-list", "empty-list-item"])
 def test_bad_bounds_input_is_65_naming_the_key(capsys, argv, key):
     code, _, err = run_cli(capsys, "bounds", *argv)
     assert code == EXIT_DATA

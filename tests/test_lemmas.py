@@ -23,7 +23,7 @@ from autbounds.lemmas import (
     union_count,
     verify_lemma,
 )
-from tests_oracles import scalar_gauge_triple
+from tests_oracles import naive_nested_levels, scalar_gauge_triple
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +172,79 @@ def test_randints_rejects_a_width_of_2_pow_32_before_drawing():
     assert rng.getstate() == untouched.getstate()
 
 
+@pytest.mark.parametrize("lo, width", [(0, 1), (-7, 33), (0, 2**31 + 1), (5, 2**32 - 1)])
+def test_randint_words_are_the_outputs_randint_reads(lo, width):
+    # the value, the outputs read (the next ones of a copy), and the same state
+    # after them: the next random() agrees
+    for seed in range(200):
+        loop, rng, copy = random.Random(seed), random.Random(seed), random.Random(seed)
+        value, words = lemmas._randint_words(rng, lo, lo + width - 1)
+        assert value == loop.randint(lo, lo + width - 1), seed
+        assert words == [copy.getrandbits(32) for _ in words], seed
+        assert rng.random() == loop.random(), seed
+
+
+@pytest.mark.parametrize("lo, width", [(0, 1), (-2, 5), (3, 2**31 + 1)])
+def test_randints_reads_head_words_first(lo, width):
+    # the stream's first outputs given as head words, up to every output the
+    # loop reads: the loop's values and state, at counts on both sides of the
+    # scalar tail, and with a head longer than the first round's count
+    hi, tail, longer = lo + width - 1, lemmas._SCALAR_TAIL, 0
+    for seed in range(30):
+        for count in (1, tail, tail + 1, 200):
+            loop = random.Random(seed)
+            want = [loop.randint(lo, hi) for _ in range(count)]
+            after = loop.random()
+            counter = random.Random(seed)
+            read = sum(len(lemmas._randint_words(counter, lo, hi)[1]) for _ in range(count))
+            for ahead in sorted({0, 1, 3, read - 1, read} & set(range(read + 1))):
+                stream = random.Random(seed)
+                head = [stream.getrandbits(32) for _ in range(ahead)]
+                got = lemmas._randints(stream, lo, hi, count, head)
+                assert got.dtype == np.int64 and got.tolist() == want, (seed, count, ahead)
+                assert stream.random() == after, (seed, count, ahead)
+                longer += count > tail and ahead > count
+    assert longer
+
+
+def _arrays(draw):
+    a3, level = draw
+    assert a3.dtype == np.int64 and level.dtype == np.int8
+    return a3.tolist(), level.tolist()
+
+
+def _naive_arrays(dim, size, seed):
+    pts, level = naive_nested_levels(dim, size, seed)
+    return [list(p) for p in pts], level
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_nested_levels_match_the_naive_draw(dim):
+    # A3 and its levels at every size 0-60, the fallback below 3 distinct
+    # points included, and the triple generate_nested_sets builds from them
+    for size in range(61):
+        for seed in range(2):
+            want = _naive_arrays(dim, size, seed)
+            assert _arrays(lemmas._draw_nested_levels(random.Random(seed), dim, size)) == want
+            pts, level = want
+            t = generate_nested_sets(dim, size, seed)
+            assert [t.a1, t.a2, t.a3] == [
+                LatticeSet([tuple(p) for p, at in zip(pts, level) if at <= top], dim)
+                for top in (1, 2, 3)], (size, seed)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_suite_draw_matches_the_naive_draw(dim):
+    # the suite's draw reads its size from the draw's own generator; at sizes
+    # 0-3 the size may read more outputs than the draw would, and the draw
+    # then starts a fresh generator
+    for lo, hi, seeds in ((0, 0, 100), (1, 1, 100), (0, 3, 300), (0, 60, 40)):
+        for seed in range(seeds):
+            size = random.Random(seed).randint(lo, hi)
+            assert _arrays(lemmas._draw_trial(dim, lo, hi, seed)) == _naive_arrays(dim, size, seed), \
+                (lo, hi, seed)
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_nested_sets_generator_needs_positive_dim(dim):
     with pytest.raises(InvariantViolation):
@@ -243,10 +316,11 @@ def test_rule_2_4_size_cap_is_on_size_times_dim(monkeypatch):
     cap = lemmas.MAX_COORDINATES
     with pytest.raises(InvariantViolation, match=f"size {cap // 2 + 1} in dim 2"):
         triple_for_rule("2.4", 5, dim=2, min_size=1, max_size=cap // 2 + 1)
-    drawn = []
-    monkeypatch.setattr(lemmas, "generate_nested_sets", lambda *a: drawn.append(a))
+    drawn, real = [], lemmas._draw_nested_levels
+    monkeypatch.setattr(lemmas, "_draw_nested_levels", lambda rng, dim, size, head=():
+                        drawn.append((dim, size)) or real(rng, dim, 3, head))
     triple_for_rule("2.4", 5, dim=2, min_size=cap // 2, max_size=cap // 2)
-    assert drawn == [(2, cap // 2, 5)]
+    assert drawn == [(2, cap // 2)]
 
 
 def test_union_count_at_least_a2():

@@ -8,7 +8,8 @@ test for arrangement, the staircase predicate `naive_staircase` as a
 whole-box check (the box between the origin and each point lies in the
 set), barycentric weights of every affinely independent subset of at most
 d+1 points (Caratheodory) for hull membership, a point-by-point gauge scan
-for the convex generator, automorphisms
+for the convex generator, one `randint` per coordinate with tuple lists,
+a set comprehension and `sorted` for rule 2.4's draw, automorphisms
 as element->element dicts filtered from every tuple of generator images,
 element orbits told apart by which multiples lie in which multiple subgroups,
 subgroups by breadth-first search on tuples, quotient ranks as the fewest
@@ -17,6 +18,7 @@ closed-form count of Hillar & Rhea, and a level-by-level scan for the
 universal level n*.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, product
@@ -182,6 +184,33 @@ def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
         sets[name] = LatticeSet([pts[i] for i in order if vals[i] <= thr], dim)
     a1, a2, a3 = sets["a1"], sets["a2"], sets["a3"]
     return ConvexTriple(a1, a2, a3, witness_regions=f"{desc} sizes={len(a1)},{len(a2)},{len(a3)}")
+
+
+def naive_nested_levels(dim, size, seed):
+    """Rule 2.4's draw, one `rng.randint` per coordinate: A3 as sorted point
+    tuples and a level per point (1 in A1, 2 in A2 - A1, 3 in the rest).
+
+    Same random-number use as `lemmas.generate_nested_sets`: 4 * size box
+    points, A3 the first max(size, 3) of `list({p for p in box})` (two
+    fixed points when fewer than 3 are distinct), then A2 and A1 sampled as
+    positions in the sorted A3 and in A2's sample.
+    """
+    rng = random.Random(seed)
+    side = max(3, round((2.5 * size) ** (1.0 / dim)) + 1)
+    box = [tuple(rng.randint(-2, side - 2) for _ in range(dim)) for _ in range(4 * size)]
+    a3_pts = list({p for p in box})[: max(size, 3)]
+    if len(a3_pts) < 3:
+        a3_pts = [tuple(0 for _ in range(dim)), tuple(1 for _ in range(dim))]
+    n3 = len(a3_pts)
+    k2 = max(2, int(round(rng.uniform(0.4, 0.9) * n3)))
+    in2 = rng.sample(range(n3), k2)
+    k1 = max(1, int(round(rng.uniform(0.3, 0.9) * k2)))
+    level = [3] * n3
+    for i in in2:
+        level[i] = 2
+    for i in rng.sample(range(k2), k1):
+        level[in2[i]] = 1
+    return sorted(a3_pts), level
 
 
 def naive_arrangement_by_definition(a, axis):
