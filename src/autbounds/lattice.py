@@ -24,6 +24,10 @@ Main operations
                             2**25-cell frame, by sorting up to an int64 frame,
                             and past it in a set of python-int sums)
     dimension, longest_chain, arrangement
+                           (longest_chain scans the directions of each cap box
+                            from _centred_box, the cached read-only block of
+                            a centred box's offsets, which the gauge draw of
+                            rules 2.5-2.7 also reads)
     arranged_union_counts, arranged_block_counts
                            (rule 2.4's dim+1 union counts, a block of trials at a
                             time in one int64 code space, each trial framed by
@@ -77,6 +81,11 @@ _WALK_CHUNK = 1 << 18
 _PAIR_WALK_COST = 500
 # lattice_points_in_hull scans a bounding box of at most this many points
 _HULL_SCAN_LIMIT = 200_000
+# _centred_box keeps at most this many rows in all (768 KiB in dim 3), so it
+# never keeps a larger block, as a w = 12 gauge scan in dim 4 (12 MiB) would
+# be; `reproduce-all --full` keeps 26 blocks, 4,918 rows in all (117 KiB)
+_BOX_CACHE_ROWS = 1 << 15
+_centred_boxes: dict[tuple[int, ...], np.ndarray] = {}
 
 
 class LatticeSet:
@@ -330,6 +339,7 @@ def _count_sums(code_pairs, cells: int) -> int:
     sorts the sums: at once in a call of at most `_OUTER_CHUNK` of them, as
     a merge would sort most of them twice, and otherwise a chunk at a time,
     merging each chunk's distinct sums into those of the chunks before it.
+    A code array that appears more than once is split into runs once.
     """
     pairs = sum(len(a) * len(b) for a, b in code_pairs)
     if cells > _DENSE_CELL_LIMIT and pairs <= _OUTER_CHUNK:
@@ -342,7 +352,9 @@ def _count_sums(code_pairs, cells: int) -> int:
             seen = _distinct(seen, kind="stable")  # two sorted runs: one merge
         return len(seen)
     if pairs >= _RUN_MIN_PAIRS and cells <= _RUN_CELL_LIMIT:
-        run_pairs = [(_runs(a), _runs(b)) for a, b in code_pairs]
+        arrays = {id(codes): codes for pair in code_pairs for codes in pair}
+        runs = {key: _runs(codes) for key, codes in arrays.items()}
+        run_pairs = [(runs[id(a)], runs[id(b)]) for a, b in code_pairs]
         if _RUN_PAIR_COST * sum(len(ra[0]) * len(rb[0]) for ra, rb in run_pairs) < pairs:
             return _count_runs(run_pairs, cells)
     return _count_bitmap(code_pairs, cells)
@@ -403,11 +415,15 @@ def _count_runs(run_pairs, cells: int) -> int:
 
 def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
     """Count distinct sums p+q over the union of the given set pairs: by
-    `_count_sums` in an int64 frame, and as a set of python ints past it."""
-    frame = _sum_frame([s for pair in pairs for s in pair])
+    `_count_sums` in an int64 frame, and as a set of python ints past it.
+    A set that appears more than once, as A2 in (A2, A2), is framed and
+    encoded once."""
+    sets = {id(s): s for pair in pairs for s in pair}
+    frame = _sum_frame(list(sets.values()))
     if frame is None:
         return 0
-    code_pairs = [tuple(_encode(s.array, *frame) for s in pair) for pair in pairs]
+    codes = {key: _encode(s.array, *frame) for key, s in sets.items()}
+    code_pairs = [(codes[id(a)], codes[id(b)]) for a, b in pairs]
     if frame[2] <= _INT64_MAX:
         return _count_sums(code_pairs, frame[2])
     rows = ((code + codes_b).tolist() for codes_a, codes_b in code_pairs for code in codes_a)
@@ -530,15 +546,35 @@ def longest_chain(a: LatticeSet) -> int:
     return best
 
 
+def _centred_box(radii: tuple[int, ...]) -> np.ndarray:
+    """The offsets of the box of [-r_c, r_c] over the radii, as a read-only
+    (rows, dim) int64 array in lex order.
+
+    Built on first use and cached per radii tuple while the cache holds at
+    most `_BOX_CACHE_ROWS` rows in all; a block past that is built on each
+    call and not kept, and so is any block of more rows. Every caller
+    shares a cached block, so it is read-only: shift a copy of it, as
+    `offsets + mid` makes, never the block in place.
+    """
+    box = _centred_boxes.get(radii)
+    if box is None:
+        box = (np.indices([2 * r + 1 for r in radii], dtype=np.int64).reshape(len(radii), -1).T
+               - np.array(radii, dtype=np.int64))
+        box.flags.writeable = False
+        if len(box) + sum(map(len, _centred_boxes.values())) <= _BOX_CACHE_ROWS:
+            _centred_boxes[radii] = box
+    return box
+
+
 def _cap_shell_steps(caps: list[int], prev: list[int], strides: np.ndarray) -> np.ndarray:
     """Codes of the directions in the cap box `caps` but not in `prev`.
 
     One per +/- pair: a code is positive exactly when the first nonzero
     entry of its direction is. Non-primitive directions are kept, since
-    gappy progressions are real chains on non-convex sets.
+    gappy progressions are real chains on non-convex sets. The cap box is
+    `_centred_box(caps)`, cached (up to its row bound) and read-only.
     """
-    caps_arr = np.array(caps, dtype=np.int64)
-    box = np.indices([2 * c + 1 for c in caps]).reshape(len(caps), -1).T - caps_arr
+    box = _centred_box(tuple(caps))
     new = (np.abs(box) > np.array(prev, dtype=np.int64)).any(axis=1)
     steps = box[new] @ strides
     return steps[steps > 0]

@@ -32,6 +32,7 @@ from .errors import InvariantViolation
 from .lattice import (
     ConvexTriple,
     LatticeSet,
+    _centred_box,
     arranged_block_counts,
     arranged_union_counts,
     dimension,
@@ -244,7 +245,7 @@ def _gauge_triple(rng: random.Random, dim: int, size_target: int,
         quad_arr = np.array(quad, dtype=np.int64)
 
         def gauge(v):
-            return ((v @ quad_arr) * v).sum(axis=1)
+            return np.einsum("ni,ij,nj->n", v, quad_arr, v)
 
         desc = f"ellipsoid quad={quad} center/2={center}"
     else:
@@ -272,8 +273,12 @@ def _scan_sublevel(gauge, dim, center, size_target):
     """Enumerate a box guaranteed to contain the needed sublevel set.
 
     `gauge` maps the rows 2p - center of an int64 array to their gauge
-    values. Returns the points strictly inside the box, in lexicographic
-    order, with their values.
+    values. The box of half-width w around center // 2 widens until the
+    size_target-th least value inside it is below every value on its
+    boundary. Returns the points strictly inside the box, in lexicographic
+    order, with their values. Each width's offsets are
+    `lattice._centred_box((w,) * dim)`, read-only and cached while the cache
+    holds at most 2**15 rows in all: the grid is a shifted copy of it.
     """
     mid = np.array(center, dtype=np.int64) // 2
     for w in range(2, 24):
@@ -281,10 +286,10 @@ def _scan_sublevel(gauge, dim, center, size_target):
             raise _Degenerate
         if (2 * w - 1) ** dim < size_target:
             continue  # the inner box holds (2w - 1)**dim points: too few
-        axes = np.meshgrid(*[np.arange(c - w, c + w + 1) for c in mid.tolist()], indexing="ij")
-        grid = np.stack(axes, axis=-1).reshape(-1, dim)
+        offsets = _centred_box((w,) * dim)
+        grid = offsets + mid
         vals = gauge(2 * grid - np.array(center, dtype=np.int64))
-        boundary = (np.abs(grid - mid) == w).any(axis=1)
+        boundary = (np.abs(offsets) == w).any(axis=1)
         inner = vals[~boundary]
         thr = np.partition(inner, size_target - 1)[size_target - 1]
         if vals[boundary].min() <= thr:
@@ -459,13 +464,20 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
 
 
 def _size_range(lemma_id: str, dim, min_size, max_size) -> tuple[int, int, int]:
-    """The rule's (dim, least size, largest size), checked against the draw cap."""
+    """The rule's (dim, least size, largest size), checked against the draw
+    cap. A least size that some draw would refuse (a negative one, or one
+    below dim + 1 for the gauge and box generators of rules 2.5-2.7) is
+    refused here, so that the exit does not depend on the draws."""
     rule = _rule(lemma_id)
     dim = rule.dim if dim is None else dim
     lo = rule.sizes[0] if min_size is None else min_size
     hi = rule.sizes[1] if max_size is None else max_size
     if hi < lo:
         raise InvariantViolation("max_size < min_size")
+    if lo < 0:
+        raise InvariantViolation("set sizes must be nonnegative")
+    if lemma_id != "2.4" and lo < dim + 1:
+        raise InvariantViolation(f"rule {lemma_id} needs min_size at least dim+1 = {dim + 1}")
     if hi * dim > MAX_COORDINATES:
         raise InvariantViolation(f"rule {lemma_id} size {hi} in dim {dim} is past the cap: "
                                  f"size * dim may be at most {MAX_COORDINATES}")

@@ -183,6 +183,24 @@ def test_rule_2_4_size_past_the_cap_is_65(capsys):
         assert len(err.strip().splitlines()) == 1 and f"rule {lemma} size 20000000" in err
 
 
+@pytest.mark.parametrize("trials", ["1", "5"])
+@pytest.mark.parametrize("lemma, sizes", [("2.4", ("-5", "10")), ("2.5", ("-5", "10")),
+                                          ("2.5", ("2", "30"))],
+                         ids=["2.4-negative", "2.5-negative", "2.5-below-dim+1"])
+def test_unusable_least_size_is_65_before_any_draw(capsys, monkeypatch, lemma, sizes, trials):
+    # a negative least size, or one below dim + 1 = 4 for rule 2.5's gauge
+    # draw: the exit no longer depends on which sizes the trials draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a triple")
+
+    monkeypatch.setattr(lemmas, "_draw_nested_levels", no_draw)
+    monkeypatch.setattr(lemmas, "generate_nested_triple", no_draw)
+    code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", lemma, "--trials", trials,
+                             "--min-size", sizes[0], "--max-size", sizes[1], "--seed", "0")
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and "size" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("dim, size", [
     ("8", "131072"), ("6", "174762"), ("8", "16384"), ("3", "349525"), ("8", "4096"),
     ("8", "5461"), ("24", "3277"), ("1000", None), ("2000", None),
@@ -536,6 +554,8 @@ _verify_argv = st.tuples(
 @given(_verify_argv)
 @example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "3",
           "--min-size", "-5", "--max-size", "-5"])
+@example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--min-size", "-5",
+          "--max-size", "10", "--seed", "0"])
 @example(["verify-lemmas", "--lemma", "2.4", "--trials", "1", "--dim", "1",
           "--min-size", "20000000", "--max-size", "20000000"])
 @example(["verify-lemmas", "--lemma", "2.5", "--trials", "1",

@@ -34,8 +34,10 @@ from tests_oracles import (
     naive_arrangement_by_definition,
     naive_chain,
     naive_in_hull,
+    naive_centred_box,
     naive_midpoints,
     naive_rank,
+    naive_shell_directions,
     naive_staircase,
     naive_sum_count,
     naive_union_count,
@@ -489,6 +491,22 @@ def test_rule_2_6_boxes_take_the_run_path(monkeypatch):
     assert union_midpoint_count(empty, t.a3, t.a2) == expected[1]
 
 
+def test_a_set_in_several_pairs_is_framed_encoded_and_split_once(monkeypatch):
+    # the (A2, A2) pair of a union count encodes A2 once, and on the run
+    # path splits its codes into runs once; the counts are the oracle's
+    t = triple_for_rule("2.6", 3)
+    encoded, split = [], []
+    real_encode, real_runs = lattice._encode, lattice._runs
+    monkeypatch.setattr(lattice, "_encode", lambda arr, *frame: encoded.append(len(arr))
+                        or real_encode(arr, *frame))
+    monkeypatch.setattr(lattice, "_runs", lambda codes: split.append(len(codes)) or real_runs(codes))
+    assert union_midpoint_count(t.a1, t.a3, t.a2) == naive_sum_count([(t.a1, t.a3), (t.a2, t.a2)])
+    assert sorted(encoded) == sorted(split) == sorted(map(len, (t.a1, t.a2, t.a3)))
+    encoded.clear()
+    a = _box([3, 4])
+    assert midpoint_count(a, a) == naive_sum_count([(a, a)]) and encoded == [len(a)]
+
+
 def test_rule_2_4_sized_calls_never_look_for_runs(monkeypatch):
     from autbounds.lemmas import generate_nested_sets, verify_lemma
 
@@ -625,6 +643,63 @@ def test_chain_of_a_box_is_its_longest_side():
         box = _box(sides, [rng.randint(-3, 3) for _ in range(4)])
         assert longest_chain(box) == max(sides)
         checked += 1
+
+
+def test_centred_box_matches_the_product_box(monkeypatch):
+    # every radii tuple up to 4 in dims 1-3, and a sample of them in dim 4;
+    # each block is built into an empty cache, then read from it
+    rng = random.Random(95)
+    radii = [r for dim in (1, 2, 3) for r in itertools.product(range(5), repeat=dim)]
+    radii += [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(40)]
+    for r in radii:
+        monkeypatch.setattr(lattice, "_centred_boxes", {})
+        box = lattice._centred_box(r)
+        assert box.dtype == np.int64 and box.shape == (prod(2 * x + 1 for x in r), len(r))
+        assert box.tolist() == naive_centred_box(r), r
+        assert lattice._centred_box(r) is box, r
+
+
+def test_centred_box_is_read_only_and_kept_up_to_its_row_bound(monkeypatch):
+    monkeypatch.setattr(lattice, "_centred_boxes", {})
+    box = lattice._centred_box((2, 3))
+    with pytest.raises(ValueError):
+        box += 1
+    with pytest.raises(ValueError):
+        box[0, 0] = 7
+    assert lattice._centred_box((2, 3)) is box and box.tolist() == naive_centred_box((2, 3))
+    # a block past the bound (a w = 12 gauge scan in dim 4, 25**4 rows) is
+    # built on each call, read-only all the same
+    scan = lattice._centred_box((12,) * 4)
+    assert lattice._centred_box((12,) * 4) is not scan and not scan.flags.writeable
+    assert scan.tolist() == naive_centred_box((12,) * 4)
+    # dim 1 at the bound: 2 * 16366 + 1 rows and the 35 above fill it
+    # exactly; then nothing more is kept
+    kept = lattice._centred_box((16366,))
+    assert len(kept) + len(box) == lattice._BOX_CACHE_ROWS and lattice._centred_box((16366,)) is kept
+    late = lattice._centred_box((1,))
+    assert lattice._centred_box((1,)) is not late and late.tolist() == [[-1], [0], [1]]
+    assert set(lattice._centred_boxes) == {(2, 3), (16366,)}
+    monkeypatch.setattr(lattice, "_centred_boxes", {})
+    assert len(lattice._centred_box((16384,))) == lattice._BOX_CACHE_ROWS + 1
+    assert lattice._centred_boxes == {}
+
+
+def test_cap_shell_steps_match_the_naive_shells(monkeypatch):
+    # each cap box is reused with several inner boxes, as longest_chain's
+    # levels reach the same caps from different boxes above
+    monkeypatch.setattr(lattice, "_centred_boxes", {})
+    rng = random.Random(96)
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        caps = [rng.randint(0, 4) for _ in range(dim)]
+        # mixed-radix strides: a code is positive exactly when the first
+        # nonzero entry of its direction is
+        strides = np.array([prod(2 * c + 1 for c in caps[i + 1:]) for i in range(dim)],
+                           dtype=np.int64) * rng.randint(1, 3)
+        for _ in range(3):
+            prev = [rng.randint(0, c) for c in caps]
+            want = [int(np.dot(d, strides)) for d in naive_shell_directions(caps, prev)]
+            assert lattice._cap_shell_steps(caps, prev, strides).tolist() == want, (caps, prev)
 
 
 def test_integer_rank_matches_rational_elimination():

@@ -23,7 +23,7 @@ from autbounds.lemmas import (
     union_count,
     verify_lemma,
 )
-from tests_oracles import naive_nested_levels, scalar_gauge_triple
+from tests_oracles import naive_nested_levels, naive_scan_sublevel, scalar_gauge_triple
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,42 @@ def test_generator_matches_scalar_gauge_scan(monkeypatch):
     for case, t in zip(cases, fast):
         slow = generate_nested_triple(*case)
         assert t == slow and t.witness_regions == slow.witness_regions, case
+
+
+def test_scan_sublevel_matches_the_naive_scan():
+    # the inner points and values themselves, not only the triples cut from
+    # them: the box must be centred on center // 2, and its boundary is its
+    # outermost shell, or the scan returns points past the closed sublevel set
+    rng = random.Random(97)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        center = tuple(rng.choice((-1, 0, 1)) for _ in range(dim))
+        size = rng.randint(dim + 1, 150)
+        if rng.random() < 0.5:
+            m = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+            quad = [[sum(m[r][i] * m[r][j] for r in range(dim)) + (i == j) for j in range(dim)]
+                    for i in range(dim)]
+
+            def value(v):
+                return sum(quad[i][j] * v[i] * v[j] for i in range(dim) for j in range(dim))
+        else:
+            weights = [rng.randint(1, 5) for _ in range(dim)]
+
+            def value(v):
+                return max(w * abs(x) for w, x in zip(weights, v))
+
+        def gauge(rows):
+            return np.array([value(v) for v in rows.tolist()], dtype=np.int64)
+
+        try:
+            want = naive_scan_sublevel(lambda p: value([2 * c - o for c, o in zip(p, center)]),
+                                       dim, center, size)
+        except lemmas._Degenerate:
+            with pytest.raises(lemmas._Degenerate):
+                lemmas._scan_sublevel(gauge, dim, center, size)
+            continue
+        pts, vals = lemmas._scan_sublevel(gauge, dim, center, size)
+        assert pts.tolist() == [list(p) for p in want[0]] and vals.tolist() == want[1], (dim, size)
 
 
 def test_nested_sets_generator():

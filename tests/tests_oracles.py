@@ -3,12 +3,14 @@
 These re-derive each quantity straight from its definition with none of the
 production shortcuts: rational mid-points instead of doubled encodings, sets
 of tuple sums for pair sums and the closed form of two product boxes' sum
-box, an all-pairs (start, step) walk for chains, a clause-by-clause membership
-test for arrangement, the staircase predicate `naive_staircase` as a
-whole-box check (the box between the origin and each point lies in the
-set), barycentric weights of every affinely independent subset of at most
-d+1 points (Caratheodory) for hull membership, a point-by-point gauge scan
-for the convex generator, one `randint` per coordinate with tuple lists,
+box, an all-pairs (start, step) walk for chains, `itertools.product` boxes
+and a clause-by-clause filter for the chain scan's direction shells, a
+clause-by-clause membership test for arrangement, the staircase predicate
+`naive_staircase` as a whole-box check (the box between the origin and each
+point lies in the set), barycentric weights of every affinely independent
+subset of at most d+1 points (Caratheodory) for hull membership, a
+point-by-point gauge and box scan for the convex generator, one `randint`
+per coordinate with tuple lists,
 a set comprehension and `sorted` for rule 2.4's draw, automorphisms
 as element->element dicts filtered from every tuple of generator images,
 element orbits told apart by which multiples lie in which multiple subgroups,
@@ -124,6 +126,19 @@ def naive_chain(a):
     return best
 
 
+def naive_centred_box(radii):
+    """The points of the box of [-r, r] over the radii, in lex order."""
+    return [list(p) for p in product(*(range(-r, r + 1) for r in radii))]
+
+
+def naive_shell_directions(caps, prev):
+    """The directions of the box `caps` outside the box `prev`, one of each
+    +/- pair (its first nonzero entry positive), in lex order."""
+    return [d for d in naive_centred_box(caps)
+            if any(abs(x) > p for x, p in zip(d, prev))
+            and next(x for x in d if x) > 0]
+
+
 def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
     """The convex generator's gauge draw, one point and one Python int at a time.
 
@@ -154,6 +169,27 @@ def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
 
         desc = f"box weights={weights} center/2={center}"
 
+    pts, vals = naive_scan_sublevel(gauge, dim, center, size_target)
+    order = sorted(range(len(pts)), key=lambda i: (vals[i], pts[i]))
+    f2 = rng.uniform(*(ratios[0:2] if ratios else (0.55, 0.92)))
+    f1 = rng.uniform(0.12, 0.45) if not ratios or len(ratios) < 3 else ratios[2]
+    size3 = min(size_target, len(pts))
+    size2 = max(dim + 2, int(round(f2 * size3)))
+    size1 = max(dim + 2, int(round(f1 * size3)))
+    sets = {}
+    for name, size in (("a3", size3), ("a2", min(size2, size3)), ("a1", min(size1, size3))):
+        thr = vals[order[size - 1]]
+        sets[name] = LatticeSet([pts[i] for i in order if vals[i] <= thr], dim)
+    a1, a2, a3 = sets["a1"], sets["a2"], sets["a3"]
+    return ConvexTriple(a1, a2, a3, witness_regions=f"{desc} sizes={len(a1)},{len(a2)},{len(a3)}")
+
+
+def naive_scan_sublevel(gauge, dim, center, size_target):
+    """The gauge draw's box scan, one point at a time: the box of half-width
+    w around center // 2 widens until the size_target-th least gauge value
+    strictly inside it is below every value on its boundary. Returns the
+    inner points as tuples in lex order and their values, the gauge taking
+    a point p (not 2p - center)."""
     for w in range(2, 24):
         lo = [center[c] // 2 - w for c in range(dim)]
         hi = [center[c] // 2 + w for c in range(dim)]
@@ -168,22 +204,8 @@ def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
                 pts.append(p)
                 vals.append(g)
         if len(pts) >= size_target and boundary_min > sorted(vals)[size_target - 1]:
-            break
-    else:
-        raise lemmas._Degenerate
-
-    order = sorted(range(len(pts)), key=lambda i: (vals[i], pts[i]))
-    f2 = rng.uniform(*(ratios[0:2] if ratios else (0.55, 0.92)))
-    f1 = rng.uniform(0.12, 0.45) if not ratios or len(ratios) < 3 else ratios[2]
-    size3 = min(size_target, len(pts))
-    size2 = max(dim + 2, int(round(f2 * size3)))
-    size1 = max(dim + 2, int(round(f1 * size3)))
-    sets = {}
-    for name, size in (("a3", size3), ("a2", min(size2, size3)), ("a1", min(size1, size3))):
-        thr = vals[order[size - 1]]
-        sets[name] = LatticeSet([pts[i] for i in order if vals[i] <= thr], dim)
-    a1, a2, a3 = sets["a1"], sets["a2"], sets["a3"]
-    return ConvexTriple(a1, a2, a3, witness_regions=f"{desc} sizes={len(a1)},{len(a2)},{len(a3)}")
+            return pts, vals
+    raise lemmas._Degenerate
 
 
 def naive_nested_levels(dim, size, seed):
