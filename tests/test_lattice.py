@@ -32,9 +32,9 @@ from autbounds.lemmas import triple_for_rule
 from tests_oracles import (
     box_sum_count,
     naive_arrangement_by_definition,
+    naive_centred_box,
     naive_chain,
     naive_in_hull,
-    naive_centred_box,
     naive_midpoints,
     naive_rank,
     naive_shell_directions,
