@@ -119,9 +119,6 @@ def _golden_text(name_or_path: str) -> str:
 def cmd_verify_lemmas(args) -> int:
     from . import lemmas as lemmas_mod  # numpy is loaded only by the commands that count
     started = time.monotonic()
-    if args.lemma not in LEMMA_IDS:
-        print(f"unknown lemma id {args.lemma!r}; choose from {LEMMA_IDS}", file=sys.stderr)
-        return EXIT_USAGE
     result = lemmas_mod.run_lemma_suite(
         args.lemma, args.trials, args.seed,
         dim=args.dim, min_size=args.min_size, max_size=args.max_size,
@@ -529,7 +526,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemmas", help="run seeded property suites for the counting rules")
-    p.add_argument("--lemma", required=True)
+    p.add_argument("--lemma", required=True, choices=LEMMA_IDS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

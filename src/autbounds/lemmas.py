@@ -46,22 +46,21 @@ from .rules import CHAIN_RATIO_EPSILON, RULES, _forms_at, _rule, bound_formula  
 # rejection loops in the drivers are bounded; both limits are plain caps.
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
-# Cap on every rule's largest size times its dim. A rule-2.4 draw holds 0.34 KB
-# per coordinate in dim 1, less in higher dims (0.14 KB in dim 3, 0.09 KB in dim
-# 40), so at the cap it peaks under 400 MiB (4.4 s in dim 1, on a 2-core Xeon)
-# and its getrandbits(128 * size * dim) fits a C int.
-# A box-draw rule (2.5-2.7) at the cap is drawn and checked, one trial, in
-# 2.6-3.0 s at 156 MiB peak for 2.6 in dim 4 (262,144 points) and in 1.8 s at
-# 170 MiB for 2.5 or 2.7 in dim 3 (349,525 points), on a 2-core Xeon: its
-# pair sums are counted run pair by run pair.
+# Cap on a rule-2.5-2.7 suite's largest size times its dim. A box-draw rule at
+# the cap is drawn and checked, one trial, in 2.6-3.0 s at 156 MiB peak for 2.6
+# in dim 4 (262,144 points) and in 1.8 s at 170 MiB for 2.5 or 2.7 in dim 3
+# (349,525 points), on a 2-core Xeon: its pair sums are counted run pair by run
+# pair.
 MAX_COORDINATES = 1 << 20
-# Cap on a rule-2.4 suite's work per trial, size * (dim + 1) * (size + dim) at
-# its largest size: each of its dim+1 counts sums about size**2 point pairs,
-# and past an int64 frame each arranging step costs about size * dim. One
-# trial at the largest admitted size took, on a 2-core Xeon: dim 1 (4,095
-# points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s at 47 MiB, dim 8 (1,926) 0.7 s
-# at 48 MiB, dim 24 (1,146) 1.2 s at 77 MiB, dim 500 (109) 18 s at 39 MiB and
-# dim 1000 (32) 20 s at 37 MiB; at 2**26, dim 500 (193 points) had taken 42 s.
+# Cap on a rule-2.4 suite's work per trial, n * (dim + 1) * (n + dim) with
+# n = max(size, 3) at its largest size, the most points its draw can hold:
+# each of its dim+1 counts sums about n**2 point pairs, and past an int64 frame
+# each arranging step costs about n * dim. It implies n * dim <= 2**20 (n + dim
+# >= 32, or else n * dim < 1024), so the draw's getrandbits(128 * size * dim)
+# fits a C int. One trial at the largest admitted size took, on a 2-core Xeon:
+# dim 1 (4,095 points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s, dim 8 (1,926)
+# 0.7 s, dim 24 (1,146) 1.2 s at 77 MiB, dim 500 (109) 18 s, dim 1000 (32) 20 s,
+# and dim 3342 (3 points, sizes 0-3) 16-34 s at 43 MiB.
 MAX_ARRANGED_WORK = 1 << 25
 # Rule 2.4's suite draws as many trials per `arranged_block_counts` call as
 # fit this many coordinates at its largest size: 496 in dim 3 at 12-44 points
@@ -159,17 +158,11 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
     """
     if lemma_id == "2.4":
         counts = arranged_union_counts(triple.a1, triple.a2, triple.a3)
-        return _arranged_outcome(counts, _axis_checks(counts))
+        return VerificationOutcome(counts[0], Fraction(counts[-1]), all(_axis_steps(counts)),
+                                   _axis_checks(counts))
     lhs = union_count(triple)
     rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3))
     return VerificationOutcome(lhs, rhs, lhs >= rhs)
-
-
-def _arranged_outcome(counts: list[int], checks: tuple[Check, ...] = ()) -> VerificationOutcome:
-    """Rule 2.4's outcome from its dim+1 arranged counts: satisfied when no
-    axis step raises the count. `checks` are the steps' `_axis_checks`, for
-    an outcome that a report reads."""
-    return VerificationOutcome(counts[0], Fraction(counts[-1]), all(_axis_steps(counts)), checks)
 
 
 def _axis_steps(counts: list[int]) -> list[bool]:
@@ -386,18 +379,6 @@ def _randint_limit(lo: int, hi: int) -> tuple[int, int]:
     return shift, width << shift
 
 
-def generate_nested_sets(dim: int, size_target: int, seed: int) -> ConvexTriple:
-    """The triple of `_draw_nested_levels`: arbitrary nested integral sets (no
-    convexity), as rule 2.4 holds for any nested finite integral sets."""
-    return _nested_sets(*_draw_nested_levels(random.Random(seed), dim, size_target))
-
-
-def _nested_sets(a3: np.ndarray, level: np.ndarray) -> ConvexTriple:
-    """The triple A1 <= A2 <= A3 of a draw's A3 and levels."""
-    return ConvexTriple(*(LatticeSet.from_array(a3[level <= top], a3.shape[1]) for top in (1, 2, 3)),
-                        witness_regions="random nested subsets")
-
-
 def _draw_trial(dim: int, lo: int, hi: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule 2.4's draw at a size `random.Random(seed).randint(lo, hi)`, from
     one generator: the size's outputs are the first outputs of the stream
@@ -425,11 +406,8 @@ def _draw_nested_levels(rng: random.Random, dim: int, size_target: int,
     a set built in the same insertion order iterates in the same order. A2
     and A1 are sampled as positions in the sorted A3 and in A2's sample,
     which reads the random numbers that sampling the point lists read.
+    `_size_range` has admitted dim and size_target.
     """
-    if dim < 1:
-        raise InvariantViolation("generator needs dim >= 1")
-    if size_target < 0:
-        raise InvariantViolation("set sizes must be nonnegative")
     side = max(3, round((2.5 * size_target) ** (1.0 / dim)) + 1)
     columns = _randints(rng, -2, side - 2, 4 * size_target * dim, head).reshape(-1, dim).T.tolist()
     distinct = islice(set(zip(*columns)), max(size_target, 3))
@@ -455,8 +433,10 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
                     max_size: Optional[int] = None) -> ConvexTriple:
     """One deterministic draw from the rule's tuned instance distribution."""
     dim, lo, hi = _size_range(lemma_id, dim, min_size, max_size)
-    if lemma_id == "2.4":
-        return _nested_sets(*_draw_trial(dim, lo, hi, seed))
+    if lemma_id == "2.4":  # any nested sets: rule 2.4 holds for all nested finite integral sets
+        a3, level = _draw_trial(dim, lo, hi, seed)
+        return ConvexTriple(*(LatticeSet.from_array(a3[level <= top], dim) for top in (1, 2, 3)),
+                            witness_regions="random nested subsets")
     size = random.Random(seed).randint(lo, hi)
     rule = RULES[lemma_id]
     return generate_nested_triple(dim, size, seed, ratios=rule.ratios,
@@ -464,21 +444,31 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
 
 
 def _size_range(lemma_id: str, dim, min_size, max_size) -> tuple[int, int, int]:
-    """The rule's (dim, least size, largest size), checked against the draw
-    cap. A least size that some draw would refuse (a negative one, or one
-    below dim + 1 for the gauge and box generators of rules 2.5-2.7) is
-    refused here, so that the exit does not depend on the draws."""
+    """The rule's (dim, least size, largest size), admitted before anything is
+    drawn, so that the exit does not depend on the draws: a dim below the
+    rule's least (1 for 2.4, `inner_dim` for 2.5-2.7) is refused, as is a
+    least size that a draw would refuse (a negative one, or below dim + 1 for
+    rules 2.5-2.7) and a largest size past the rule's cap."""
     rule = _rule(lemma_id)
     dim = rule.dim if dim is None else dim
     lo = rule.sizes[0] if min_size is None else min_size
     hi = rule.sizes[1] if max_size is None else max_size
+    least_dim = rule.inner_dim or 1
+    if dim < least_dim:
+        raise InvariantViolation(f"rule {lemma_id} in dim {dim} is below its least dim {least_dim}")
     if hi < lo:
         raise InvariantViolation("max_size < min_size")
     if lo < 0:
         raise InvariantViolation("set sizes must be nonnegative")
-    if lemma_id != "2.4" and lo < dim + 1:
+    if lemma_id == "2.4":
+        n = max(hi, 3)
+        if n * (dim + 1) * (n + dim) > MAX_ARRANGED_WORK:
+            raise InvariantViolation(f"rule 2.4 size {hi} in dim {dim} is past the work cap: n * (dim"
+                                     f" + 1) * (n + dim) with n = max(size, 3) may be at most "
+                                     f"{MAX_ARRANGED_WORK}")
+    elif lo < dim + 1:
         raise InvariantViolation(f"rule {lemma_id} needs min_size at least dim+1 = {dim + 1}")
-    if hi * dim > MAX_COORDINATES:
+    elif hi * dim > MAX_COORDINATES:
         raise InvariantViolation(f"rule {lemma_id} size {hi} in dim {dim} is past the cap: "
                                  f"size * dim may be at most {MAX_COORDINATES}")
     return dim, lo, hi
@@ -549,8 +539,8 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
 
     Each trial rejection-samples an admissible instance; rule 2.4 has no side
     hypotheses, so its first draw always is. A violated admissible instance
-    is recorded as a finding with a replayable witness. A rule-2.4 size past
-    `MAX_ARRANGED_WORK` is refused before anything is drawn.
+    is recorded as a finding with a replayable witness. `_size_range` refuses
+    an unusable dim or size range before anything is drawn.
     """
     if trials < 1:
         raise InvariantViolation("trials must be >= 1")
@@ -563,8 +553,9 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
             lemma_id, master_seed, trial, dim, min_size, max_size,
             max_draws=max_draws)
         seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
-        _record(result, trial, seed, draws, report.admissible, len(triple.a3),
-                verify_lemma(lemma_id, triple), lambda: (triple, report.checks))
+        outcome = verify_lemma(lemma_id, triple)
+        _record(result, trial, seed, draws, report.admissible, len(triple.a3), outcome.lhs_count,
+                outcome.rhs_bound, outcome.satisfied, lambda: (triple, report.checks))
     return result
 
 
@@ -573,10 +564,6 @@ def _run_arranged_suite(result: SuiteResult, dim: int, lo: int, hi: int) -> None
     at a time. Every draw is admissible, so only a violated trial is drawn
     again as a triple, has its hypotheses checked and its axis steps built
     as checks."""
-    if hi * (dim + 1) * (hi + dim) > MAX_ARRANGED_WORK:
-        raise InvariantViolation(f"rule 2.4 size {hi} in dim {dim} is past the work cap: "
-                                 f"size * (dim + 1) * (size + dim) may be at most "
-                                 f"{MAX_ARRANGED_WORK}")
     block = max(1, _BLOCK_COORDINATES // max(1, hi * dim))
     for first in range(0, result.trials, block):
         seeds = [derive_seed(derive_seed(result.master_seed, trial), 0)
@@ -584,19 +571,20 @@ def _run_arranged_suite(result: SuiteResult, dim: int, lo: int, hi: int) -> None
         drawn = [_draw_trial(dim, lo, hi, seed) for seed in seeds]
         for trial, (seed, (a3, _), counts) in enumerate(
                 zip(seeds, drawn, arranged_block_counts(drawn)), first):
-            _record(result, trial, seed, 1, True, len(a3), _arranged_outcome(counts),
+            _record(result, trial, seed, 1, True, len(a3), counts[0], counts[-1],
+                    all(_axis_steps(counts)),
                     lambda: (t := triple_for_rule("2.4", seed, dim, lo, hi),
                              hypothesis_report("2.4", t).checks + _axis_checks(counts)))
 
 
 def _record(result: SuiteResult, trial: int, seed: int, draws: int, admissible: bool, n3: int,
-            outcome: VerificationOutcome, witness) -> None:
+            lhs: int, rhs: int | Fraction, satisfied: bool, witness) -> None:
     """Add a trial's row; a violated admissible trial also records the triple
     and hypothesis checks that `witness()` gives."""
-    row = dict(zip(SuiteResult.COLUMNS, (result.lemma, trial, seed, admissible, outcome.lhs_count,
-                                         str(outcome.rhs_bound), outcome.satisfied, n3, draws)))
+    row = dict(zip(SuiteResult.COLUMNS, (result.lemma, trial, seed, admissible, lhs, str(rhs),
+                                         satisfied, n3, draws)))
     result.rows.append(row)
-    if admissible and not outcome.satisfied:
+    if admissible and not satisfied:
         triple, checks = witness()
         result.violations.append({
             **{k: row[k] for k in ("lemma", "trial", "seed", "lhs", "rhs")},

@@ -204,20 +204,37 @@ def test_unusable_least_size_is_65_before_any_draw(capsys, monkeypatch, lemma, s
 @pytest.mark.parametrize("dim, size", [
     ("8", "131072"), ("6", "174762"), ("8", "16384"), ("3", "349525"), ("8", "4096"),
     ("8", "5461"), ("24", "3277"), ("1000", None), ("2000", None),
+    ("8000", "0"), ("100000000", "0"), ("3344", "2"),
 ])
 def test_rule_2_4_size_past_the_work_cap_is_65(capsys, monkeypatch, dim, size):
-    # sizes the draw cap admits but whose counts ran out of memory or ran for
-    # minutes; dims 1000 and 2000 at the default sizes (12-44) are as slow
+    # sizes whose counts ran out of memory or ran for minutes; dims 1000 and
+    # 2000 at the default sizes (12-44) are as slow, and so are sizes 0-2,
+    # whose draws hold up to 3 points (dim 8000 ran past a minute)
     def no_draw(*args):
         raise AssertionError("drew a triple")
 
-    monkeypatch.setattr(lemmas, "generate_nested_sets", no_draw)
     monkeypatch.setattr(lemmas, "_draw_nested_levels", no_draw)
     sizes = [] if size is None else ["--min-size", size, "--max-size", size]
     code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", "2.4", "--trials", "1",
                              "--dim", dim, *sizes)
     assert code == EXIT_DATA and out == ""
     assert len(err.strip().splitlines()) == 1 and "work cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lemma, dim", [("2.4", "0"), ("2.4", "-1"), ("2.5", "2"), ("2.7", "2"),
+                                        ("2.6", "3")])
+def test_dim_below_the_rule_least_is_65_before_any_draw(capsys, monkeypatch, lemma, dim):
+    # 2.4 draws in any dim from 1, and rules 2.5-2.7 keep A1 of dim 3, 4 and
+    # 3; rule 2.6 in dim 3 used to exit only after 50 generator attempts
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a triple")
+
+    monkeypatch.setattr(lemmas, "_draw_nested_levels", no_draw)
+    monkeypatch.setattr(lemmas, "generate_nested_triple", no_draw)
+    code, out, err = run_cli(capsys, "verify-lemmas", "--lemma", lemma, "--trials", "1",
+                             "--dim", dim)
+    assert code == EXIT_DATA and out == ""
+    assert len(err.strip().splitlines()) == 1 and f"in dim {dim} is below" in err
 
 
 def test_golden_file_that_is_not_a_report_is_65(capsys, tmp_path):

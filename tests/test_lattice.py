@@ -508,7 +508,7 @@ def test_a_set_in_several_pairs_is_framed_encoded_and_split_once(monkeypatch):
 
 
 def test_rule_2_4_sized_calls_never_look_for_runs(monkeypatch):
-    from autbounds.lemmas import generate_nested_sets, verify_lemma
+    from autbounds.lemmas import triple_for_rule, verify_lemma
 
     def no_runs(*args):
         raise AssertionError("looked for runs")
@@ -516,7 +516,7 @@ def test_rule_2_4_sized_calls_never_look_for_runs(monkeypatch):
     monkeypatch.setattr(lattice, "_runs", no_runs)
     for dim in (3, 4):
         for seed in range(20):
-            t = generate_nested_sets(dim, 44, seed)  # rule 2.4's largest size
+            t = triple_for_rule("2.4", seed, dim, 44, 44)  # rule 2.4's largest size
             verify_lemma("2.4", t)
             union_midpoint_count(t.a1, t.a3, t.a2)
 

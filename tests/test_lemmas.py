@@ -15,7 +15,6 @@ from autbounds.lemmas import (
     admissible_triple,
     bound_formula,
     derive_seed,
-    generate_nested_sets,
     generate_nested_triple,
     hypothesis_report,
     run_lemma_suite,
@@ -168,11 +167,11 @@ def test_scan_sublevel_matches_the_naive_scan():
 
 
 def test_nested_sets_generator():
-    t = generate_nested_sets(3, 25, seed=9)
+    t = triple_for_rule("2.4", 9, 3, 25, 25)
     assert t.a1.issubset(t.a2) and t.a2.issubset(t.a3)
 
 
-# sha256 over the JSON of the 2.4 generator's raw triples, newline-separated,
+# sha256 over the JSON of rule 2.4's triples at one size, newline-separated,
 # for dims 1-5, sizes 3, 12, 44 and 300 and seeds 0-9, as drawn by one
 # rng.randint call per coordinate: the bulk draw must give the same stream
 _PINNED_NESTED_SETS = "6963d679d86e39e6ad53352ab31e8adbe662fd2e3a963f7f11c322616103f457"
@@ -183,7 +182,8 @@ def test_nested_sets_stream_is_pinned():
     for dim in range(1, 6):
         for size in (3, 12, 44, 300):
             for seed in range(10):
-                digest.update(generate_nested_sets(dim, size, seed).to_json().encode() + b"\n")
+                t = triple_for_rule("2.4", seed, dim, size, size)
+                digest.update(t.to_json().encode() + b"\n")
     assert digest.hexdigest() == _PINNED_NESTED_SETS
 
 
@@ -257,13 +257,13 @@ def _naive_arrays(dim, size, seed):
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_nested_levels_match_the_naive_draw(dim):
     # A3 and its levels at every size 0-60, the fallback below 3 distinct
-    # points included, and the triple generate_nested_sets builds from them
+    # points included, and the triple rule 2.4 builds from them at that size
     for size in range(61):
         for seed in range(2):
             want = _naive_arrays(dim, size, seed)
             assert _arrays(lemmas._draw_nested_levels(random.Random(seed), dim, size)) == want
             pts, level = want
-            t = generate_nested_sets(dim, size, seed)
+            t = triple_for_rule("2.4", seed, dim, size, size)
             assert [t.a1, t.a2, t.a3] == [
                 LatticeSet([tuple(p) for p, at in zip(pts, level) if at <= top], dim)
                 for top in (1, 2, 3)], (size, seed)
@@ -283,8 +283,20 @@ def test_suite_draw_matches_the_naive_draw(dim):
 
 @pytest.mark.parametrize("dim", [0, -1])
 def test_nested_sets_generator_needs_positive_dim(dim):
-    with pytest.raises(InvariantViolation):
-        generate_nested_sets(dim, 25, seed=9)
+    with pytest.raises(InvariantViolation, match=f"dim {dim} is below"):
+        triple_for_rule("2.4", 9, dim, 25, 25)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_rule_2_4_draw_holds_at_most_max_size_3_points(dim):
+    # the work cap counts max(hi, 3) points: a draw keeps at most that many
+    # distinct points, or the 2 fixed ones when it finds fewer than 3
+    rng = random.Random(dim)
+    for _ in range(60):
+        lo = rng.randint(0, 8)
+        hi = lo + rng.randint(0, 8)
+        a3, level = lemmas._draw_trial(dim, lo, hi, rng.randrange(1 << 30))
+        assert 2 <= len(a3) <= max(hi, 3) and len(level) == len(a3), (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +359,27 @@ def test_union_count_forced_example():
     assert union_count(ConvexTriple(a1, a23, a23)) == 3
 
 
-def test_rule_2_4_size_cap_is_on_size_times_dim(monkeypatch):
-    # the cap is on size * dim; a range that reaches past it is rejected whole
-    cap = lemmas.MAX_COORDINATES
-    with pytest.raises(InvariantViolation, match=f"size {cap // 2 + 1} in dim 2"):
-        triple_for_rule("2.4", 5, dim=2, min_size=1, max_size=cap // 2 + 1)
-    drawn, real = [], lemmas._draw_nested_levels
-    monkeypatch.setattr(lemmas, "_draw_nested_levels", lambda rng, dim, size, head=():
-                        drawn.append((dim, size)) or real(rng, dim, 3, head))
-    triple_for_rule("2.4", 5, dim=2, min_size=cap // 2, max_size=cap // 2)
-    assert drawn == [(2, cap // 2)]
+def test_rule_2_4_work_cap_counts_the_points_a_draw_can_hold(monkeypatch):
+    # n * (dim + 1) * (n + dim) <= 2**25 with n = max(size, 3): a size-0 range
+    # is counted as 3 points, and a range that reaches past the cap is refused
+    # whole, before anything is drawn
+    def no_draw(*args):
+        raise AssertionError("drew a triple")
+
+    monkeypatch.setattr(lemmas, "_draw_nested_levels", no_draw)
+    for dim, lo, hi, admitted in ((3342, 0, 0, True), (3343, 0, 0, False),
+                                  (3, 0, 2894, True), (3, 1, 2895, False)):
+        if admitted:
+            assert lemmas._size_range("2.4", dim, lo, hi) == (dim, lo, hi)
+        else:
+            with pytest.raises(InvariantViolation, match=f"size {hi} in dim {dim} is past the work"):
+                triple_for_rule("2.4", 5, dim, lo, hi)
+    # no admitted (n, dim) reaches 2**25 exactly, so the bound is checked at
+    # a cap that 3 points in dim 1 reach: 3 * 2 * 4
+    monkeypatch.setattr(lemmas, "MAX_ARRANGED_WORK", 24)
+    assert lemmas._size_range("2.4", 1, 0, 0) == (1, 0, 0)
+    with pytest.raises(InvariantViolation, match="work cap"):
+        lemmas._size_range("2.4", 1, 0, 4)
 
 
 def test_union_count_at_least_a2():
@@ -435,6 +458,24 @@ def test_violation_machinery_records_witness(monkeypatch):
     replay = ConvexTriple.from_json_dict(wit["triple"])
     assert union_count(replay) == wit["lhs"]
     assert wit["hypotheses"] == hypothesis_report("2.5", replay).to_json_dict()
+
+
+def test_rule_2_4_row_fails_when_one_axis_step_rises(monkeypatch):
+    # only the last step rises: the row is violated, its lhs is the first
+    # count and its rhs the last
+    real = lemmas.arranged_block_counts
+    patched = []
+
+    def last_rises(block):
+        patched[:] = [counts[:-1] + [counts[-2] + 1] for counts in real(block)]
+        return patched
+
+    monkeypatch.setattr(lemmas, "arranged_block_counts", last_rises)
+    res = run_lemma_suite("2.4", 3, master_seed=5, dim=3)
+    assert [row["satisfied"] for row in res.rows] == [False] * 3
+    assert [(row["lhs"], row["rhs"]) for row in res.rows] == [(c[0], str(c[-1])) for c in patched]
+    checks = res.violations[0]["hypotheses"]["checks"]
+    assert [c["passed"] for c in checks] == [True, True, True, False]
 
 
 def test_violation_of_2_4_records_the_axis_steps(monkeypatch):

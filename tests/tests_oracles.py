@@ -212,7 +212,7 @@ def naive_nested_levels(dim, size, seed):
     """Rule 2.4's draw, one `rng.randint` per coordinate: A3 as sorted point
     tuples and a level per point (1 in A1, 2 in A2 - A1, 3 in the rest).
 
-    Same random-number use as `lemmas.generate_nested_sets`: 4 * size box
+    Same random-number use as `lemmas._draw_nested_levels`: 4 * size box
     points, A3 the first max(size, 3) of `list({p for p in box})` (two
     fixed points when fewer than 3 are distinct), then A2 and A1 sampled as
     positions in the sorted A3 and in A2's sample.
