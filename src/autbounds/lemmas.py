@@ -60,7 +60,7 @@ MAX_COORDINATES = 1 << 20
 # fits a C int. One trial at the largest admitted size took, on a 2-core Xeon:
 # dim 1 (4,095 points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s, dim 8 (1,926)
 # 0.7 s, dim 24 (1,146) 1.2 s at 77 MiB, dim 500 (109) 18 s, dim 1000 (32) 20 s,
-# and dim 3342 (3 points, sizes 0-3) 16-34 s at 43 MiB.
+# and dim 3342 (3 points, sizes 0-3) 14-34 s at 43 MiB.
 MAX_ARRANGED_WORK = 1 << 25
 # Rule 2.4's suite draws as many trials per `arranged_block_counts` call as
 # fit this many coordinates at its largest size: 496 in dim 3 at 12-44 points
