@@ -89,8 +89,11 @@ def _emit(body, args, started: float):
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "timing_ms": int(1000 * (time.monotonic() - started)),
     }
-    report = {"header": header, "body": body}
-    text = _canonical_json(report)
+    _send(_canonical_json({"header": header, "body": body}), args)
+
+
+def _send(text: str, args) -> None:
+    """Print text, or write it to --out under the output dir and print the path."""
     out = getattr(args, "out", None)
     if out:
         path = out if os.path.isabs(out) else os.path.join(_output_dir(), out)
@@ -126,7 +129,7 @@ def cmd_verify_lemmas(args) -> int:
     body = result.to_json_body()
     body["format"] = "lemma-suite"
     if args.format == "csv":
-        _stdout(_csv_text(result.csv_rows()))
+        _send(_csv_text(result.csv_rows()), args)
     else:
         _emit(body, args, started=started)
     for violation in result.violations:
@@ -176,6 +179,8 @@ def cmd_enumerate_covers(args) -> int:
         raise InvariantViolation(f"--gamma must be a quotient genus >= 0, got {args.gamma}")
     if args.gmin < 0:
         raise InvariantViolation(f"--gmin must be a genus >= 0, got {args.gmin}")
+    if args.kmin < 0:
+        raise InvariantViolation(f"--kmin must be a branch-point count >= 0, got {args.kmin}")
     if args.gmin > args.gmax:
         raise InvariantViolation(f"--gmin must be at most --gmax, got {args.gmin} > {args.gmax}")
     golden = None
@@ -413,7 +418,7 @@ def _surface_table(args, kv) -> int:
                 "" if res.value is None else jsonable(res.value),
                 "|".join(res.source),
             ])
-    _stdout(_csv_text(rows))
+    _send(_csv_text(rows), args)
     return EXIT_OK
 
 

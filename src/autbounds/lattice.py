@@ -32,8 +32,8 @@ Main operations
                            (rule 2.4's dim+1 union counts, a block of trials at a
                             time in one int64 code space, each trial framed by
                             its own box; a trial whose frame does not fit in
-                            int64 takes the loop of arrangement and
-                            union_midpoint_count)
+                            int64 is sorted and ranked alone on python-int
+                            codes)
     in_convex_hull (exact rational simplex), is_integrally_convex,
     is_relatively_convex, lattice_points_in_hull
 """
@@ -292,13 +292,13 @@ class ConvexTriple:
 # mid-point counts
 # ---------------------------------------------------------------------------
 
-def _sum_frame(sets: list[LatticeSet]):
-    """Common integer frame for encoding pair sums of points of the sets.
+def _sum_frame(arrays: list[np.ndarray]):
+    """Common integer frame for encoding pair sums of rows of the int64 arrays.
 
     Returns (mins, strides, cells) where index(p+q) = dot(p+q, strides) - base
-    is injective over the sum box, or None when every set is empty.
+    is injective over the sum box, or None when every array is empty.
     """
-    arrays = [s.array for s in sets if len(s)]
+    arrays = [arr for arr in arrays if len(arr)]
     if not arrays:
         return None
     mins = np.min([arr.min(axis=0) for arr in arrays], axis=0).tolist()
@@ -329,8 +329,7 @@ def _encode(arr: np.ndarray, mins, strides, cells: int) -> np.ndarray:
 
 
 def _count_sums(code_pairs, cells: int) -> int:
-    """Distinct sums a+b over int64 code-array pairs whose sums lie in [0, cells),
-    for any cells up to `_INT64_MAX`.
+    """Distinct sums a+b over code-array pairs whose sums lie in [0, cells).
 
     In a frame of at most `_DENSE_CELL_LIMIT` cells each point pair is marked
     in a bitmap, unless the codes fall into so few runs of consecutive
@@ -339,8 +338,13 @@ def _count_sums(code_pairs, cells: int) -> int:
     sorts the sums: at once in a call of at most `_OUTER_CHUNK` of them, as
     a merge would sort most of them twice, and otherwise a chunk at a time,
     merging each chunk's distinct sums into those of the chunks before it.
-    A code array that appears more than once is split into runs once.
+    A code array that appears more than once is split into runs once. Past
+    `_INT64_MAX` cells the codes are python ints in object arrays, and their
+    sums are counted in a set.
     """
+    if cells > _INT64_MAX:
+        rows = ((code + codes_b).tolist() for codes_a, codes_b in code_pairs for code in codes_a)
+        return len(set(itertools.chain.from_iterable(rows)))
     pairs = sum(len(a) * len(b) for a, b in code_pairs)
     if cells > _DENSE_CELL_LIMIT and pairs <= _OUTER_CHUNK:
         return len(_distinct(np.concatenate([np.add.outer(a, b).ravel() for a, b in code_pairs])))
@@ -413,33 +417,28 @@ def _count_runs(run_pairs, cells: int) -> int:
     return int(np.count_nonzero(np.cumsum(diff, out=diff)))
 
 
-def _pair_sum_codes(pairs: list[tuple[LatticeSet, LatticeSet]]) -> int:
-    """Count distinct sums p+q over the union of the given set pairs: by
-    `_count_sums` in an int64 frame, and as a set of python ints past it.
-    A set that appears more than once, as A2 in (A2, A2), is framed and
-    encoded once."""
-    sets = {id(s): s for pair in pairs for s in pair}
-    frame = _sum_frame(list(sets.values()))
+def _pair_sum_codes(pairs: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """Count distinct sums p+q over the union of the given pairs of int64
+    point arrays, by `_count_sums` in the frame of their box. An array that
+    appears more than once, as A2 in (A2, A2), is framed and encoded once."""
+    arrays = {id(arr): arr for pair in pairs for arr in pair}
+    frame = _sum_frame(list(arrays.values()))
     if frame is None:
         return 0
-    codes = {key: _encode(s.array, *frame) for key, s in sets.items()}
-    code_pairs = [(codes[id(a)], codes[id(b)]) for a, b in pairs]
-    if frame[2] <= _INT64_MAX:
-        return _count_sums(code_pairs, frame[2])
-    rows = ((code + codes_b).tolist() for codes_a, codes_b in code_pairs for code in codes_a)
-    return len(set(itertools.chain.from_iterable(rows)))
+    codes = {key: _encode(arr, *frame) for key, arr in arrays.items()}
+    return _count_sums([(codes[id(a)], codes[id(b)]) for a, b in pairs], frame[2])
 
 
 def midpoint_count(a: LatticeSet, b: LatticeSet) -> int:
     """#(a.b) without materializing the doubled set."""
     _require_same_dim(a, b)
-    return _pair_sum_codes([(a, b)])
+    return _pair_sum_codes([(a.array, b.array)])
 
 
 def union_midpoint_count(a1: LatticeSet, a3: LatticeSet, a2: LatticeSet) -> int:
     """#(a1.a3 union a2.a2), the quantity every counting rule bounds below."""
     _require_same_dim(a1, a2, a3)
-    return _pair_sum_codes([(a1, a3), (a2, a2)])
+    return _pair_sum_codes([(a1.array, a3.array), (a2.array, a2.array)])
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +635,8 @@ def _run_length(points: set, start: tuple[int, ...], v: tuple[int, ...]) -> int:
 def arrangement(a: LatticeSet, axis: int) -> LatticeSet:
     """Compress each fiber along `axis` to the prefix {0, ..., s-1}.
 
-    Cardinality is preserved exactly; nested sets stay nested.
+    Cardinality is preserved exactly; nested sets stay nested. Rule 2.4's
+    kernel arranges codes in place of it, so nothing here calls it.
     """
     if not 0 <= axis < a.dim:
         raise InvariantViolation(f"axis {axis} out of range for dim {a.dim}")
@@ -666,57 +666,50 @@ def arranged_block_counts(block) -> list[list[int]]:
     with translation, so a step may move the r-th point of a fiber to lo_c + r
     in place of r; a fiber holds at most hi_c - lo_c + 1 points, so the frame
     fits every step. Trials are counted in chunks of at most `_BLOCK_PAIRS`
-    point pairs; a larger trial is a chunk of its own, and one whose frame
-    does not fit in int64 takes the loop of `arrangement` and
-    `union_midpoint_count`.
+    point pairs whose shared code space fits int64; a larger trial, and one
+    whose own frame does not fit in int64, is a chunk of its own.
     """
     counts, chunk, chunk_pairs, chunk_cells = [], [], 0, 0
     for arr, level in block:
         dim = arr.shape[1]
         lo, hi = (arr.min(axis=0).tolist(), arr.max(axis=0).tolist()) if len(arr) else ([0] * dim,) * 2
         strides, cells = _frame_strides(lo, hi)
-        if chunk and (cells > _INT64_MAX or chunk_pairs + len(arr) ** 2 > _BLOCK_PAIRS
-                      or 2 * chunk_cells + cells > _INT64_MAX):
+        if chunk and (chunk_pairs + len(arr) ** 2 > _BLOCK_PAIRS or 2 * chunk_cells + cells > _INT64_MAX):
             counts += _arranged_chunk_counts(chunk)
             chunk, chunk_pairs, chunk_cells = [], 0, 0
-        if cells <= _INT64_MAX:
-            chunk.append((arr, level, lo, hi, strides, cells))
-            chunk_pairs, chunk_cells = chunk_pairs + len(arr) ** 2, chunk_cells + cells
-            continue
-        sets = [LatticeSet.from_array(arr[level <= top], dim) for top in (1, 3, 2)]  # a1, a3, a2
-        counts.append([union_midpoint_count(*sets)])
-        for axis in range(dim):
-            sets = [arrangement(s, axis) for s in sets]
-            counts[-1].append(union_midpoint_count(*sets))
+        chunk.append((arr, level, lo, strides, cells))
+        chunk_pairs, chunk_cells = chunk_pairs + len(arr) ** 2, chunk_cells + cells
     return counts + (_arranged_chunk_counts(chunk) if chunk else [])
 
 
 def _arranged_chunk_counts(trials) -> list[list[int]]:
-    """The arranged counts of a chunk of trials (a3, level, lo, hi, strides,
+    """The arranged counts of a chunk of trials (a3, level, lo, strides,
     cells), in one code space where trial t is offset by the cells of those
-    before it, so that its sums lie in [2 O_t, 2 O_t + cells_t). Arranged
-    nested sets stay nested: a step sorts the points by (trial, fiber,
-    level), and the r-th point of a fiber moves to digit r and keeps its
-    level. The points lie in (trial, level) order and a fiber's key holds
-    its trial's offset, so a stable sort on the key alone gives that order.
-    So the union's pairs, inside a2 and in a1 x (a3 - a2), are listed once,
-    unless the chunk is one trial past `_BLOCK_PAIRS` point pairs, which
-    `_count_sums` counts at each step."""
-    arrs, levels, lo, hi, strides, cells = zip(*trials)
+    before it, so that its sums lie in [2 O_t, 2 O_t + cells_t); a lone trial
+    past int64 keeps its frame and codes in python ints. Arranged nested sets
+    stay nested: a step sorts the points by (trial, fiber, level), and the
+    r-th point of a fiber moves to lo_c + r and keeps its level. The points
+    lie in (trial, level) order and a fiber's key holds its trial's offset,
+    so a stable sort on the key alone gives that order. So the union's pairs,
+    inside a2 and in a1 x (a3 - a2), are listed once, unless the chunk is one
+    trial past `_BLOCK_PAIRS` point pairs, which `_pair_sum_codes` counts at
+    each step in the frame of its arranged box."""
+    arrs, levels, lo, strides, cells = zip(*trials)
     sizes = np.array([len(arr) for arr in arrs])
     n, dim = int(sizes.sum()), arrs[0].shape[1]
     offsets = np.cumsum((0,) + cells[:-1]).astype(np.int64)
+    dtype = np.int64 if cells[0] <= _INT64_MAX else object
 
-    def per_point(values):
-        return np.repeat(np.array(values, dtype=np.int64), sizes, axis=0)
+    def per_point(values, dtype=np.int64):
+        return np.repeat(np.array(values, dtype=dtype), sizes, axis=0)
 
     # each trial's points in level order: a1, then a2 - a1, then the rest
     member, level = np.repeat(np.arange(len(trials)), sizes), np.concatenate(levels)
     order = np.lexsort((level, member))
     level, index = level[order], np.arange(n)
-    offset, lo, strides = per_point(offsets), per_point(lo), per_point(strides)
-    radix = 2 * (per_point(hi) - lo) + 1
-    codes = ((np.concatenate(arrs)[order] - lo) * strides).sum(axis=1) + offset
+    offset, lo, strides = (per_point(values, dtype) for values in (offsets, lo, strides))
+    pts = np.concatenate(arrs)[order]
+    codes = ((pts - lo) * strides).sum(axis=1) + offset
     if n ** 2 <= _BLOCK_PAIRS or len(trials) > 1:
         # the pairs (p, q >= p) inside a2, then a1 x (a3 - a2), as runs of q
         first = per_point(np.cumsum(sizes) - sizes)
@@ -735,17 +728,18 @@ def _arranged_chunk_counts(trials) -> list[list[int]]:
                            prepend=0, append=len(distinct)).tolist()
     else:
         def union_counts():
-            low, mid = codes[level == 1], codes[level <= 2]
-            return [_count_sums([(low, codes[level == 3]), (mid, mid)], cells[0])]
+            mid = pts[level <= 2]
+            return [_pair_sum_codes([(pts[level == 1], pts[level == 3]), (mid, mid)])]
 
     steps, rank = [union_counts()], np.empty(n, dtype=np.int64)
     for c in range(dim):
-        key = codes - (codes - offset) // strides[:, c] % radix[:, c] * strides[:, c]
+        key = codes - (pts[:, c] - lo[:, c]) * strides[:, c]
         by_fiber = np.argsort(key, kind="stable")
         sorted_key = key[by_fiber]
         start = np.zeros(n, dtype=np.int64)
         start[1:] = np.where(sorted_key[1:] != sorted_key[:-1], index[1:], 0)
         rank[by_fiber] = index - np.maximum.accumulate(start)
+        pts[:, c] = lo[:, c] + rank
         codes = key + rank * strides[:, c]
         steps.append(union_counts())
     return [list(trial_counts) for trial_counts in zip(*steps)]

@@ -54,13 +54,13 @@ _MAX_GENERATOR_ATTEMPTS = 50
 MAX_COORDINATES = 1 << 20
 # Cap on a rule-2.4 suite's work per trial, n * (dim + 1) * (n + dim) with
 # n = max(size, 3) at its largest size, the most points its draw can hold:
-# each of its dim+1 counts sums about n**2 point pairs, and past an int64 frame
-# each arranging step costs about n * dim. It implies n * dim <= 2**20 (n + dim
+# each of its dim+1 counts sums about n**2 point pairs, and each arranging
+# step sorts n codes of dim digits. It implies n * dim <= 2**20 (n + dim
 # >= 32, or else n * dim < 1024), so the draw's getrandbits(128 * size * dim)
-# fits a C int. One trial at the largest admitted size took, on a 2-core Xeon:
-# dim 1 (4,095 points) 0.5 s at 67 MiB, dim 3 (2,894) 0.3 s, dim 8 (1,926)
-# 0.7 s, dim 24 (1,146) 1.2 s at 77 MiB, dim 500 (109) 18 s, dim 1000 (32) 20 s,
-# and dim 3342 (3 points, sizes 0-3) 14-34 s at 43 MiB.
+# fits a C int. One trial at the largest admitted size took, as a CLI run on
+# a 2-core Xeon: 0.2-0.8 s in dims 1-24 (at most 79 MiB, in dim 24), at most
+# 3.8 s in the dims sampled from 25 to 450, whose frames pass int64, 1.1-1.6 s
+# in dim 500 (109 points) and 0.3-0.4 s from dim 1000 (32) to 3342 (3 points).
 MAX_ARRANGED_WORK = 1 << 25
 # Rule 2.4's suite draws as many trials per `arranged_block_counts` call as
 # fit this many coordinates at its largest size: 496 in dim 3 at 12-44 points

@@ -61,11 +61,12 @@ def test_invalid_data_is_65(capsys):
     (["--bound", "3g+6", "--gamma", "-1"], EXIT_DATA, "--gamma"),
     (["--bound", "3g+6", "--gmin", "-3", "--gmax", "1"], EXIT_DATA, "--gmin"),
     (["--bound", "3g+6", "--gmin", "3", "--gmax", "2"], EXIT_DATA, "--gmin"),
+    (["--bound", "g", "--kmin", "-5"], EXIT_DATA, "--kmin"),
     (["--bound", "1/0g"], EXIT_DATA, "--bound"),
     (["--bound", "3g+1/0"], EXIT_DATA, "--bound"),
     (["--bound", "0/0g+1"], EXIT_DATA, "--bound"),
 ], ids=["bad-bound", "missing-golden", "negative-gamma", "negative-gmin", "inverted-genus-range",
-        "zero-slope-denominator", "zero-constant-denominator", "zero-over-zero"])
+        "negative-kmin", "zero-slope-denominator", "zero-constant-denominator", "zero-over-zero"])
 def test_bad_enumerate_input_exits_without_traceback(argv, code, flag):
     src = str(Path(autbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -429,6 +430,24 @@ def test_report_to_file(tmp_path, capsys, monkeypatch):
     assert os.path.dirname(path) == str(tmp_path)
     data = json.loads(open(path).read())
     assert data["body"]["trials"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemmas", "--lemma", "2.4", "--trials", "2", "--format", "csv"],
+    ["bounds", "surface", "k2_range=1:3", "--table"],
+], ids=["lemma-suite", "surface-table"])
+def test_csv_to_file(tmp_path, capsys, monkeypatch, argv):
+    # a CSV goes to --out as a JSON report does: under the output directory,
+    # with its path printed, and an unwritable path exits 64
+    monkeypatch.setenv("AUTBOUNDS_OUTPUT_DIR", str(tmp_path))
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and printed.startswith(("lemma,", "k2,"))
+    code, out, _ = run_cli(capsys, *argv, "--out", "rows.csv")
+    assert (code, out) == (EXIT_OK, str(tmp_path / "rows.csv") + "\n")
+    assert open(out.strip(), newline="").read() == printed
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "rows.csv" / "x.csv"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"cannot write {tmp_path / 'rows.csv' / 'x.csv'}: ")
 
 
 # ---------------------------------------------------------------------------

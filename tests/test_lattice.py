@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autbounds import lattice
+from autbounds import lattice, lemmas
 from autbounds.errors import InvariantViolation
 from autbounds.lattice import (
     _DENSE_CELL_LIMIT,
@@ -328,7 +328,7 @@ def test_sparse_counting_path_matches_dense(monkeypatch):
     for scale in (1_000, 10_000):
         far = LatticeSet([tuple(c * scale for c in p) for p in base])
         sub_far = LatticeSet([tuple(c * scale for c in p) for p in base[:7]])
-        cells = lattice._sum_frame([far])[2]
+        cells = lattice._sum_frame([far.array])[2]
         assert cells == (10 * scale + 1) ** 4 and _DENSE_CELL_LIMIT < cells
         assert (cells <= lattice._INT64_MAX) == (scale == 1_000)
         assert (midpoint_count(far, far), union_midpoint_count(sub_far, far, sub_far)) == expected
@@ -352,22 +352,29 @@ def test_sorted_sums_merge_across_chunks(monkeypatch):
             a, b = (LatticeSet([tuple(c * scale for c in p) for p in random_set(rng, dim, 12)], dim)
                     for _ in range(2))
             both = LatticeSet(set(a) | set(b), dim)
-            assert _DENSE_CELL_LIMIT < lattice._sum_frame([both])[2] <= lattice._INT64_MAX
+            assert _DENSE_CELL_LIMIT < lattice._sum_frame([both.array])[2] <= lattice._INT64_MAX
             assert midpoint_count(a, b) == len(naive_midpoints(a, b))
             assert union_midpoint_count(a, b, a) == naive_union_count(a, b, a)
 
 
-def test_pair_sums_past_int64_are_exact():
+def test_pair_sums_past_int64_are_exact(monkeypatch):
     # points that fit in int64 but whose pair sums pass it are encoded from
     # the frame's minimum, so their sums are exact; so are the python-int
-    # sums of a frame wider than int64
+    # sums of a frame wider than int64, which go to a set and are never
+    # sorted (sorting python ints made a rule-2.4 trial at the work cap in
+    # dims 24 and 350 about twice as slow)
     for base in (2 ** 63 - 4, -2 ** 63):
         a = LatticeSet([(base, 0), (base + 1, 0), (base + 3, 1)])
         b = LatticeSet([(base, 0)])
         assert midpoint_count(a, a) == len(naive_midpoints(a, a)) == 6
         assert union_midpoint_count(b, a, a) == naive_union_count(b, a, a)
     wide = LatticeSet([(-2 ** 62, 0), (0, 1), (2 ** 62, 0), (2 ** 62, 1)])
-    assert lattice._sum_frame([wide])[2] > lattice._INT64_MAX
+    assert lattice._sum_frame([wide.array])[2] > lattice._INT64_MAX
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("python-int sums sorted")
+
+    monkeypatch.setattr(lattice, "_distinct", no_sort)
     assert midpoint_count(wide, wide) == len(naive_midpoints(wide, wide))
 
 
@@ -410,7 +417,7 @@ def test_selfsum_floor(points):
 
 def _both_paths(pairs):
     """(bitmap count, run count) of the distinct sums over the set pairs."""
-    mins, strides, cells = lattice._sum_frame([s for pair in pairs for s in pair])
+    mins, strides, cells = lattice._sum_frame([s.array for pair in pairs for s in pair])
     code_pairs = [(lattice._encode(a.array, mins, strides, cells),
                    lattice._encode(b.array, mins, strides, cells)) for a, b in pairs]
     runs = [(lattice._runs(a), lattice._runs(b)) for a, b in code_pairs]
@@ -814,8 +821,9 @@ def random_nested(rng, dim, n3, spreads, base=0):
 
 @pytest.fixture
 def arrangement_calls(monkeypatch):
-    """Count the calls of `lattice.arrangement`, which only the int64-overflow
-    fallback of `arranged_union_counts` makes."""
+    """Count the calls of `lattice.arrangement`, which the rule-2.4 counts never
+    make: the block kernel arranges every trial, one whose frame passes int64
+    included."""
     real, calls = lattice.arrangement, []
 
     def counted(a, axis):
@@ -882,10 +890,10 @@ def frame_cells(a3):
 @pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4, 2 ** 63 + 5],
                          ids=["near-max", "near-min", "past-max"])
 def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base):
-    # near +-2**63 the points and each trial's own frame fit in int64, so the
-    # kernel counts them; only a trial whose own span passes int64 takes the
-    # loop. Past 2**63 the points do not fit, and are refused where the sets
-    # are built.
+    # near +-2**63 the points and each trial's own frame fit in int64; a trial
+    # whose own span passes int64 is counted by the kernel too, alone, on
+    # python-int codes. Past 2**63 the points do not fit, and are refused
+    # where the sets are built.
     rng = random.Random(27)
     for _ in range(10):
         dim = rng.randint(1, 3)
@@ -899,8 +907,7 @@ def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base)
         wide = far_apart(triple, base - 2 ** 62 if base > 0 else base)
         assert frame_cells(wide[2]) > lattice._INT64_MAX
         assert arranged_union_counts(*wide) == naive_arranged_counts(*wide)
-        assert len(arrangement_calls) == 3 * dim
-        arrangement_calls.clear()
+        assert arrangement_calls == []
 
 
 def test_arranged_union_counts_need_nested_sets_of_one_dim():
@@ -972,8 +979,9 @@ def test_arranged_block_counts_at_the_nesting_extremes(monkeypatch):
 
 def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
         monkeypatch, arrangement_calls, oversized_calls):
-    # a block of small trials, trials whose own frame is past int64 (the
-    # loop), and trials past a 60-pair budget (counted alone by _count_sums)
+    # a block of small trials, trials whose own frame is past int64 (each a
+    # chunk of its own, on python-int codes), and trials past a 60-pair budget
+    # (counted alone by _pair_sum_codes, and so by _count_sums)
     monkeypatch.setattr(lattice, "_BLOCK_PAIRS", 60)
     rng = random.Random(30)
     for _ in range(6):
@@ -986,11 +994,41 @@ def test_arranged_block_counts_mix_past_int64_and_oversized_trials(
                    for kind in kinds]
         triples = [far_apart(t, -3) if kind == "past-int64" else t
                    for t, kind in zip(triples, kinds)]
-        loops = len(arrangement_calls)
         got = lattice.arranged_block_counts([leveled(*t) for t in triples])
         assert got == [naive_arranged_counts(*t) for t in triples]
-        assert len(arrangement_calls) - loops == 3 * dim * kinds.count("past-int64")
+    assert arrangement_calls == []
     assert oversized_calls != []
+
+
+def arranged_counts_by_steps(a1, a2, a3):
+    """naive_arranged_counts through `arrangement` and tuple sums, for sets
+    of a hundred points and more, where the definition's oracle is cubic."""
+    sets = [a1, a2, a3]
+    counts = [naive_sum_count([(a1, a3), (a2, a2)])]
+    for axis in range(a3.dim):
+        sets = [arrangement(s, axis) for s in sets]
+        counts.append(naive_sum_count([(sets[0], sets[2]), (sets[1], sets[1])]))
+    return counts
+
+
+def test_arranged_block_counts_of_drawn_trials_past_int64(arrangement_calls, oversized_calls):
+    # rule 2.4's own draws in dims 23-40, whose frames pass int64, at sizes on
+    # both sides of the 128 points of a _BLOCK_PAIRS chunk, each between
+    # int64 trials of the same dim, two of which share a chunk
+    rng = random.Random(32)
+    for dim, size in ((23, 128), (40, 129), (31, 60)):
+        a3, level = lemmas._draw_trial(dim, size, size, rng.randrange(1 << 30))
+        drawn = tuple(LatticeSet.from_array(a3[level <= top], dim) for top in (1, 2, 3))
+        assert len(a3) == size and frame_cells(drawn[2]) > lattice._INT64_MAX
+        spreads = rng.sample([1] * 20 + [0] * (dim - 20), dim)
+        triples = [random_nested(rng, dim, rng.randint(4, 30), spreads) for _ in range(3)]
+        triples.insert(1, drawn)
+        assert [frame_cells(t[2]) > lattice._INT64_MAX for t in triples] == [False, True, False, False]
+        calls = len(oversized_calls)
+        got = lattice.arranged_block_counts([leveled(*t) for t in triples])
+        assert got == [arranged_counts_by_steps(*t) for t in triples]
+        assert len(oversized_calls) - calls == (dim + 1) * (size ** 2 > lattice._BLOCK_PAIRS)
+    assert arrangement_calls == []
 
 
 def test_arranged_block_counts_split_chunks_at_the_int64_code_space(monkeypatch):
