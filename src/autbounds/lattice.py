@@ -12,6 +12,13 @@ array, and a coordinate past int64 raises InvariantViolation where the set is
 built. A frame past int64 encodes its points as python ints, from one
 object-array product, so its codes and sums stay exact.
 
+The rows of a set's array are distinct, as are the arranged points of rule
+2.4's kernel, so a set with as many points as its bounding box is that full
+product box. Pair sums, chains and subset tests read this from the bounds
+they compute anyway, and answer a full box in closed form, in O(dim) python
+ints: the sums of two boxes are a box, a box's longest chain runs along its
+longest side, and a box holds every point inside its bounds.
+
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim,
                     held as a lex-sorted int64 array
@@ -19,10 +26,12 @@ Main objects
 
 Main operations
     midpoint_count / union_midpoint_count
-                           (int64 codes in one sum frame, counted by runs of
-                            consecutive codes or a bitmap of every pair up to a
-                            2**25-cell frame, by sorting up to an int64 frame,
-                            and past it in a set of python-int sums)
+                           (full boxes: the union of their sum boxes, by
+                            inclusion-exclusion; otherwise int64 codes in one
+                            sum frame, counted by runs of consecutive codes or
+                            a bitmap of every pair up to a 2**25-cell frame,
+                            by sorting up to an int64 frame, and past it in a
+                            set of python-int sums)
     dimension, longest_chain, arrangement
                            (longest_chain scans the directions of each cap box
                             from _centred_box, the cached read-only block of
@@ -182,7 +191,9 @@ class LatticeSet:
 
     def issubset(self, other: "LatticeSet") -> bool:
         """Every point of self lies in other: self's points, once inside other's
-        box, are encoded in its frame and looked up in other's sorted codes."""
+        box, are encoded in its frame and looked up in other's sorted codes.
+        A set's rows are distinct, so an other with as many points as its
+        bounding box is that full box, and holds every point inside it."""
         mine, theirs = self.array, other.array
         if not len(mine):
             return True
@@ -191,7 +202,10 @@ class LatticeSet:
         lo, hi = theirs.min(axis=0), theirs.max(axis=0)
         if ((mine < lo) | (mine > hi)).any():
             return False
-        frame = (lo.tolist(), *_frame_strides(lo.tolist(), hi.tolist()))
+        lo, hi = lo.tolist(), hi.tolist()
+        if len(theirs) == _box_cells(lo, hi):
+            return True
+        frame = (lo, *_frame_strides(lo, hi))
         codes, within = (_encode(arr, *frame) for arr in (mine, theirs))
         at = np.minimum(np.searchsorted(within, codes), len(within) - 1)
         return bool((within[at] == codes).all())
@@ -292,18 +306,39 @@ class ConvexTriple:
 # mid-point counts
 # ---------------------------------------------------------------------------
 
-def _sum_frame(arrays: list[np.ndarray]):
-    """Common integer frame for encoding pair sums of rows of the int64 arrays.
+def _sum_frame(bounds):
+    """Common integer frame for encoding pair sums of points in the boxes
+    [lo, hi] of `bounds`, given as python-int lists.
 
     Returns (mins, strides, cells) where index(p+q) = dot(p+q, strides) - base
-    is injective over the sum box, or None when every array is empty.
+    is injective over the sum box.
     """
-    arrays = [arr for arr in arrays if len(arr)]
-    if not arrays:
-        return None
-    mins = np.min([arr.min(axis=0) for arr in arrays], axis=0).tolist()
-    maxs = np.max([arr.max(axis=0) for arr in arrays], axis=0).tolist()
+    mins = list(map(min, zip(*(lo for lo, _ in bounds))))
+    maxs = list(map(max, zip(*(hi for _, hi in bounds))))
     return (mins, *_frame_strides(mins, maxs))
+
+
+def _bounds(arr: np.ndarray) -> tuple[list[int], list[int]]:
+    """(lo, hi): the least and greatest coordinates of a nonempty array's
+    rows along each axis, as python ints."""
+    return arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
+
+
+def _box_cells(lo, hi) -> int:
+    """The number of integer points of the box [lo, hi], 0 if it is empty."""
+    return prod(max(h - l + 1, 0) for l, h in zip(lo, hi))
+
+
+def _box_union_cells(boxes) -> int:
+    """#(B_1 u ... u B_k) of integer boxes (lo, hi), by inclusion-exclusion:
+    an intersection of boxes is the box of the largest lo and least hi."""
+    total = 0
+    for k in range(1, len(boxes) + 1):
+        for group in itertools.combinations(boxes, k):
+            lo = map(max, zip(*(b[0] for b in group)))
+            hi = map(min, zip(*(b[1] for b in group)))
+            total += (-1) ** (k + 1) * _box_cells(lo, hi)
+    return total
 
 
 def _frame_strides(mins, maxs) -> tuple[list[int], int]:
@@ -420,11 +455,26 @@ def _count_runs(run_pairs, cells: int) -> int:
 def _pair_sum_codes(pairs: list[tuple[np.ndarray, np.ndarray]]) -> int:
     """Count distinct sums p+q over the union of the given pairs of int64
     point arrays, by `_count_sums` in the frame of their box. An array that
-    appears more than once, as A2 in (A2, A2), is framed and encoded once."""
+    appears more than once, as A2 in (A2, A2), is framed and encoded once.
+
+    Each array's rows are distinct, as in a `LatticeSet` array and the
+    arranged points of rule 2.4's kernel, so an array with as many rows as
+    its bounding box has points is that full box. When every array of a pair
+    with sums is a full box, the sums of each pair are the box [lo_a + lo_b,
+    hi_a + hi_b], and their union is counted in closed form in python ints,
+    with no frame or codes.
+    """
+    pairs = [(a, b) for a, b in pairs if len(a) and len(b)]
     arrays = {id(arr): arr for pair in pairs for arr in pair}
-    frame = _sum_frame(list(arrays.values()))
-    if frame is None:
+    if not arrays:
         return 0
+    bounds = {key: _bounds(arr) for key, arr in arrays.items()}
+    if all(len(arr) == _box_cells(*bounds[key]) for key, arr in arrays.items()):
+        return _box_union_cells([
+            tuple([x + y for x, y in zip(ends_a, ends_b)]
+                  for ends_a, ends_b in zip(bounds[id(a)], bounds[id(b)]))
+            for a, b in pairs])
+    frame = _sum_frame(list(bounds.values()))
     codes = {key: _encode(arr, *frame) for key, arr in arrays.items()}
     return _count_sums([(codes[id(a)], codes[id(b)]) for a, b in pairs], frame[2])
 
@@ -510,6 +560,10 @@ def longest_chain(a: LatticeSet) -> int:
     first pair of points instead. So does a spread-out set whose n(n-1)/2
     pairs cost less to walk than the n starts of every direction in its
     level-3 cap box would cost to scan. All of it is exact.
+
+    A set's rows are distinct, so a set with as many points as its bounding
+    box is that full box, whose longest chain runs along its longest side:
+    max R_c + 1, read before any bitmap is built.
     """
     n = len(a)
     if n == 0:
@@ -519,6 +573,8 @@ def longest_chain(a: LatticeSet) -> int:
     pts = a.array
     lo = pts.min(axis=0)
     r = [int(hi) - int(low) for hi, low in zip(pts.max(axis=0), lo)]  # hi - lo may pass int64
+    if n == prod(x + 1 for x in r):
+        return max(r) + 1
     pads = [x // 2 for x in r]
     spans = [x + 2 * pad + 1 for x, pad in zip(r, pads)]
     if prod(spans) > _DENSE_CELL_LIMIT:
@@ -672,7 +728,7 @@ def arranged_block_counts(block) -> list[list[int]]:
     counts, chunk, chunk_pairs, chunk_cells = [], [], 0, 0
     for arr, level in block:
         dim = arr.shape[1]
-        lo, hi = (arr.min(axis=0).tolist(), arr.max(axis=0).tolist()) if len(arr) else ([0] * dim,) * 2
+        lo, hi = _bounds(arr) if len(arr) else ([0] * dim,) * 2
         strides, cells = _frame_strides(lo, hi)
         if chunk and (chunk_pairs + len(arr) ** 2 > _BLOCK_PAIRS or 2 * chunk_cells + cells > _INT64_MAX):
             counts += _arranged_chunk_counts(chunk)
@@ -798,7 +854,7 @@ def lattice_points_in_hull(a: LatticeSet) -> LatticeSet:
     if not len(a):
         return a
     pts = a.sorted_points()
-    lo, hi = a.array.min(axis=0).tolist(), a.array.max(axis=0).tolist()
+    lo, hi = _bounds(a.array)
     count = prod(h - l + 1 for l, h in zip(lo, hi))
     if count > _HULL_SCAN_LIMIT:
         raise InvariantViolation(

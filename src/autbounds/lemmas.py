@@ -47,10 +47,10 @@ from .rules import CHAIN_RATIO_EPSILON, RULES, _forms_at, _rule, bound_formula  
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
 # Cap on a rule-2.5-2.7 suite's largest size times its dim. A box-draw rule at
-# the cap is drawn and checked, one trial, in 2.6-3.0 s at 156 MiB peak for 2.6
-# in dim 4 (262,144 points) and in 1.8 s at 170 MiB for 2.5 or 2.7 in dim 3
-# (349,525 points), on a 2-core Xeon: its pair sums are counted run pair by run
-# pair.
+# the cap is drawn and checked, one trial, in 0.25-0.3 s at 62 MiB peak for 2.6
+# in dim 4 (262,144 points) and in 0.3-0.6 s at 81-84 MiB for 2.5 or 2.7 in dim
+# 3 (349,525 points), CLI start included, on a 2-core Xeon: the full boxes of
+# such a draw are counted, chained and nested in closed form.
 MAX_COORDINATES = 1 << 20
 # Cap on a rule-2.4 suite's work per trial, n * (dim + 1) * (n + dim) with
 # n = max(size, 3) at its largest size, the most points its draw can hold:

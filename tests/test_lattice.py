@@ -328,7 +328,7 @@ def test_sparse_counting_path_matches_dense(monkeypatch):
     for scale in (1_000, 10_000):
         far = LatticeSet([tuple(c * scale for c in p) for p in base])
         sub_far = LatticeSet([tuple(c * scale for c in p) for p in base[:7]])
-        cells = lattice._sum_frame([far.array])[2]
+        cells = frame_cells(far)
         assert cells == (10 * scale + 1) ** 4 and _DENSE_CELL_LIMIT < cells
         assert (cells <= lattice._INT64_MAX) == (scale == 1_000)
         assert (midpoint_count(far, far), union_midpoint_count(sub_far, far, sub_far)) == expected
@@ -352,7 +352,7 @@ def test_sorted_sums_merge_across_chunks(monkeypatch):
             a, b = (LatticeSet([tuple(c * scale for c in p) for p in random_set(rng, dim, 12)], dim)
                     for _ in range(2))
             both = LatticeSet(set(a) | set(b), dim)
-            assert _DENSE_CELL_LIMIT < lattice._sum_frame([both.array])[2] <= lattice._INT64_MAX
+            assert _DENSE_CELL_LIMIT < frame_cells(both) <= lattice._INT64_MAX
             assert midpoint_count(a, b) == len(naive_midpoints(a, b))
             assert union_midpoint_count(a, b, a) == naive_union_count(a, b, a)
 
@@ -369,7 +369,7 @@ def test_pair_sums_past_int64_are_exact(monkeypatch):
         assert midpoint_count(a, a) == len(naive_midpoints(a, a)) == 6
         assert union_midpoint_count(b, a, a) == naive_union_count(b, a, a)
     wide = LatticeSet([(-2 ** 62, 0), (0, 1), (2 ** 62, 0), (2 ** 62, 1)])
-    assert lattice._sum_frame([wide.array])[2] > lattice._INT64_MAX
+    assert frame_cells(wide) > lattice._INT64_MAX
 
     def no_sort(*args, **kwargs):
         raise AssertionError("python-int sums sorted")
@@ -417,7 +417,8 @@ def test_selfsum_floor(points):
 
 def _both_paths(pairs):
     """(bitmap count, run count) of the distinct sums over the set pairs."""
-    mins, strides, cells = lattice._sum_frame([s.array for pair in pairs for s in pair])
+    mins, strides, cells = lattice._sum_frame([lattice._bounds(s.array)
+                                               for pair in pairs for s in pair if len(s)])
     code_pairs = [(lattice._encode(a.array, mins, strides, cells),
                    lattice._encode(b.array, mins, strides, cells)) for a, b in pairs]
     runs = [(lattice._runs(a), lattice._runs(b)) for a, b in code_pairs]
@@ -486,32 +487,158 @@ def test_run_path_counts_two_boxes_by_their_closed_form():
         assert _both_paths([(a, b)]) == (box_sum_count(*sides),) * 2
 
 
-def test_rule_2_6_boxes_take_the_run_path(monkeypatch):
+def _less_a_corner(box):
+    """A box less its greatest corner: with every side at least 2 it keeps
+    the box's bounds, so it is no full box, and its codes keep the box's runs."""
+    return LatticeSet.from_array(box.array[:-1], box.dim)
+
+
+def test_rule_2_6_boxes_less_a_corner_take_the_run_path(monkeypatch):
+    # rule 2.6's own boxes are counted in closed form, so the run path is
+    # reached here on the same boxes less a corner each
     def no_bitmap(*args):
         raise AssertionError("marked a bitmap")
 
     t = triple_for_rule("2.6", 3)
+    a1, a2, a3 = map(_less_a_corner, (t.a1, t.a2, t.a3))
     empty = LatticeSet([], 4)
-    expected = [_both_paths([(t.a1, t.a3), (t.a2, t.a2)])[0], _both_paths([(t.a2, t.a2)])[0]]
+    expected = [_both_paths([(a1, a3), (a2, a2)])[0], _both_paths([(a2, a2)])[0]]
     monkeypatch.setattr(lattice, "_count_bitmap", no_bitmap)
-    assert union_midpoint_count(t.a1, t.a3, t.a2) == expected[0]
-    assert union_midpoint_count(empty, t.a3, t.a2) == expected[1]
+    assert union_midpoint_count(a1, a3, a2) == expected[0]
+    assert union_midpoint_count(empty, a3, a2) == expected[1]
 
 
 def test_a_set_in_several_pairs_is_framed_encoded_and_split_once(monkeypatch):
     # the (A2, A2) pair of a union count encodes A2 once, and on the run
-    # path splits its codes into runs once; the counts are the oracle's
+    # path splits its codes into runs once; the counts are the oracle's.
+    # Full boxes take the closed form, so each set is a box less a corner
     t = triple_for_rule("2.6", 3)
+    a1, a2, a3 = map(_less_a_corner, (t.a1, t.a2, t.a3))
     encoded, split = [], []
     real_encode, real_runs = lattice._encode, lattice._runs
     monkeypatch.setattr(lattice, "_encode", lambda arr, *frame: encoded.append(len(arr))
                         or real_encode(arr, *frame))
     monkeypatch.setattr(lattice, "_runs", lambda codes: split.append(len(codes)) or real_runs(codes))
-    assert union_midpoint_count(t.a1, t.a3, t.a2) == naive_sum_count([(t.a1, t.a3), (t.a2, t.a2)])
-    assert sorted(encoded) == sorted(split) == sorted(map(len, (t.a1, t.a2, t.a3)))
+    assert union_midpoint_count(a1, a3, a2) == naive_sum_count([(a1, a3), (a2, a2)])
+    assert sorted(encoded) == sorted(split) == sorted(map(len, (a1, a2, a3)))
     encoded.clear()
-    a = _box([3, 4])
+    a = _less_a_corner(_box([3, 4]))
     assert midpoint_count(a, a) == naive_sum_count([(a, a)]) and encoded == [len(a)]
+
+
+def _no_codes(*args):
+    raise AssertionError("encoded, split, marked or scanned a full box")
+
+
+def test_rule_2_6_triples_take_no_codes_runs_or_bitmap(monkeypatch):
+    # every set of a rule-2.6 triple is a full box: its nesting, its union
+    # count and its chains are read from the boxes' bounds
+    t = triple_for_rule("2.6", 3)
+    expected = _both_paths([(t.a1, t.a3), (t.a2, t.a2)])[0]
+    for name in ("_encode", "_runs", "_count_bitmap", "_longest_run", "_sparse_longest_chain"):
+        monkeypatch.setattr(lattice, name, _no_codes)
+    for seed in range(4):
+        drawn = triple_for_rule("2.6", seed)
+        checks = {c.name: c.detail for c in lemmas.hypothesis_report("2.6", drawn).checks}
+        assert checks["chain_a3_lt_eps"].startswith(f"{max(_sides(drawn.a3))} vs ")
+        assert lemmas.verify_lemma("2.6", drawn).lhs_count == union_midpoint_count(
+            drawn.a1, drawn.a3, drawn.a2)
+    assert t == triple_for_rule("2.6", 3) and union_midpoint_count(t.a1, t.a3, t.a2) == expected
+    assert longest_chain(t.a3) == max(_sides(t.a3))
+
+
+# the largest side of a random box per dim, so that the naive oracles stay quick
+_MAX_SIDE = {1: 9, 2: 5, 3: 4, 4: 3, 5: 2}
+
+
+def _sides(box):
+    return [h - l + 1 for l, h in zip(*lattice._bounds(box.array))]
+
+
+def _random_box(rng, dim):
+    """A box with sides of 1 to _MAX_SIDE[dim], a side of 1 about half the time."""
+    return _box([rng.choice((1, rng.randint(1, _MAX_SIDE[dim]))) for _ in range(dim)],
+                [rng.randint(-3, 3) for _ in range(dim)])
+
+
+def _sub_box(rng, box):
+    lo, hi = lattice._bounds(box.array)
+    los = [rng.randint(l, h) for l, h in zip(lo, hi)]
+    return _box([rng.randint(1, h - l + 1) for l, h in zip(los, hi)], los)
+
+
+def _box_unions(rng, kind):
+    """Boxes (a1, a3, a2) in dims 1-5 whose sum boxes a1 + a3 and a2 + a2
+    are disjoint, overlap, or nest, or with a1 empty."""
+    dim = rng.randint(1, 5)
+    a1, a3, a2 = (_random_box(rng, dim) for _ in range(3))
+    if kind == "disjoint":  # 2 * 20 passes every sum of a1 + a3
+        a2 = LatticeSet.from_array(a2.array + np.eye(1, dim, dtype=np.int64) * 20, dim)
+    elif kind == "nested":  # a2 inside a1 = a3
+        a1, a2 = a3, _sub_box(rng, a3)
+    elif kind == "empty-a1":
+        a1 = LatticeSet([], dim)
+    return a1, a3, a2
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "overlapping", "nested", "empty-a1"])
+def test_full_box_pair_sums_match_the_oracles(kind, monkeypatch):
+    rng = random.Random(kind)
+    cases = [_box_unions(rng, kind) for _ in range(40)]
+    expected = [(naive_sum_count([(a1, a3), (a2, a2)]), naive_sum_count([(a3, a2)]))
+                for a1, a3, a2 in cases]
+    monkeypatch.setattr(lattice, "_encode", _no_codes)
+    for (a1, a3, a2), (union, pair) in zip(cases, expected):
+        assert union_midpoint_count(a1, a3, a2) == union, (kind, a1, a3, a2)
+        assert midpoint_count(a3, a2) == pair == box_sum_count(_sides(a3), _sides(a2))
+        assert midpoint_count(a2, a2) == box_sum_count(_sides(a2), _sides(a2))
+        if kind == "empty-a1":
+            assert union == box_sum_count(_sides(a2), _sides(a2))
+        elif kind == "nested":
+            assert union == box_sum_count(_sides(a1), _sides(a3))
+
+
+def test_full_box_chains_and_subsets_match_the_oracles(monkeypatch):
+    rng = random.Random(93)
+    cases = []
+    for _ in range(60):
+        box = _random_box(rng, rng.randint(1, 5))
+        others = [_sub_box(rng, box), _random_box(rng, box.dim)]
+        cases.append((box, others, naive_chain(box)))
+    for name in ("_encode", "_longest_run", "_sparse_longest_chain"):
+        monkeypatch.setattr(lattice, name, _no_codes)
+    for box, others, chain in cases:
+        assert longest_chain(box) == chain == max(_sides(box))
+        for other in others:
+            assert other.issubset(box) == (set(other) <= set(box)), (box, other)
+
+
+def test_near_boxes_take_the_general_paths():
+    # a box less one point and a box plus one point outside its bounds are
+    # no full boxes (unless the point removed ends a line); every count,
+    # chain and subset test on them agrees with the oracles
+    rng = random.Random(94)
+    for _ in range(60):
+        box = _random_box(rng, rng.randint(1, 5))
+        if len(box) == 1:
+            continue
+        points = box.sorted_points()
+        gone = points[-1] if rng.random() < 0.5 else rng.choice(points)
+        less = LatticeSet([p for p in points if p != gone], box.dim)
+        far = [h + rng.randint(1, 2) for h in lattice._bounds(box.array)[1]]
+        outside = tuple(rng.choice((f, x)) for f, x in zip(far, points[0]))
+        outside = outside if outside != points[0] else tuple(far)
+        more = LatticeSet(points + (outside,), box.dim)
+        for s in (less, more):
+            assert longest_chain(s) == naive_chain(s), s.sorted_points()
+            # the point taken out and the point put in, each alone, are no
+            # larger than the sets they are tested against
+            for a, b in ((s, box), (box, s), (s, s), (LatticeSet([gone]), less),
+                         (LatticeSet([outside]), box), (LatticeSet([outside]), s)):
+                assert midpoint_count(a, b) == naive_sum_count([(a, b)])
+                assert a.issubset(b) == (set(a) <= set(b)), (a.sorted_points(), b.sorted_points())
+            for a1, a3, a2 in ((s, box, s), (box, s, box), (s, s, box)):
+                assert union_midpoint_count(a1, a3, a2) == naive_sum_count([(a1, a3), (a2, a2)])
 
 
 def test_rule_2_4_sized_calls_never_look_for_runs(monkeypatch):
@@ -883,8 +1010,9 @@ def far_apart(triple, start):
 
 
 def frame_cells(a3):
-    """The cells of the sum frame `arranged_block_counts` gives a3's trial."""
-    return lattice._frame_strides(a3.array.min(axis=0).tolist(), a3.array.max(axis=0).tolist())[1]
+    """The cells of the sum frame of a3's box, as `arranged_block_counts`
+    frames a3's trial and `_pair_sum_codes` a3's self sums."""
+    return lattice._frame_strides(*lattice._bounds(a3.array))[1]
 
 
 @pytest.mark.parametrize("base", [2 ** 63 - 8, -2 ** 63 + 4, 2 ** 63 + 5],
