@@ -21,7 +21,10 @@ longest side, and a box holds every point inside its bounds.
 
 Main objects
     LatticeSet      deduplicated finite set of integer points, fixed ambient dim,
-                    held as a lex-sorted int64 array
+                    held as a lex-sorted int64 array: from_array sorts and
+                    dedupes rows in any order; _of_sorted takes rows that are
+                    lex-increasing, and so distinct, by construction (the
+                    draws of rules 2.4-2.7) and does not check them
     ConvexTriple    nested sets a1 <= a2 <= a3 (convexity validated on demand)
 
 Main operations
@@ -138,14 +141,24 @@ class LatticeSet:
     def from_array(cls, arr, dim: int) -> "LatticeSet":
         """The set of the rows of an (n, dim) integer array, in any order and
         with any repeats; the array is copied, never kept."""
+        self = cls._of_sorted(arr, dim)
+        arr = self.array
+        if len(arr) > 1 and not _lex_increasing(arr):
+            arr = arr[np.lexsort(arr.T[::-1])]
+            return cls._of_sorted(arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]], dim)
+        return self
+
+    @classmethod
+    def _of_sorted(cls, arr, dim: int) -> "LatticeSet":
+        """The set of the rows of an (n, dim) integer array whose rows are
+        already lex-increasing, and so distinct; the array is copied, never
+        kept. Only a caller that has this order by construction may use it,
+        since nothing here checks it: `from_array` takes any other array."""
         arr = np.asarray(arr)
         if arr.ndim != 2 or arr.shape[1] != dim or not np.can_cast(arr.dtype, np.int64):
             raise InvariantViolation(f"from_array needs an (n, {dim}) int64 array, "
                                      f"not {arr.dtype} of shape {arr.shape}")
         arr = arr.astype(np.int64, order="F")  # a copy, even of an int64 array
-        if len(arr) > 1 and not _lex_increasing(arr):
-            arr = arr[np.lexsort(arr.T[::-1])]
-            arr = np.asfortranarray(arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]])
         arr.flags.writeable = False
         self = cls.__new__(cls)
         self._fill(int(dim), arr)
@@ -520,20 +533,26 @@ def integer_rank(rows: Iterable[tuple[int, ...]]) -> int:
 def dimension(a: LatticeSet) -> int:
     """Dimension of the affine space generated by the set, cached on it.
 
-    The points that are least and greatest along each axis lead the rows:
-    `integer_rank` stops at full rank, which they usually reach on a
-    full-dimensional set.
+    The 2*dim points that are least and greatest along each axis are ranked
+    first: they usually span a full-dimensional set, and as a subset of the
+    set they never span more than it does. Only when they span less than
+    dim are all the rows ranked.
     """
     if not len(a):
         raise InvariantViolation("dimension of an empty set is undefined")
     if a._rank is None:
         arr = a.array
-        extremes = np.concatenate((arr.argmin(axis=0), arr.argmax(axis=0)))
-        pts = arr[extremes].tolist() + arr.tolist()
-        p0 = pts[0]
-        object.__setattr__(a, "_rank", integer_rank(tuple(c - d for c, d in zip(p, p0))
-                                                    for p in pts[1:]))
+        rank = _affine_rank(arr[np.concatenate((arr.argmin(axis=0), arr.argmax(axis=0)))].tolist())
+        if rank < a.dim:
+            rank = _affine_rank(arr.tolist())
+        object.__setattr__(a, "_rank", rank)
     return a._rank
+
+
+def _affine_rank(pts: list[list[int]]) -> int:
+    """The dimension of the affine span of a nonempty list of points."""
+    p0 = pts[0]
+    return integer_rank(tuple(c - d for c, d in zip(p, p0)) for p in pts[1:])
 
 
 def longest_chain(a: LatticeSet) -> int:

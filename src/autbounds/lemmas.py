@@ -47,10 +47,11 @@ from .rules import CHAIN_RATIO_EPSILON, RULES, _forms_at, _rule, bound_formula  
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
 # Cap on a rule-2.5-2.7 suite's largest size times its dim. A box-draw rule at
-# the cap is drawn and checked, one trial, in 0.25-0.3 s at 62 MiB peak for 2.6
-# in dim 4 (262,144 points) and in 0.3-0.6 s at 81-84 MiB for 2.5 or 2.7 in dim
+# the cap is drawn and checked, one trial, in 0.23-0.31 s at 63 MiB peak for 2.6
+# in dim 4 (262,144 points) and in 0.22-0.33 s at 67 MiB for 2.5 or 2.7 in dim
 # 3 (349,525 points), CLI start included, on a 2-core Xeon: the full boxes of
-# such a draw are counted, chained and nested in closed form.
+# such a draw are built in the order they are drawn, and counted, chained and
+# nested in closed form.
 MAX_COORDINATES = 1 << 20
 # Cap on a rule-2.4 suite's work per trial, n * (dim + 1) * (n + dim) with
 # n = max(size, 3) at its largest size, the most points its draw can hold:
@@ -251,14 +252,15 @@ def _gauge_triple(rng: random.Random, dim: int, size_target: int,
         desc = f"box weights={weights} center/2={center}"
 
     pts, vals = _scan_sublevel(gauge, dim, center, size_target)
-    ordered = np.sort(vals)
     f2 = rng.uniform(*(ratios or (0.55, 0.92)))
     f1 = rng.uniform(0.12, 0.45)
     size3 = min(size_target, len(pts))
     size2 = max(dim + 2, int(round(f2 * size3)))
     size1 = max(dim + 2, int(round(f1 * size3)))
-    a3, a2, a1 = (LatticeSet.from_array(pts[vals <= ordered[size - 1]], dim)
-                  for size in (size3, min(size2, size3), min(size1, size3)))
+    sizes = (size3, min(size2, size3), min(size1, size3))
+    ordered = np.partition(vals, [size - 1 for size in sizes])
+    # each sublevel set keeps pts' lex order: rows of a shifted centred box
+    a3, a2, a1 = (LatticeSet._of_sorted(pts[vals <= ordered[size - 1]], dim) for size in sizes)
     return ConvexTriple(a1, a2, a3, witness_regions=f"{desc} sizes={len(a1)},{len(a2)},{len(a3)}")
 
 
@@ -310,8 +312,8 @@ def _box_triple(rng: random.Random, dim: int, size_target: int) -> ConvexTriple:
     def box(shrink):
         """The box of sides sides[c] - 2*shrink[c] from offs[c] + shrink[c]."""
         shape = [side - 2 * s for side, s in zip(sides, shrink)]
-        pts = np.indices(shape, dtype=np.int64).reshape(dim, -1).T
-        return LatticeSet.from_array(pts + np.add(offs, shrink), dim)
+        pts = np.indices(shape, dtype=np.int64).reshape(dim, -1).T  # lex-sorted
+        return LatticeSet._of_sorted(pts + np.add(offs, shrink), dim)
 
     return ConvexTriple(
         box(shrink1), box(shrink2), box([0] * dim),
@@ -434,8 +436,8 @@ def triple_for_rule(lemma_id: str, seed: int, dim: Optional[int] = None,
     """One deterministic draw from the rule's tuned instance distribution."""
     dim, lo, hi = _size_range(lemma_id, dim, min_size, max_size)
     if lemma_id == "2.4":  # any nested sets: rule 2.4 holds for all nested finite integral sets
-        a3, level = _draw_trial(dim, lo, hi, seed)
-        return ConvexTriple(*(LatticeSet.from_array(a3[level <= top], dim) for top in (1, 2, 3)),
+        a3, level = _draw_trial(dim, lo, hi, seed)  # a3 is lex-sorted, so are its level subsets
+        return ConvexTriple(*(LatticeSet._of_sorted(a3[level <= top], dim) for top in (1, 2, 3)),
                             witness_regions="random nested subsets")
     size = random.Random(seed).randint(lo, hi)
     rule = RULES[lemma_id]

@@ -682,6 +682,38 @@ def test_dimension_matches_rational_elimination():
         expected = naive_rank([[x - y for x, y in zip(r, rows[0])] for r in rows])
         assert dimension(LatticeSet(map(tuple, rows), dim)) == expected
         assert dimension(LatticeSet.from_array(np.array(rows, dtype=np.int64), dim)) == expected
+    # 300-2,000 rows of every rank. dimension ranks the 2*dim rows least and
+    # greatest along each axis first; with two far points added on one line
+    # through the set, those rows span that line alone, and only ranking all
+    # the rows finds a rank of 2 or more
+    past_the_extremes = 0
+    for dim in range(1, 6):
+        for rank in range(dim + 1):
+            for far in (False, True):
+                n = rng.randint(300, 2000)
+                k = round(n ** (1 / rank)) if rank else 0
+                basis = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rank)]
+                coeffs = [[rng.randint(-k, k) for _ in range(rank)] for _ in range(n)]
+                if far and rank:
+                    # a line on which every axis that the set moves along moves
+                    while True:
+                        line = [rng.choice((-2, -1, 1, 2)) for _ in range(rank)]
+                        if all(not any(col) or sum(b * x for b, x in zip(col, line))
+                               for col in zip(*basis)):
+                            break
+                    coeffs += [[10 * rank * k * sign * x for x in line] for sign in (-1, 1)]
+                origin = [rng.randint(-9, 9) for _ in range(dim)]
+                rows = [[o + sum(a * b[c] for a, b in zip(co, basis)) for c, o in enumerate(origin)]
+                        for co in coeffs]
+                expected = naive_rank([[x - y for x, y in zip(r, rows[0])] for r in rows])
+                a = LatticeSet.from_array(np.array(rows, dtype=np.int64), dim)
+                assert dimension(a) == expected, (dim, rank, far)
+                if far and expected >= 2:
+                    arr = a.array
+                    ends = arr[np.r_[arr.argmin(axis=0), arr.argmax(axis=0)]].tolist()
+                    assert naive_rank([[x - y for x, y in zip(r, ends[0])] for r in ends]) == 1
+                    past_the_extremes += 1
+    assert past_the_extremes >= 8
 
 
 def test_dimension_is_computed_once_per_set(monkeypatch):
@@ -781,7 +813,8 @@ def test_chain_of_a_box_is_its_longest_side():
 
 def test_centred_box_matches_the_product_box(monkeypatch):
     # every radii tuple up to 4 in dims 1-3, and a sample of them in dim 4;
-    # each block is built into an empty cache, then read from it
+    # each block is built into an empty cache, then read from it. The gauge
+    # draw cuts its sets from these rows without sorting them
     rng = random.Random(95)
     radii = [r for dim in (1, 2, 3) for r in itertools.product(range(5), repeat=dim)]
     radii += [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(40)]
@@ -790,6 +823,7 @@ def test_centred_box_matches_the_product_box(monkeypatch):
         box = lattice._centred_box(r)
         assert box.dtype == np.int64 and box.shape == (prod(2 * x + 1 for x in r), len(r))
         assert box.tolist() == naive_centred_box(r), r
+        assert len(box) < 2 or lattice._lex_increasing(box), r
         assert lattice._centred_box(r) is box, r
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from autbounds import lemmas
 from autbounds.errors import InvariantViolation
-from autbounds.lattice import ConvexTriple, LatticeSet, dimension, longest_chain
+from autbounds.lattice import ConvexTriple, LatticeSet, _lex_increasing, dimension, longest_chain
 from autbounds.lemmas import (
     CHAIN_RATIO_EPSILON,
     RULES,
@@ -117,6 +117,36 @@ def test_generator_box_profile_large():
     t = generate_nested_triple(4, 5200, seed=3)
     assert 3000 <= len(t.a3) <= 9000
     assert dimension(t.a1) == 4
+
+
+def _assert_as_from_array_leaves_it(s):
+    # the draws build their sets without sorting them: each must be the
+    # read-only, column-major, lex-increasing array that from_array makes
+    arr = s.array
+    assert s == LatticeSet.from_array(arr, s.dim)
+    assert arr.dtype == np.int64 and arr.flags.f_contiguous and not arr.flags.writeable
+    assert len(arr) < 2 or _lex_increasing(arr)
+
+
+@pytest.mark.parametrize("lemma", ["2.4", "2.5", "2.6", "2.7"])
+def test_drawn_sets_are_built_in_lex_order(lemma):
+    for seed in range(200):
+        t = triple_for_rule(lemma, seed)
+        for s in (t.a1, t.a2, t.a3):
+            _assert_as_from_array_leaves_it(s)
+
+
+def test_box_profile_sets_are_built_in_lex_order_and_centred():
+    # each box is the outer one less a margin of shrink on both sides of
+    # every axis
+    for seed in range(200):
+        dim = 2 + seed % 3
+        t = generate_nested_triple(dim, (40, 300, 2000)[dim - 2] + seed, seed, shape="box")
+        lo3, hi3 = t.a3.array.min(axis=0), t.a3.array.max(axis=0)
+        for s in (t.a1, t.a2, t.a3):
+            _assert_as_from_array_leaves_it(s)
+            lo, hi = s.array.min(axis=0), s.array.max(axis=0)
+            assert len(s) == np.prod(hi - lo + 1) and (lo - lo3 == hi3 - hi).all(), seed
 
 
 def test_generator_matches_scalar_gauge_scan(monkeypatch):
