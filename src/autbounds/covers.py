@@ -57,10 +57,6 @@ class FiniteAbelianGroup:
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) <= 1
 
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
     def identity(self) -> Element:
         return (0,) * len(self.invariant_factors)
 
@@ -73,9 +69,6 @@ class FiniteAbelianGroup:
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
 
-    def neg(self, x: Element) -> Element:
-        return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
-
     def scale(self, n: int, x: Element) -> Element:
         return tuple((n * a) % d for a, d in zip(x, self.invariant_factors))
 
@@ -87,9 +80,6 @@ class FiniteAbelianGroup:
         elements, gens = self.elements(), _indices(self, generators)
         return frozenset(elements[i] for i in _closure(self.invariant_factors, gens))
 
-    def generates(self, elements) -> bool:
-        return len(_closure(self.invariant_factors, _indices(self, elements))) == self.order
-
     def involutions(self) -> tuple[Element, ...]:
         return tuple(x for x in self.elements() if self.element_order(x) == 2)
 
@@ -100,10 +90,6 @@ class FiniteAbelianGroup:
         import numpy as np  # here only, so that covers loads without numpy
         rows = _orbit(self.invariant_factors, range(self.order), keep_positions=True)
         return np.array(sorted(rows), dtype=np.int32)
-
-    def min_generators_of_quotient(self, subgroup: frozenset[Element]) -> int:
-        """Minimal generating set size of G/H (the largest p-rank over p)."""
-        return _quotient_rank(self.invariant_factors, _indices(self, subgroup))
 
     def __str__(self):
         if not self.invariant_factors:

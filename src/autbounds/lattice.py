@@ -212,10 +212,9 @@ class LatticeSet:
             return True
         if self.dim != other.dim or len(mine) > len(theirs):
             return False
-        lo, hi = theirs.min(axis=0), theirs.max(axis=0)
+        lo, hi = _bounds(theirs)
         if ((mine < lo) | (mine > hi)).any():
             return False
-        lo, hi = lo.tolist(), hi.tolist()
         if len(theirs) == _box_cells(lo, hi):
             return True
         frame = (lo, *_frame_strides(lo, hi))
@@ -590,9 +589,9 @@ def longest_chain(a: LatticeSet) -> int:
     if n == 1:
         return 1
     pts = a.array
-    lo = pts.min(axis=0)
-    r = [int(hi) - int(low) for hi, low in zip(pts.max(axis=0), lo)]  # hi - lo may pass int64
-    if n == prod(x + 1 for x in r):
+    lo, hi = _bounds(pts)
+    r = [h - l for l, h in zip(lo, hi)]  # python ints: hi - lo may pass int64
+    if n == _box_cells(lo, hi):
         return max(r) + 1
     pads = [x // 2 for x in r]
     spans = [x + 2 * pad + 1 for x, pad in zip(r, pads)]
@@ -720,16 +719,13 @@ def arrangement(a: LatticeSet, axis: int) -> LatticeSet:
                        for i in range(size)], a.dim)
 
 
-def arranged_union_counts(a1: LatticeSet, a2: LatticeSet, a3: LatticeSet) -> list[int]:
-    """#(a1.a3 u a2.a2) of nested a1 <= a2 <= a3, then the same count after
-    arranging all three sets along axis 0, 1, ..., dim-1 in turn: dim+1 counts,
-    from `arranged_block_counts` on a block of this one triple."""
-    _require_same_dim(a1, a2, a3)
-    if not a1.issubset(a2) or not a2.issubset(a3):
-        raise InvariantViolation("arranged_union_counts requires a1 <= a2 <= a3")
-    in1, in2 = set(a1), set(a2)
-    level = np.array([3 - (p in in1) - (p in in2) for p in a3.sorted_points()], dtype=np.int8)
-    return arranged_block_counts([(a3.array, level)])[0]
+def arranged_union_counts(triple: ConvexTriple) -> list[int]:
+    """#(a1.a3 u a2.a2) of a triple, then the same count after arranging all
+    three sets along axis 0, 1, ..., dim-1 in turn: dim+1 counts, from
+    `arranged_block_counts` on a block of this one triple."""
+    in1, in2 = set(triple.a1), set(triple.a2)
+    level = np.array([3 - (p in in1) - (p in in2) for p in triple.a3.sorted_points()], dtype=np.int8)
+    return arranged_block_counts([(triple.a3.array, level)])[0]
 
 
 def arranged_block_counts(block) -> list[list[int]]:
@@ -874,7 +870,7 @@ def lattice_points_in_hull(a: LatticeSet) -> LatticeSet:
         return a
     pts = a.sorted_points()
     lo, hi = _bounds(a.array)
-    count = prod(h - l + 1 for l, h in zip(lo, hi))
+    count = _box_cells(lo, hi)
     if count > _HULL_SCAN_LIMIT:
         raise InvariantViolation(
             f"bounding box has {count} lattice points; hull scan is desk-scale only"

@@ -40,16 +40,16 @@ from .lattice import (
     union_midpoint_count,
 )
 from .reports import Check, HypothesisReport
-from .rules import CHAIN_RATIO_EPSILON, RULES, _forms_at, _rule, bound_formula  # re-exports _forms_at
+from .rules import CHAIN_RATIO_EPSILON, RULES, _rule, bound_formula
 
 # Below ~8 points a box of positive volume in dim 4 cannot exist, and the
 # rejection loops in the drivers are bounded; both limits are plain caps.
 _MAX_DRAWS = 80
 _MAX_GENERATOR_ATTEMPTS = 50
 # Cap on a rule-2.5-2.7 suite's largest size times its dim. A box-draw rule at
-# the cap is drawn and checked, one trial, in 0.23-0.31 s at 63 MiB peak for 2.6
-# in dim 4 (262,144 points) and in 0.22-0.33 s at 67 MiB for 2.5 or 2.7 in dim
-# 3 (349,525 points), CLI start included, on a 2-core Xeon: the full boxes of
+# the cap is drawn and checked, one trial, in 0.21-0.28 s, at 55 MiB peak for
+# 2.6 in dim 4 (262,144 points) and at 59 MiB for 2.5 or 2.7 in dim 3 (349,525
+# points), CLI start included, on a 2-core Xeon: the full boxes of
 # such a draw are built in the order they are drawn, and counted, chained and
 # nested in closed form.
 MAX_COORDINATES = 1 << 20
@@ -81,23 +81,14 @@ def derive_seed(master_seed: int, index: int) -> int:
 # hypothesis checks
 # ---------------------------------------------------------------------------
 
-def hypothesis_report(lemma_id: str, triple: ConvexTriple,
-                      verify_convexity: bool = False) -> HypothesisReport:
+def hypothesis_report(lemma_id: str, triple: ConvexTriple) -> HypothesisReport:
     """Check one rule's side hypotheses (rule 2.4 has none) on a triple; `verify_lemma` counts."""
     _rule(lemma_id)
     n1, n2, n3 = triple.sizes()
     checks: list[Check] = [Check("nested", True, "enforced by ConvexTriple")]
     if lemma_id == "2.4":
         return HypothesisReport("2.4", tuple(checks))
-    if verify_convexity:
-        try:
-            triple.validate_convexity()
-            checks.append(Check("integrally_convex", True, "verified by hull scan"))
-        except InvariantViolation as exc:
-            checks.append(Check("integrally_convex", False, str(exc)))
-    else:
-        checks.append(Check("integrally_convex", True, "by construction (generator)"))
-
+    checks.append(Check("integrally_convex", True, "by construction (generator)"))
     d1 = dimension(triple.a1) if n1 else -1
     if lemma_id == "2.5":
         c3, c2 = longest_chain(triple.a3), longest_chain(triple.a2)
@@ -132,11 +123,6 @@ def hypothesis_report(lemma_id: str, triple: ConvexTriple,
 # verification
 # ---------------------------------------------------------------------------
 
-def union_count(triple: ConvexTriple) -> int:
-    """#(a1.a3 u a2.a2); counts the doubled mid-point union exactly."""
-    return union_midpoint_count(triple.a1, triple.a3, triple.a2)
-
-
 @dataclass(frozen=True)
 class VerificationOutcome:
     """One rule counted on one triple; `checks` holds rule 2.4's per-axis steps."""
@@ -158,10 +144,10 @@ def verify_lemma(lemma_id: str, triple: ConvexTriple) -> VerificationOutcome:
     on an inadmissible triple the comparison makes no claim.
     """
     if lemma_id == "2.4":
-        counts = arranged_union_counts(triple.a1, triple.a2, triple.a3)
+        counts = arranged_union_counts(triple)
         return VerificationOutcome(counts[0], Fraction(counts[-1]), all(_axis_steps(counts)),
                                    _axis_checks(counts))
-    lhs = union_count(triple)
+    lhs = union_midpoint_count(triple.a1, triple.a3, triple.a2)
     rhs = bound_formula(lemma_id, len(triple.a2), len(triple.a3))
     return VerificationOutcome(lhs, rhs, lhs >= rhs)
 
@@ -187,7 +173,6 @@ class _Degenerate(Exception):
 
 
 def generate_nested_triple(dim: int, size_target: int, seed: int,
-                           shape: str = "auto",
                            ratios: Optional[tuple[float, float]] = None,
                            inner_dim: Optional[int] = None) -> ConvexTriple:
     """Sample a nested triple of integrally convex sets, deterministically.
@@ -210,10 +195,10 @@ def generate_nested_triple(dim: int, size_target: int, seed: int,
     want_dim = dim if inner_dim is None else inner_dim
     for _ in range(_MAX_GENERATOR_ATTEMPTS):
         try:
-            if shape == "box" or (shape == "auto" and size_target > 1500):
+            if size_target > 1500:
                 triple = _box_triple(rng, dim, size_target)
             else:
-                triple = _gauge_triple(rng, dim, size_target, shape, ratios)
+                triple = _gauge_triple(rng, dim, size_target, ratios)
         except _Degenerate:
             continue
         if dimension(triple.a1) >= want_dim:
@@ -223,10 +208,8 @@ def generate_nested_triple(dim: int, size_target: int, seed: int,
     )
 
 
-def _gauge_triple(rng: random.Random, dim: int, size_target: int,
-                  shape: str, ratios) -> ConvexTriple:
-    if shape == "auto":
-        shape = rng.choice(("ellipsoid", "ellipsoid", "box"))
+def _gauge_triple(rng: random.Random, dim: int, size_target: int, ratios) -> ConvexTriple:
+    shape = rng.choice(("ellipsoid", "ellipsoid", "box"))
     center = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(dim))  # doubled coords
     if shape == "ellipsoid":
         m = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(dim)] for _ in range(dim)]
@@ -313,7 +296,8 @@ def _box_triple(rng: random.Random, dim: int, size_target: int) -> ConvexTriple:
         """The box of sides sides[c] - 2*shrink[c] from offs[c] + shrink[c]."""
         shape = [side - 2 * s for side, s in zip(sides, shrink)]
         pts = np.indices(shape, dtype=np.int64).reshape(dim, -1).T  # lex-sorted
-        return LatticeSet._of_sorted(pts + np.add(offs, shrink), dim)
+        pts += np.add(offs, shrink)  # in place: the box exists twice, here and in its set
+        return LatticeSet._of_sorted(pts, dim)
 
     return ConvexTriple(
         box(shrink1), box(shrink2), box([0] * dim),
@@ -479,23 +463,22 @@ def _size_range(lemma_id: str, dim, min_size, max_size) -> tuple[int, int, int]:
 def admissible_triple(lemma_id: str, master_seed: int, trial: int,
                       dim: Optional[int] = None,
                       min_size: Optional[int] = None,
-                      max_size: Optional[int] = None,
-                      max_draws: int = _MAX_DRAWS):
+                      max_size: Optional[int] = None):
     """Rejection-sample until the rule's hypotheses hold.
 
     Returns (triple, report, draws). If no admissible triple appears within
-    max_draws, returns the last draw with its failing report; callers decide
-    whether inadmissibility is acceptable (it is, for vacuous size ranges).
+    `_MAX_DRAWS` draws, returns the last draw with its failing report; callers
+    decide whether inadmissibility is acceptable (it is, for vacuous size ranges).
     """
     base = derive_seed(master_seed, trial)
     triple = report = None
-    for draw in range(max_draws):
+    for draw in range(_MAX_DRAWS):
         seed = derive_seed(base, draw)
         triple = triple_for_rule(lemma_id, seed, dim, min_size, max_size)
         report = hypothesis_report(lemma_id, triple)
         if report.admissible:
             return triple, report, draw + 1
-    return triple, report, max_draws
+    return triple, report, _MAX_DRAWS
 
 
 @dataclass
@@ -535,8 +518,7 @@ class SuiteResult:
 def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
                     dim: Optional[int] = None,
                     min_size: Optional[int] = None,
-                    max_size: Optional[int] = None,
-                    max_draws: int = _MAX_DRAWS) -> SuiteResult:
+                    max_size: Optional[int] = None) -> SuiteResult:
     """Run `trials` deterministic instances of one rule.
 
     Each trial rejection-samples an admissible instance; rule 2.4 has no side
@@ -551,9 +533,8 @@ def run_lemma_suite(lemma_id: str, trials: int, master_seed: int,
         _run_arranged_suite(result, *_size_range("2.4", dim, min_size, max_size))
         return result
     for trial in range(trials):
-        triple, report, draws = admissible_triple(
-            lemma_id, master_seed, trial, dim, min_size, max_size,
-            max_draws=max_draws)
+        triple, report, draws = admissible_triple(lemma_id, master_seed, trial, dim,
+                                                  min_size, max_size)
         seed = derive_seed(derive_seed(master_seed, trial), draws - 1)
         outcome = verify_lemma(lemma_id, triple)
         _record(result, trial, seed, draws, report.admissible, len(triple.a3), outcome.lhs_count,

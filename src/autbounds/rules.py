@@ -67,16 +67,12 @@ def _rule(lemma_id: str) -> Rule:
         raise InvariantViolation(f"unknown rule id {lemma_id!r}") from None
 
 
-def _forms_at(lemma_id: str, epsilon: Fraction) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """`Rule.forms_at` over one common denominator, built once per (rule,
-    epsilon): (q, rows), each form's (c3, c2, c0) being its integer row / q."""
-    return _integer_forms(lemma_id, epsilon.numerator, epsilon.denominator)
-
-
 @lru_cache(maxsize=64)
 def _integer_forms(lemma_id: str, eps_num: int,
                    eps_den: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    # keyed on integers: a Fraction's hash is a pure-Python modular inverse
+    """`Rule.forms_at` over one common denominator, built once per (rule,
+    epsilon): (q, rows), each form's (c3, c2, c0) being its integer row / q.
+    Keyed on integers: a Fraction's hash is a pure-Python modular inverse."""
     forms = _rule(lemma_id).forms_at(Fraction(eps_num, eps_den))
     q = lcm(*(c.denominator for form in forms for c in form))
     return q, tuple(tuple(int(c * q) for c in form) for form in forms)
@@ -87,7 +83,7 @@ def bound_margin(lemma_id: str, n2: int, n3: int, rhs: int,
     """The rule's bound for #(A1.A3 u A2.A2) less the integer rhs, built as one Fraction."""
     if n2 < 0 or n3 < 0:
         raise InvariantViolation("set sizes must be nonnegative")
-    q, rows = _forms_at(lemma_id, epsilon)
+    q, rows = _integer_forms(lemma_id, epsilon.numerator, epsilon.denominator)
     if not rows:
         raise InvariantViolation(f"no closed-form bound for rule {lemma_id!r}")
     return Fraction(min(c3 * n3 + c2 * n2 + c0 for c3, c2, c0 in rows) - rhs * q, q)

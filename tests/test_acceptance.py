@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from autbounds import lemmas
 from autbounds.bounds import (
     SurfaceInvariants,
     ThreefoldInvariants,
@@ -188,9 +189,9 @@ def test_criterion_06_rule_2_6_binding_scale():
     "forces N > 530 * ceil(N^(1/4)), i.e. N >= 4771. No admissible instance "
     "has #A3 in [1100, 3000]; the rule is verified at binding scale instead."
 ))
-def test_criterion_06_rule_2_6_literal_size_range():
-    res = run_lemma_suite("2.6", 50, MASTER_SEED, min_size=1100, max_size=3000,
-                          max_draws=8)
+def test_criterion_06_rule_2_6_literal_size_range(monkeypatch):
+    monkeypatch.setattr(lemmas, "_MAX_DRAWS", 8)
+    res = run_lemma_suite("2.6", 50, MASTER_SEED, min_size=1100, max_size=3000)
     assert res.admissible_count == 50 and res.violation_count == 0
 
 
@@ -199,7 +200,7 @@ def test_criterion_06_structural_floor_argument():
     from autbounds.lemmas import generate_nested_triple
     ok = True
     for seed in range(4):
-        t = generate_nested_triple(4, 2000, seed=seed, shape="box")
+        t = generate_nested_triple(4, 2000, seed=seed)
         n = len(t.a3)
         k = 1
         while (k + 1) ** 4 < n:

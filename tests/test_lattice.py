@@ -1003,7 +1003,7 @@ def test_arranged_union_counts_match_the_oracle_step_by_step(arrangement_calls):
         dim = rng.randint(1, 5)
         spreads = [rng.choice((0, 1, 2, 5)) for _ in range(dim)]
         a1, a2, a3 = random_nested(rng, dim, rng.randint(1, 18), spreads, base=rng.randint(-4, 2))
-        assert arranged_union_counts(a1, a2, a3) == naive_arranged_counts(a1, a2, a3)
+        assert arranged_union_counts(ConvexTriple(a1, a2, a3)) == naive_arranged_counts(a1, a2, a3)
     assert arrangement_calls == []
 
 
@@ -1018,9 +1018,9 @@ def test_arranged_union_counts_at_the_nesting_extremes(which):
             a2 = LatticeSet(rng.sample(a3.sorted_points(), rng.randint(0, len(a3))), dim)
         else:
             a1 = a2 = a3
-        assert arranged_union_counts(a1, a2, a3) == naive_arranged_counts(a1, a2, a3)
+        assert arranged_union_counts(ConvexTriple(a1, a2, a3)) == naive_arranged_counts(a1, a2, a3)
     empty = LatticeSet([], 3)
-    assert arranged_union_counts(empty, empty, empty) == [0, 0, 0, 0]
+    assert arranged_union_counts(ConvexTriple(empty, empty, empty)) == [0, 0, 0, 0]
 
 
 def test_arranged_union_counts_past_the_dense_limit(arrangement_calls):
@@ -1031,7 +1031,7 @@ def test_arranged_union_counts_past_the_dense_limit(arrangement_calls):
         a1, a2, a3 = random_nested(rng, dim, rng.randint(4, 14), [spread] * dim)
         spans = [max(p[c] for p in a3) - min(p[c] for p in a3) for c in range(dim)]
         assert prod(2 * s + 1 for s in spans) > _DENSE_CELL_LIMIT
-        assert arranged_union_counts(a1, a2, a3) == naive_arranged_counts(a1, a2, a3)
+        assert arranged_union_counts(ConvexTriple(a1, a2, a3)) == naive_arranged_counts(a1, a2, a3)
     assert arrangement_calls == []
 
 
@@ -1064,20 +1064,21 @@ def test_arranged_union_counts_near_int64_take_the_loop(arrangement_calls, base)
                 random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
             continue
         triple = random_nested(rng, dim, rng.randint(1, 10), [3] * dim, base=base)
-        assert arranged_union_counts(*triple) == naive_arranged_counts(*triple)
+        assert arranged_union_counts(ConvexTriple(*triple)) == naive_arranged_counts(*triple)
         assert arrangement_calls == []
         wide = far_apart(triple, base - 2 ** 62 if base > 0 else base)
         assert frame_cells(wide[2]) > lattice._INT64_MAX
-        assert arranged_union_counts(*wide) == naive_arranged_counts(*wide)
+        assert arranged_union_counts(ConvexTriple(*wide)) == naive_arranged_counts(*wide)
         assert arrangement_calls == []
 
 
 def test_arranged_union_counts_need_nested_sets_of_one_dim():
+    # the triple they take enforces both
     a = LatticeSet([(0, 0), (1, 0)])
-    with pytest.raises(InvariantViolation):
-        arranged_union_counts(a, LatticeSet([(0, 0)]), a)
-    with pytest.raises(InvariantViolation):
-        arranged_union_counts(LatticeSet([(0,)]), a, a)
+    with pytest.raises(InvariantViolation, match="a1 <= a2 <= a3"):
+        arranged_union_counts(ConvexTriple(a, LatticeSet([(0, 0)]), a))
+    with pytest.raises(InvariantViolation, match="dimension mismatch"):
+        arranged_union_counts(ConvexTriple(LatticeSet([(0,)]), a, a))
 
 
 def leveled(a1, a2, a3):
@@ -1296,6 +1297,12 @@ def test_lattice_points_in_hull_triangle():
     tri = LatticeSet([(0, 0), (2, 0), (0, 2)])
     hull = lattice_points_in_hull(tri)
     assert hull == LatticeSet([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
+
+
+def test_lattice_points_in_hull_refuses_a_box_past_the_scan_limit():
+    # two points 500 apart span a bounding box of 501**2 points, past 200,000
+    with pytest.raises(InvariantViolation, match="bounding box has 251001 lattice points"):
+        lattice_points_in_hull(LatticeSet([(0, 0), (500, 500)]))
 
 
 def test_relative_convexity():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from autbounds import lemmas
+from autbounds import lemmas, rules
 from autbounds.errors import InvariantViolation
-from autbounds.lattice import ConvexTriple, LatticeSet, _lex_increasing, dimension, longest_chain
+from autbounds.lattice import (ConvexTriple, LatticeSet, _lex_increasing, dimension,
+                               is_relatively_convex, longest_chain, union_midpoint_count)
 from autbounds.lemmas import (
     CHAIN_RATIO_EPSILON,
     RULES,
@@ -19,10 +20,25 @@ from autbounds.lemmas import (
     hypothesis_report,
     run_lemma_suite,
     triple_for_rule,
-    union_count,
     verify_lemma,
 )
 from tests_oracles import naive_nested_levels, naive_scan_sublevel, scalar_gauge_triple
+
+
+def _forms_at(lemma_id, eps):
+    return rules._integer_forms(lemma_id, eps.numerator, eps.denominator)
+
+
+def _box_profile(dim, size_target, seed):
+    """`generate_nested_triple`'s product-box draw at any size: a degenerate
+    draw is drawn again from the same `random.Random(seed)`, as there."""
+    rng = random.Random(seed)
+    for _ in range(lemmas._MAX_GENERATOR_ATTEMPTS):
+        try:
+            return lemmas._box_triple(rng, dim, size_target)
+        except lemmas._Degenerate:
+            continue
+    raise AssertionError(f"no product-box draw (dim={dim}, size={size_target}, seed={seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +77,7 @@ def test_bound_2_6_forms_are_cached_per_epsilon():
     assert {bound_formula("2.6", 5000, 9000, eps)
             for eps in (CHAIN_RATIO_EPSILON, Fraction(1, 530), Fraction(2, 1060))} == {exact(wide)}
     assert isinstance(bound_formula("2.6", 5000, 9000, 0), Fraction)
-    assert lemmas._forms_at("2.6", Fraction(2, 1060)) is lemmas._forms_at("2.6", wide)
+    assert _forms_at("2.6", Fraction(2, 1060)) is _forms_at("2.6", wide)
 
 
 @pytest.mark.parametrize("lemma_id", ["2.5", "2.6", "2.7"])
@@ -72,7 +88,7 @@ def test_bound_formula_matches_the_fraction_forms(lemma_id):
     wide = Fraction(10 ** 40 + 7, 530 * 10 ** 40 + 3)
     for eps in (0, Fraction(1, 530), Fraction(2, 1060), wide):
         forms = RULES[lemma_id].forms_at(Fraction(eps))
-        q, rows = lemmas._forms_at(lemma_id, eps)
+        q, rows = _forms_at(lemma_id, eps)
         assert tuple(tuple(Fraction(c, q) for c in row) for row in rows) == forms
         for n2, n3 in [(0, 0), (1, 0), (0, 1)] + [
                 (rng.randint(0, 10 ** k), rng.randint(0, 10 ** k)) for k in (2, 4, 9) for _ in range(100)]:
@@ -141,7 +157,7 @@ def test_box_profile_sets_are_built_in_lex_order_and_centred():
     # every axis
     for seed in range(200):
         dim = 2 + seed % 3
-        t = generate_nested_triple(dim, (40, 300, 2000)[dim - 2] + seed, seed, shape="box")
+        t = _box_profile(dim, (40, 300, 2000)[dim - 2] + seed, seed)
         lo3, hi3 = t.a3.array.min(axis=0), t.a3.array.max(axis=0)
         for s in (t.a1, t.a2, t.a3):
             _assert_as_from_array_leaves_it(s)
@@ -348,17 +364,30 @@ def test_report_2_5_cardinality_floor():
 def test_report_2_6_small_sets_inadmissible():
     # any two points give a chain of length >= 2, so 500 points cannot meet
     # the 1/530 ratio
-    t = generate_nested_triple(4, 500, seed=5, shape="box")
+    t = _box_profile(4, 500, seed=5)
     rep = hypothesis_report("2.6", t)
     assert not rep.check("chain_a3_lt_eps").passed
     assert len(t.a3) < 1061 or longest_chain(t.a3) >= 2
 
 
 def test_report_checks_exact_ratios():
-    t = generate_nested_triple(3, 64, seed=2, shape="box", inner_dim=3)
+    t = _box_profile(3, 64, seed=2)
     rep = hypothesis_report("2.5", t)
     c3 = longest_chain(t.a3)
     assert rep.check("chain_a3_lt_sixth").passed == (Fraction(c3) < Fraction(len(t.a3), 6))
+
+
+def test_rule_draws_are_integrally_and_relatively_convex():
+    # `hypothesis_report` passes "integrally_convex" by construction; here it
+    # is scanned exactly on an ellipsoid and a weighted-box gauge draw of
+    # rules 2.5-2.7 in dim 3 and on a rule-2.6 product-box draw
+    for rule, seed, kind, sizes in (("2.5", 0, "ellipsoid", (40, 60)),
+                                    ("2.7", 26, "box weights", (40, 60)),
+                                    ("2.6", 0, "boxes sides", (None, None))):
+        t = triple_for_rule(rule, seed, None, *sizes)
+        assert t.witness_regions.startswith(kind) and len(t.a2) < len(t.a3), rule
+        t.validate_convexity()
+        assert is_relatively_convex(t.a1, t.a2) and is_relatively_convex(t.a2, t.a3), rule
 
 
 def test_report_2_4_checks_only_nesting():
@@ -367,9 +396,8 @@ def test_report_2_4_checks_only_nesting():
     t = triple_for_rule("2.4", 11, dim=2, min_size=12, max_size=12)
     with pytest.raises(InvariantViolation, match="a1 is not integrally convex"):
         t.validate_convexity()
-    for verify in (False, True):
-        rep = hypothesis_report("2.4", t, verify_convexity=verify)
-        assert rep.admissible and [c.name for c in rep.checks] == ["nested"]
+    rep = hypothesis_report("2.4", t)
+    assert rep.admissible and [c.name for c in rep.checks] == ["nested"]
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +407,14 @@ def test_report_2_4_checks_only_nesting():
 def test_union_count_trivial():
     from autbounds.lattice import ConvexTriple
     p = LatticeSet([(3, 4)])
-    assert union_count(ConvexTriple(p, p, p)) == 1
+    assert union_midpoint_count(p, p, p) == 1
 
 
 def test_union_count_forced_example():
     from autbounds.lattice import ConvexTriple
     a1 = LatticeSet([(0, 0)])
     a23 = LatticeSet([(0, 0), (1, 0)])
-    assert union_count(ConvexTriple(a1, a23, a23)) == 3
+    assert union_midpoint_count(a1, a23, a23) == 3
 
 
 def test_rule_2_4_work_cap_counts_the_points_a_draw_can_hold(monkeypatch):
@@ -416,7 +444,7 @@ def test_union_count_at_least_a2():
     # each point of a2 averaged with itself is its own mid-point
     for trial in range(20):
         t = triple_for_rule("2.4", derive_seed(derive_seed(13, trial), 0), dim=3)
-        assert union_count(t) >= len(t.a2)
+        assert union_midpoint_count(t.a1, t.a3, t.a2) >= len(t.a2)
 
 
 def test_verify_2_4_reports_per_axis():
@@ -464,7 +492,8 @@ def test_verify_boundary_triples():
                              _box(range(4), range(4), range(4)))),
     ]
     for lemma, triple in cases:
-        rep = hypothesis_report(lemma, triple, verify_convexity=True)
+        triple.validate_convexity()
+        rep = hypothesis_report(lemma, triple)
         assert rep.admissible, (lemma, rep.failed())
         out = verify_lemma(lemma, triple)
         assert out.satisfied, (lemma, out.lhs_count, out.rhs_bound)
@@ -486,7 +515,7 @@ def test_violation_machinery_records_witness(monkeypatch):
     assert "triple" in wit and wit["lhs"] < 10 ** 9
     from autbounds.lattice import ConvexTriple
     replay = ConvexTriple.from_json_dict(wit["triple"])
-    assert union_count(replay) == wit["lhs"]
+    assert union_midpoint_count(replay.a1, replay.a3, replay.a2) == wit["lhs"]
     assert wit["hypotheses"] == hypothesis_report("2.5", replay).to_json_dict()
 
 

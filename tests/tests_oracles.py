@@ -139,7 +139,7 @@ def naive_shell_directions(caps, prev):
             and next(x for x in d if x) > 0]
 
 
-def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
+def scalar_gauge_triple(rng, dim, size_target, ratios):
     """The convex generator's gauge draw, one point and one Python int at a time.
 
     Same signature and random-number use as `lemmas._gauge_triple`: the box
@@ -147,8 +147,7 @@ def scalar_gauge_triple(rng, dim, size_target, shape, ratios):
     closed inside it, and the three sets are the points at or below the
     gauge value of the a3, a2 and a1 size ranks.
     """
-    if shape == "auto":
-        shape = rng.choice(("ellipsoid", "ellipsoid", "box"))
+    shape = rng.choice(("ellipsoid", "ellipsoid", "box"))
     center = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(dim))
     if shape == "ellipsoid":
         m = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(dim)] for _ in range(dim)]
@@ -295,7 +294,7 @@ def naive_element_orbit_keys(group):
     heights are automorphic (Kaplansky, Infinite Abelian Groups, 1954). Both
     sides split over the p-parts, as Aut(G) is the product of the Aut(G_p).
     """
-    exp = group.exponent
+    exp = max(group.invariant_factors, default=1)
     divisors = [d for d in range(1, exp + 1) if exp % d == 0]
     images = {h: {group.scale(h, y) for y in group.elements()} for h in divisors}
     return {x: frozenset((m, h) for m in divisors for h in divisors
